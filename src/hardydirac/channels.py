@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RadialGrid, integrate_radial
-from .potentials import PotentialComponent, PotentialPair, combine
+from .potentials import PotentialComponent, PotentialPair, _hardy_integrand, combine
 
 __all__ = [
     "Channel",
@@ -263,24 +263,11 @@ def channel_weights(pair: PotentialPair, channel):
     k = channel.k if isinstance(channel, Channel) else int(channel)
     if k == -1:
         raise ValueError("k = -1 is not in the spin-orbit spectrum")
-    exponent = 2 * (k + 1)
     density = combine([pair.v1_regular, pair.v2])
-    bps = density.breakpoints()
-    shells = pair.v1_shells
+    integrand = _hardy_integrand(density, pair.v1_shells, 2 * (k + 1))
 
     def g_or_h(r):
-        r = float(r)
-        if k >= 0:
-            val = integrate_radial(lambda s: density(s) * s ** exponent,
-                                   a=0.0, b=r, breakpoints=bps).value
-        else:
-            val = integrate_radial(lambda s: density(s) * s ** exponent,
-                                   a=r, b=math.inf, breakpoints=bps).value
-        total = val / r ** exponent
-        for shell in shells:
-            if (k >= 0 and r >= shell.R) or (k < 0 and r <= shell.R):
-                total += shell.a * (shell.R / r) ** exponent
-        return total
+        return integrand(float(r))
 
     def w_k(r):
         r = float(r)

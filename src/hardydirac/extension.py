@@ -183,6 +183,10 @@ class _HermiteFem:
         return ab
 
     def _element_shapes(self, radius: float):
+        if not (self.grid.r_min <= radius <= self.grid.r_max):
+            raise ValueError(
+                f"radius R={radius:g} lies outside the element grid "
+                f"[{self.grid.r_min:g}, {self.grid.r_max:g}]")
         tr = math.log(radius)
         el = int(np.clip((tr - self.t[0]) // self.h, 0, self.n_nodes - 2))
         xi = np.array([(tr - self.t[el]) / self.h])
@@ -404,14 +408,47 @@ def _as_callable(profile):
     return (lambda r: np.real(profile(r))), (lambda r: np.real(deriv(r)))
 
 
-def _assemble_h_form(fem: _HermiteFem, problem: DiracChannelProblem):
+def _weight_samples(fem: _HermiteFem, problem: DiracChannelProblem):
+    """w1, w2 and w2' at the quadrature points."""
+    rq = fem.rq
+    return problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
+
+
+def _assemble_h_form(fem: _HermiteFem, problem: DiracChannelProblem, w1q, w2q):
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
-    mass = (m - problem.w1(rq) + lam) * rq**3
-    grad = rq / (m + problem.w2(rq) - lam)
+    mass = (m - w1q + lam) * rq**3
+    grad = rq / (m + w2q - lam)
     points = [(radius, -a * radius**2) for radius, a in problem.shell_terms()]
     ab = fem.band(mass, grad, k, point_terms=points)
     return fem.constrain(ab)
+
+
+def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
+                 coefs: np.ndarray, F2):
+    """Strong form of (H_V + lam) on the discrete upper component.
+
+    ``samples`` are w1, w2, w2' at the quadrature points.  The lower
+    component is recovered pointwise, g = -(F2 + f' - k f/r)/(m + w2 - lam);
+    returns f, g and the upper and lower output components, all sampled at
+    the quadrature points.
+    """
+    m, lam, k = problem.m, problem.lam, problem.channel.k
+    rq = fem.rq
+    w1q, w2q, w2dq = samples
+    den = m + w2q - lam
+    f = fem.at_quad(coefs, 0)
+    fd = fem.at_quad(coefs, 1)
+    fdd = fem.at_quad(coefs, 2)
+    f2_fun, f2_dfun = _as_callable(F2)
+    F2q = f2_fun(rq)
+    Df = (fd - k * f) / rq
+    g = -(F2q + Df) / den
+    Df_dot = (fdd - k * fd) / rq - Df
+    g_dot = -(f2_dfun(rq) * rq + Df_dot) / den + (F2q + Df) * (w2dq * rq) / den**2
+    upper = (m - w1q + lam) * f + (g_dot + (k + 2) * g) / rq
+    lower = -Df + (lam - m - w2q) * g
+    return f, g, upper, lower
 
 
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
@@ -444,23 +481,18 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     fem = _HermiteFem(problem.grid)
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
+    samples = _weight_samples(fem, problem)
+    w1q, w2q, _ = samples
 
-    ab = _assemble_h_form(fem, problem)
+    ab = _assemble_h_form(fem, problem, w1q, w2q)
     f1_fun, _ = _as_callable(F1)
-    f2_fun, f2_dfun = _as_callable(F2)
-    den_q = m + problem.w2(rq) - lam
-    b = fem.load(f1_fun(rq) * rq**3, f2_fun(rq) * rq**2 / den_q, k)
+    f2_fun, _ = _as_callable(F2)
+    F2q = f2_fun(rq)
+    b = fem.load(f1_fun(rq) * rq**3, F2q * rq**2 / (m + w2q - lam), k)
     for idx in fem.fixed:
         b[idx] = 0.0
     # diagonal equilibration keeps the Cholesky healthy across 20 decades
-    d = np.abs(ab[0]).copy()
-    d[d <= 0] = 1.0
-    s = 1.0 / np.sqrt(d)
-    ab_scaled = np.array(ab)
-    n = fem.ndof
-    for i in range(6):
-        j = np.arange(n - i)
-        ab_scaled[i, j] *= s[j] * s[j + i]
+    ab_scaled, s = _scaled_copy(ab)
     try:
         y = solveh_banded(ab_scaled, b * s, lower=True)
     except LinAlgError as exc:
@@ -469,20 +501,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
             "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
     coefs = y * s
 
-    # pointwise recovery of the lower component and strong residuals
-    f = fem.at_quad(coefs, 0)
-    fd = fem.at_quad(coefs, 1)
-    fdd = fem.at_quad(coefs, 2)
-    w2dq = problem.w2_derivative(rq)
-    Df = (fd - k * f) / rq
-    F2q = f2_fun(rq)
-    g = -(F2q + Df) / den_q
-    Df_dot = (fdd - k * fd) / rq - Df
-    g_dot = (-(f2_dfun(rq) * rq + Df_dot) / den_q
-             + (F2q + Df) * (w2dq * rq) / den_q**2)
-    upper = (m - problem.w1(rq) + lam) * f + (g_dot + (k + 2) * g) / rq
-    lower = -Df + (lam - m - problem.w2(rq)) * g
-
+    _, _, upper, lower = _strong_form(fem, problem, samples, coefs, F2)
     weight = rq**3
     residual_upper = fem.quad_norm(upper - f1_fun(rq), weight)
     residual_lower = fem.quad_norm(lower - F2q, weight)
@@ -490,7 +509,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     h_norm = math.sqrt(max(float(np.dot(coefs, _band_matvec(ab, coefs))), 0.0))
     nodes = problem.grid
     phi = GridProfile(nodes, fem.node_values(coefs, 0))
-    g_nodes = -(np.real(np.asarray(_profile_or_zero(F2, nodes)))
+    g_nodes = -(f2_fun(nodes.nodes)
                 + fem.node_values(coefs, 1) - k * fem.node_values(coefs, 0) / nodes.nodes
                 ) / (m + problem.w2(nodes.nodes) - lam)
     chi = GridProfile(nodes, g_nodes)
@@ -499,12 +518,6 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
                            residual_lower=residual_lower,
                            h_norm_phi=h_norm, problem=problem, coefs=coefs,
                            F1=F1, F2=F2)
-
-
-def _profile_or_zero(profile, grid: RadialGrid):
-    if profile is None:
-        return np.zeros(grid.n)
-    return profile(grid.nodes)
 
 
 def _data_norm(problem: DiracChannelProblem, F1, F2) -> float:
@@ -566,25 +579,11 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
     the r^2 dr measure and adds the shell point terms.
     """
     fem = _HermiteFem(problem.grid)
-    m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
-    w1q = problem.w1(rq)
-    w2q = problem.w2(rq)
-    w2dq = problem.w2_derivative(rq)
-    den = m + w2q - lam
+    samples = _weight_samples(fem, problem)
 
     def pieces(sol):
-        f = fem.at_quad(sol.coefs, 0)
-        fd = fem.at_quad(sol.coefs, 1)
-        fdd = fem.at_quad(sol.coefs, 2)
-        f2_fun, f2_dfun = _as_callable(sol.F2)
-        F2q = f2_fun(rq)
-        Df = (fd - k * f) / rq
-        g = -(F2q + Df) / den
-        Df_dot = (fdd - k * fd) / rq - Df
-        g_dot = -(f2_dfun(rq) * rq + Df_dot) / den + (F2q + Df) * (w2dq * rq) / den**2
-        upper = (m - w1q + lam) * f + (g_dot + (k + 2) * g) / rq
-        lower = -Df + (lam - m - w2q) * g
+        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs, sol.F2)
         f_at = {radius: fem.at_radius(sol.coefs, radius)
                 for radius, _ in problem.shell_terms()}
         return f, g, upper, lower, f_at
@@ -621,7 +620,7 @@ def _gap_count_fn(fem: _HermiteFem, problem: DiracChannelProblem):
         grad = rq / (m + w2q + E)
         ab = fem.band(mass, grad, k, point_terms=points)
         fem.constrain(ab)
-        return ldl_inertia(_scaled_copy(ab))
+        return ldl_inertia(_scaled_copy(ab)[0])
 
     return count
 

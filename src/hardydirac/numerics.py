@@ -2,8 +2,8 @@
 
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
-and symmetric/Hermitian banded linear algebra (solve, generalized
-eigenvalues by inertia bisection).
+and the inertia count (number of negative eigenvalues) of an equilibrated
+symmetric banded matrix.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -13,12 +13,10 @@ into smooth integrands on the line.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded, solve_banded
 
 __all__ = [
     "RadialGrid",
@@ -29,9 +27,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "integrate_radial",
     "sup_over_r",
-    "BandedHermitianMatrix",
-    "solve_banded_hermitian",
-    "eig_banded_hermitian",
 ]
 
 # Contributions from r outside [1e-60, 1e60] are below every tolerance used
@@ -133,20 +128,16 @@ class SupResult:
 
 
 def integrate_radial(f, a: float = 0.0, b: float = math.inf,
-                     singularity_hint: str = "none",
                      rel_tol: float = 1e-10,
                      breakpoints=()) -> Quadrant:
     """Integrate ``f(r) dr`` over (a, b) with 0 <= a < b <= inf.
 
-    ``singularity_hint`` is one of ``none``, ``inverse_r_at_0``,
-    ``decay_at_inf``; the log substitution neutralizes both hinted
-    behaviours, so the hint only documents intent.  ``breakpoints`` are
-    radii where the integrand is known to be non-smooth (shell edges,
-    table ends); the integral is split there so the adaptive rule cannot
-    step over a narrow feature.
+    The log substitution neutralizes inverse-power singularities at the
+    origin and decaying tails alike.  ``breakpoints`` are radii where the
+    integrand is known to be non-smooth (shell edges, table ends); the
+    integral is split there so the adaptive rule cannot step over a narrow
+    feature.
     """
-    if singularity_hint not in ("none", "inverse_r_at_0", "decay_at_inf"):
-        raise ValueError(f"unknown singularity hint {singularity_hint!r}")
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
 
@@ -287,97 +278,16 @@ def _checked_eval(g, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# banded Hermitian linear algebra
+# banded inertia
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BandedHermitianMatrix:
-    """Hermitian banded matrix in lower-banded storage.
+def _scaled_copy(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric diagonal equilibration of a lower-banded matrix.
 
-    ``ab[d, j] = A[j + d, j]`` for diagonals d = 0..bandwidth; the strictly
-    upper part is implied by (conjugate) symmetry.
+    Returns ``(S A S, s)`` with ``S = diag(s)``, ``s = |diag A|^(-1/2)``
+    (diagonal entries below 1e-300 keep scale 1).  S A S has the inertia of A, and
+    A x = b is solved as x = s * y with (S A S) y = s * b.
     """
-
-    ab: np.ndarray
-
-    def __post_init__(self):
-        ab = np.atleast_2d(np.asarray(self.ab))
-        object.__setattr__(self, "ab", ab)
-
-    @property
-    def n(self) -> int:
-        return self.ab.shape[1]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.ab.shape[0] - 1
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bandwidth: int | None = None) -> "BandedHermitianMatrix":
-        a = np.asarray(a)
-        n = a.shape[0]
-        if bandwidth is None:
-            bandwidth = 0
-            for d in range(1, n):
-                if np.any(np.diag(a, -d) != 0):
-                    bandwidth = d
-        ab = np.zeros((bandwidth + 1, n), dtype=a.dtype)
-        for d in range(bandwidth + 1):
-            ab[d, : n - d] = np.diag(a, -d)
-        return cls(ab)
-
-    def to_dense(self) -> np.ndarray:
-        n, bw = self.n, self.bandwidth
-        a = np.zeros((n, n), dtype=self.ab.dtype)
-        for d in range(bw + 1):
-            idx = np.arange(n - d)
-            a[idx + d, idx] = self.ab[d, idx]
-            if d:
-                a[idx, idx + d] = np.conj(self.ab[d, idx])
-        return a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        y = np.zeros(self.n, dtype=np.result_type(self.ab.dtype, x.dtype))
-        for d in range(self.bandwidth + 1):
-            diag = self.ab[d, : self.n - d]
-            y[d:] += diag * x[: self.n - d]
-            if d:
-                y[: self.n - d] += np.conj(diag) * x[d:]
-        return y
-
-    def shifted(self, sigma: float, other: "BandedHermitianMatrix") -> "BandedHermitianMatrix":
-        """self - sigma*other, with other padded/truncated to this bandwidth."""
-        bw = max(self.bandwidth, other.bandwidth)
-        ab = np.zeros((bw + 1, self.n), dtype=np.result_type(self.ab.dtype, other.ab.dtype))
-        ab[: self.bandwidth + 1] = self.ab
-        ab[: other.bandwidth + 1] -= sigma * other.ab
-        return BandedHermitianMatrix(ab)
-
-
-def solve_banded_hermitian(matrix: BandedHermitianMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = b for Hermitian positive definite banded A.
-
-    One step of iterative refinement keeps the residual near machine level
-    even on badly scaled grids.
-    """
-    b = np.asarray(rhs)
-    try:
-        c = cholesky_banded(matrix.ab, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "banded Cholesky factorization failed; matrix is not positive definite"
-        ) from exc
-    x = cho_solve_banded((c, True), b)
-    r = b - matrix.matvec(x)
-    nb = np.linalg.norm(b)
-    if nb > 0 and np.linalg.norm(r) > 1e-14 * nb:
-        x = x + cho_solve_banded((c, True), r)
-    return x
-
-
-def _scaled_copy(ab: np.ndarray) -> np.ndarray:
-    """Symmetric diagonal equilibration of a lower-banded matrix."""
     d = np.abs(ab[0]).copy()
     d[d < 1e-300] = 1.0
     s = 1.0 / np.sqrt(d)
@@ -386,7 +296,7 @@ def _scaled_copy(ab: np.ndarray) -> np.ndarray:
     for i in range(ab.shape[0]):
         j = np.arange(n - i)
         out[i, j] *= s[j] * s[j + i]
-    return out
+    return out, s
 
 
 def ldl_inertia(ab: np.ndarray) -> int:
@@ -418,89 +328,3 @@ def ldl_inertia(ab: np.ndarray) -> int:
                 v -= L[r - k, k] * L[j - k, k] * d[k]
             L[i, j] = v / d[j]
     return int(np.sum(d < 0.0))
-
-
-def _banded_to_general(ab: np.ndarray) -> np.ndarray:
-    """Lower-banded symmetric storage to the (2*bw+1)-diagonal form of solve_banded."""
-    bw = ab.shape[0] - 1
-    n = ab.shape[1]
-    gen = np.zeros((2 * bw + 1, n), dtype=ab.dtype)
-    for d in range(bw + 1):
-        gen[bw + d, : n - d] = ab[d, : n - d]      # subdiagonal d
-        if d:
-            gen[bw - d, d:] = ab[d, : n - d]        # superdiagonal d (symmetric)
-    return gen
-
-
-def _inverse_iteration(A: BandedHermitianMatrix, B: BandedHermitianMatrix,
-                       sigma: float, iters: int = 4) -> np.ndarray:
-    shifted = A.shifted(sigma, B)
-    gen = _banded_to_general(shifted.ab)
-    bw = shifted.bandwidth
-    n = A.n
-    v = np.ones(n) / math.sqrt(n)
-    v += 1e-3 * np.cos(np.arange(n))
-    for _ in range(iters):
-        try:
-            v = solve_banded((bw, bw), gen, v)
-        except LinAlgError:
-            # probe sits exactly on the eigenvalue; nudge and refactor
-            shifted = A.shifted(sigma * (1.0 + 1e-12) + 1e-300, B)
-            gen = _banded_to_general(shifted.ab)
-            v = solve_banded((bw, bw), gen, v)
-        nrm = math.sqrt(abs(np.dot(v, B.matvec(v))))
-        if nrm == 0.0:
-            raise LinAlgError("inverse iteration collapsed")
-        v = v / nrm
-    return v
-
-
-def eig_banded_hermitian(A: BandedHermitianMatrix, B: BandedHermitianMatrix,
-                         window: tuple[float, float], count: int | None = None,
-                         tol: float = 1e-12, residual_tol: float = 1e-8):
-    """Eigenpairs of the pencil A v = E B v inside ``window``.
-
-    A is Hermitian banded, B Hermitian positive definite banded.  Eigenvalues
-    are located by inertia bisection on the equilibrated shifted matrix
-    (robust, deterministic, no spurious modes); eigenvectors follow from
-    shifted inverse iteration.  Returns [(E, v), ...] sorted ascending.
-    """
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError("window must satisfy E_lo < E_hi")
-    try:
-        cholesky_banded(np.asarray(B.ab, dtype=float), lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError("pencil matrix B is not positive definite") from exc
-
-    def inertia_at(E: float) -> int:
-        return ldl_inertia(_scaled_copy(A.shifted(E, B).ab))
-
-    c_lo = inertia_at(lo)
-    c_hi = inertia_at(hi)
-    n_found = c_hi - c_lo
-    if count is not None:
-        n_found = min(n_found, count)
-
-    pairs = []
-    for idx in range(c_lo, c_lo + n_found):
-        a, b = lo, hi
-        while b - a > tol * max(1.0, abs(a), abs(b)):
-            mid = 0.5 * (a + b)
-            if inertia_at(mid) > idx:
-                b = mid
-            else:
-                a = mid
-        E = 0.5 * (a + b)
-        v = _inverse_iteration(A, B, E + 10.0 * tol * max(1.0, abs(E)))
-        # Rayleigh polish
-        num = float(np.dot(v, A.matvec(v)))
-        den = float(np.dot(v, B.matvec(v)))
-        if den > 0 and lo <= num / den <= hi and abs(num / den - E) < 1e3 * tol * max(1.0, abs(E)):
-            E = num / den
-        res = np.linalg.norm(A.matvec(v) - E * B.matvec(v))
-        vnorm = math.sqrt(abs(np.dot(v, B.matvec(v))))
-        if res > residual_tol * max(vnorm, 1e-300) * max(1.0, np.abs(A.ab).max()):
-            warnings.warn(f"eigenpair at E={E:.6g} has residual {res:.2e}")
-        pairs.append((float(E), v))
-    return pairs

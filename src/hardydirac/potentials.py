@@ -489,14 +489,14 @@ class HardyConstants:
         return max(self.a_plus, self.a_minus) ** 2
 
 
-def _sup_of_weight(regular: PotentialComponent, shells, exponent: int) -> SupResult:
-    """sup over r of the cumulative Hardy integrand with a signed power.
+def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
+    """The cumulative Hardy integrand with a signed power, as a function of r.
 
     For exponent e > 0 this is r^-e * int_0^r V s^e ds with shell terms
     a (R/r)^e for r >= R; for e < 0 the tail integral from r with the
     complementary indicator (and (R/r)^e then increases toward r = R).
     e = 2 and -2 give the forward/backward constants, e = 2(k+1) the
-    channel constants.
+    channel constants and the channel weights g_k/h_k.
     """
     bps = regular.breakpoints()
     zero = regular.is_zero()
@@ -517,9 +517,16 @@ def _sup_of_weight(regular: PotentialComponent, shells, exponent: int) -> SupRes
                 total += shell.a * (shell.R / r) ** exponent
         return total
 
+    return integrand
+
+
+def _sup_of_weight(regular: PotentialComponent, shells, exponent: int) -> SupResult:
+    """sup over r of the cumulative Hardy integrand (``_hardy_integrand``)."""
+    bps = regular.breakpoints()
     candidates = [s.R for s in shells] + [b for b in bps if b > 0]
     try:
-        return sup_over_r(integrand, candidates=tuple(candidates))
+        return sup_over_r(_hardy_integrand(regular, shells, exponent),
+                          candidates=tuple(candidates))
     except (UnboundedError, QuadratureError) as exc:
         raise NotInClassAError(f"not in class A: {exc}") from exc
 

@@ -34,7 +34,6 @@ __all__ = [
     "NormEquivalenceCheck",
     "HypothesisViolationError",
     "hardy_lhs",
-    "hardy_rhs_theorem",
     "verify_theorem",
     "select_lambda",
     "verify_corollary",
@@ -163,31 +162,6 @@ def _v2_state(pair: PotentialPair) -> str:
 def _grad_weight(pair: PotentialPair, gamma: float):
     v2 = pair.v2
     return lambda r: 1.0 / (float(v2(r)) + gamma)
-
-
-def hardy_rhs_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> float:
-    """max{A+^2, A-^2} * int |sigma.grad phi|^2/(V2+gamma) + gamma int |phi|^2.
-
-    Returns math.inf when the weighted gradient integral does not converge
-    (the inequality is then vacuous).
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-    if gamma == 0.0:
-        state = _v2_state(pair)
-        if state == "zero":
-            raise ValueError("gamma = 0 requires V2 > 0 almost everywhere")
-        if state == "mixed":
-            return math.inf
-    grad = 0.0
-    if maxsq > 0.0:
-        try:
-            grad = sigma_grad_norm_weighted(field_, weight=_grad_weight(pair, gamma))
-        except (QuadratureError, ValueError):
-            return math.inf
-    mass = gamma * field_norm_weighted(field_) if gamma > 0.0 else 0.0
-    return maxsq * grad + mass
 
 
 def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,

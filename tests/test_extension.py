@@ -8,6 +8,7 @@ from hardydirac.channels import Channel, exp_profile, gauss_profile
 from hardydirac.extension import (
     ConvergenceError,
     DiracChannelProblem,
+    _bisect_gap,
     apply_H,
     h_inner_product,
     norm_equivalence_probe,
@@ -16,7 +17,7 @@ from hardydirac.extension import (
     spectrum_in_gap,
     weak_solve,
 )
-from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid
+from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid, _scaled_copy, ldl_inertia
 from hardydirac.potentials import CoulombPotential, PotentialPair, parse_pair
 
 
@@ -311,6 +312,64 @@ class TestSpectrum:
         drift_coarse = abs(values[80] - values[40])
         drift_fine = abs(values[160] - values[80])
         assert drift_fine <= drift_coarse + 1e-12
+
+
+def _pencil_count(ab: np.ndarray):
+    """Inertia count of A - E I for a lower-banded A, as spectrum_in_gap counts."""
+    def count(E: float) -> int:
+        shifted = np.array(ab, dtype=float)
+        shifted[0] -= E
+        return ldl_inertia(_scaled_copy(shifted)[0])
+    return count
+
+
+class TestBisectGap:
+    def test_diagonal_pencil(self):
+        count = _pencil_count(np.array([[1.0, 2.0, 3.0]]))
+        assert _bisect_gap(count, 0.5, 2.5, 3, 1e-12) == pytest.approx([1.0, 2.0], abs=1e-10)
+
+    def test_empty_window(self):
+        count = _pencil_count(np.array([[1.0, 2.0, 3.0]]))
+        assert _bisect_gap(count, 5.0, 6.0, 3, 1e-12) == []
+
+    def test_dirichlet_laplacian_modes(self):
+        # -u'' on (0, pi), eigenvalues j^2; refinement converges toward 1 and 4
+        errors = []
+        for n in (60, 120):
+            h = math.pi / (n + 1)
+            ab = np.zeros((2, n))
+            ab[0, :] = 2.0 / h**2
+            ab[1, :-1] = -1.0 / h**2
+            evs = _bisect_gap(_pencil_count(ab), 0.0, 5.0, 5, 1e-12)
+            dense = np.linalg.eigvalsh(np.diag(ab[0]) + np.diag(ab[1, :-1], -1)
+                                       + np.diag(ab[1, :-1], 1))
+            assert evs == pytest.approx([e for e in dense if 0.0 < e < 5.0], rel=1e-9)
+            errors.append(abs(evs[0] - 1.0) + abs(evs[1] - 4.0))
+        assert errors[1] < errors[0] / 3.0
+
+
+class TestShellOutsideGrid:
+    GRID = RadialGrid.log_uniform(100, 1e-6, 50.0)
+
+    def problem(self, R, lam=None):
+        pair = parse_pair(f"coulomb:1 + shell:0.01@{R}", "coulomb:1", c1=0.5, c2=0.5)
+        return DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=lam,
+                                   grid=self.GRID)
+
+    def test_inside_grid(self):
+        sol = weak_solve(self.problem(40.0), gauss_profile(0, 1.0))
+        assert sol.residual_upper < 1e-4
+        evs = spectrum_in_gap(self.problem(40.0, lam=0.0), 2)
+        assert [ev.value for ev in evs] == pytest.approx(
+            [dirac_coulomb_level(0, 0.5), dirac_coulomb_level(1, 0.5)], abs=1e-4)
+
+    @pytest.mark.parametrize("R", [1e-8, 500.0])
+    def test_outside_grid_rejected(self, R):
+        for call in (lambda: weak_solve(self.problem(R), gauss_profile(0, 1.0)),
+                     lambda: spectrum_in_gap(self.problem(R, lam=0.0), 2)):
+            with pytest.raises(ValueError, match="outside the element grid") as err:
+                call()
+            assert not isinstance(err.value, NotPositiveDefiniteError)
 
 
 class TestShellDemo:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardydirac.channels import Channel
+from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_count_fn
 from hardydirac.numerics import (
-    BandedHermitianMatrix,
-    NotPositiveDefiniteError,
     RadialGrid,
     UnboundedError,
-    eig_banded_hermitian,
+    _scaled_copy,
     integrate_radial,
-    solve_banded_hermitian,
+    ldl_inertia,
     sup_over_r,
 )
+from hardydirac.potentials import parse_pair
 
 
 class TestIntegrateRadial:
@@ -24,8 +25,7 @@ class TestIntegrateRadial:
         assert q.abs_error_estimate >= 0
 
     def test_inverse_sqrt_singularity(self):
-        q = integrate_radial(lambda r: r ** -0.5, a=0.0, b=1.0,
-                             singularity_hint="inverse_r_at_0")
+        q = integrate_radial(lambda r: r ** -0.5, a=0.0, b=1.0)
         assert q.value == pytest.approx(2.0, abs=1e-9)
 
     def test_coulomb_pair_integrand(self):
@@ -109,95 +109,41 @@ class TestSupOverR:
         assert res.value == 1.0
 
 
-def _laplacian_plus_identity(n: int) -> BandedHermitianMatrix:
-    ab = np.zeros((2, n))
-    ab[0, :] = 3.0   # 2 (laplacian) + 1 (identity)
-    ab[1, :-1] = -1.0
-    return BandedHermitianMatrix(ab)
+def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
+    n = ab.shape[1]
+    a = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        i = np.arange(n - d)
+        a[i + d, i] = ab[d, i]
+        a[i, i + d] = ab[d, i]
+    return a
 
 
-class TestSolveBanded:
-    def test_identity(self):
-        A = BandedHermitianMatrix(np.ones((1, 5)))
-        b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
-        assert np.allclose(solve_banded_hermitian(A, b), b)
-
-    def test_laplacian_vs_dense_oracle(self):
-        n = 180
-        A = _laplacian_plus_identity(n)
-        b = np.zeros(n)
-        b[0] = 1.0
-        x = solve_banded_hermitian(A, b)
-        x_dense = np.linalg.solve(A.to_dense(), b)
-        assert np.allclose(x, x_dense, atol=1e-12)
-        assert np.linalg.norm(A.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
-
-    def test_indefinite_rejected(self):
-        ab = np.zeros((2, 4))
-        ab[0] = [1.0, -1.0, 1.0, 1.0]
-        with pytest.raises(NotPositiveDefiniteError):
-            solve_banded_hermitian(BandedHermitianMatrix(ab), np.ones(4))
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(7)
-        n = 64
-        ab = np.zeros((3, n))
-        ab[0] = rng.uniform(2.0, 3.0, n)
-        ab[1, :-1] = rng.uniform(-0.5, 0.5, n - 1)
-        ab[2, :-2] = rng.uniform(-0.3, 0.3, n - 2)
-        A = BandedHermitianMatrix(ab)
-        b = rng.normal(size=n)
-        x = solve_banded_hermitian(A, b)
-        assert np.linalg.norm(A.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
-
-
-class TestEigBanded:
-    def test_diagonal_pencil(self):
-        A = BandedHermitianMatrix(np.array([[1.0, 2.0, 3.0]]))
-        B = BandedHermitianMatrix(np.ones((1, 3)))
-        pairs = eig_banded_hermitian(A, B, window=(0.5, 2.5))
-        evs = [e for e, _ in pairs]
-        assert evs == pytest.approx([1.0, 2.0], abs=1e-10)
-
-    def test_dirichlet_laplacian_modes(self):
-        # -u'' on (0, pi), eigenvalues j^2; refinement converges toward 1 and 4
-        errors = []
-        for n in (60, 120):
-            h = math.pi / (n + 1)
-            ab = np.zeros((2, n))
-            ab[0, :] = 2.0 / h**2
-            ab[1, :-1] = -1.0 / h**2
-            A = BandedHermitianMatrix(ab)
-            B = BandedHermitianMatrix(np.ones((1, n)))
-            pairs = eig_banded_hermitian(A, B, window=(0.0, 5.0))
-            evs = [e for e, _ in pairs]
-            dense = np.linalg.eigvalsh(A.to_dense())
-            expected = [e for e in dense if 0.0 < e < 5.0]
-            assert evs == pytest.approx(expected, rel=1e-9)
-            errors.append(abs(evs[0] - 1.0) + abs(evs[1] - 4.0))
-        assert errors[1] < errors[0] / 3.0
-
-    def test_eigenpair_residuals(self):
-        n = 80
-        A = _laplacian_plus_identity(n)
-        B = BandedHermitianMatrix(np.ones((1, n)))
-        pairs = eig_banded_hermitian(A, B, window=(1.0, 1.1))
-        assert pairs
-        for e, v in pairs:
-            assert isinstance(e, float)  # real by construction of the return type
-            vb = math.sqrt(abs(np.dot(v, B.matvec(v))))
-            assert np.linalg.norm(A.matvec(v) - e * B.matvec(v)) <= 1e-8 * vb
-
-    def test_singular_b_rejected(self):
-        A = BandedHermitianMatrix(np.array([[1.0, 2.0, 3.0]]))
-        B = BandedHermitianMatrix(np.array([[1.0, 0.0, 1.0]]))
-        with pytest.raises(NotPositiveDefiniteError):
-            eig_banded_hermitian(A, B, window=(0.0, 4.0))
-
-    def test_empty_window(self):
-        A = BandedHermitianMatrix(np.array([[1.0, 2.0, 3.0]]))
-        B = BandedHermitianMatrix(np.ones((1, 3)))
-        assert eig_banded_hermitian(A, B, window=(5.0, 6.0)) == []
+class TestInertia:
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_gap_counts_match_dense_oracle(self, k):
+        # the E-dependent Dirac-Coulomb form that spectrum_in_gap bisects on;
+        # the raw matrix spans ~20 decades, so the dense oracle is taken of
+        # the equilibrated one, which has the same inertia
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(200, 1e-6, 50.0))
+        fem = _HermiteFem(prob.grid)
+        count = _gap_count_fn(fem, prob)
+        rq = fem.rq
+        shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
+                                 1.0 - np.geomspace(0.2, 1e-4, 32)])
+        counts = []
+        for E in shifts:
+            ab = fem.band((1.0 - prob.w1(rq) - E) * rq**3,
+                          rq / (1.0 + prob.w2(rq) + E), k)
+            scaled, s = _scaled_copy(fem.constrain(ab))
+            assert np.all(s > 0.0)
+            expected = int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0))
+            assert ldl_inertia(scaled) == expected
+            assert count(E) == expected
+            counts.append(expected)
+        assert counts == sorted(counts) and counts[-1] >= 3
 
 
 class TestRadialGrid:

@@ -16,7 +16,6 @@ from hardydirac.verify import (
     HypothesisViolationError,
     extremize_ratio,
     hardy_lhs,
-    hardy_rhs_theorem,
     mollified_delta_experiment,
     random_field_gallery,
     select_lambda,
@@ -45,25 +44,26 @@ class TestLhs:
 class TestRhs:
     def test_zero_pair_mass_only(self):
         pair = parse_pair("zero", "zero")
-        assert hardy_rhs_theorem(pair, F_EXP, 1.0) == pytest.approx(0.25, rel=1e-10)
+        assert verify_theorem(pair, F_EXP, 1.0).rhs == pytest.approx(0.25, rel=1e-10)
 
     def test_coulomb_weighted_gradient(self, coulomb_pair):
         # weight 1/(V2) = r: int e^{-2r} r^3 dr = Gamma(4)/2^4 = 3/8
-        assert hardy_rhs_theorem(coulomb_pair, F_EXP, 0.0) == pytest.approx(
+        assert verify_theorem(coulomb_pair, F_EXP, 0.0).rhs == pytest.approx(
             0.375, rel=1e-9)
 
     def test_zero_field(self, coulomb_pair):
         empty = SpinorField(())
-        assert hardy_rhs_theorem(coulomb_pair, empty, 1.0) == 0.0
+        assert verify_theorem(coulomb_pair, empty, 1.0).rhs == 0.0
 
     def test_gamma_zero_needs_positive_v2(self):
         pair = parse_pair("coulomb:1", "zero")
         with pytest.raises(ValueError):
-            hardy_rhs_theorem(pair, F_EXP, 0.0)
+            verify_theorem(pair, F_EXP, 0.0)
 
     def test_vanishing_v2_gives_infinite_rhs(self):
         pair = parse_pair("coulomb:0.5", "mshell:1,0.3@1")
-        assert math.isinf(hardy_rhs_theorem(pair, F_EXP, 0.0))
+        rep = verify_theorem(pair, F_EXP, 0.0)
+        assert math.isinf(rep.rhs) and rep.vacuous
 
 
 class TestVerifyTheorem:
@@ -114,9 +114,9 @@ class TestVerifyTheorem:
         grad = sigma_grad_norm_weighted(F_EXP, weight=lambda r: r)
         mass = 0.25
         gamma1 = 1.0 * grad / mass
-        rhs1 = hardy_rhs_theorem(coulomb_pair, F_EXP, gamma1)
+        rhs1 = verify_theorem(coulomb_pair, F_EXP, gamma1).rhs
         for gamma2 in (1.5 * gamma1, 3.0 * gamma1):
-            assert hardy_rhs_theorem(coulomb_pair, F_EXP, gamma2) >= rhs1 - 1e-10
+            assert verify_theorem(coulomb_pair, F_EXP, gamma2).rhs >= rhs1 - 1e-10
 
     def test_scaling_invariance_of_ratio(self, coulomb_pair):
         field = SpinorField(((F_EXP.terms[0][0], exp_profile(0, 0.8)),))

@@ -54,7 +54,6 @@ from .channels import (
 )
 from .verify import (
     ExtremizeResult,
-    GapParameters,
     HypothesisViolationError,
     InequalityReport,
     MollifiedRow,

@@ -90,35 +90,16 @@ class ClosedFormProfile:
     terms: tuple
 
     def __call__(self, r):
-        if np.isscalar(r):
-            rr = float(r)
-            lr = math.log(rr)
-            out = 0.0 + 0.0j
-            for t in self.terms:
-                decay = rr if t.kind == "exp" else rr * rr
-                out += t.coef * math.exp(t.p * lr - t.a * decay)
-            return out
         r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape, dtype=complex)
         lr = np.log(r)
         for t in self.terms:
             decay = r if t.kind == "exp" else r * r
             out += t.coef * np.exp(t.p * lr - t.a * decay)
-        return out
-
-    def derivative(self) -> "ClosedFormProfile":
-        new = []
-        for t in self.terms:
-            if t.p != 0.0:
-                new.append(ProfileTerm(t.coef * t.p, t.p - 1.0, t.a, t.kind))
-            if t.kind == "exp":
-                new.append(ProfileTerm(-t.coef * t.a, t.p, t.a, t.kind))
-            else:
-                new.append(ProfileTerm(-2.0 * t.coef * t.a, t.p + 1.0, t.a, t.kind))
-        return ClosedFormProfile(_merge_terms(new))
+        return out if out.ndim else out[()]
 
     def reduced(self, k: int) -> "ClosedFormProfile":
-        """The profile of f' - k f / r."""
+        """The profile of f' - k f / r (k = 0 gives f')."""
         new = []
         for t in self.terms:
             if t.p != k:
@@ -132,10 +113,6 @@ class ClosedFormProfile:
     def scaled(self, coef: complex) -> "ClosedFormProfile":
         return ClosedFormProfile(tuple(
             ProfileTerm(t.coef * coef, t.p, t.a, t.kind) for t in self.terms))
-
-    @property
-    def differentiable(self) -> bool:
-        return True
 
 
 def _merge_terms(terms):
@@ -182,20 +159,10 @@ class GridProfile:
             out = np.interp(t, tg, self.values, left=0.0, right=0.0)
         return out if out.ndim else out[()]
 
-    def derivative(self) -> "GridProfile":
-        """d/dr by fourth-order differences in the log variable."""
-        h = self.grid.t[1] - self.grid.t[0]
-        dv = log_derivative(self.values, h)
-        return GridProfile(self.grid, dv / self.grid.nodes)
-
     def reduced(self, k: int) -> "GridProfile":
-        h = self.grid.t[1] - self.grid.t[0]
-        dv = log_derivative(self.values, h)
+        """f' - k f / r by fourth-order differences in the log variable."""
+        dv = log_derivative(self.values, self.grid.log_step)
         return GridProfile(self.grid, (dv - k * self.values) / self.grid.nodes)
-
-    @property
-    def differentiable(self) -> bool:
-        return True
 
 
 def log_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -271,7 +238,7 @@ def channel_weights(pair: PotentialPair, channel):
 
     def w_k(r):
         r = float(r)
-        base = float(density(r))
+        base = density(r)
         if k >= 0:
             return base - (2.0 * k / r) * g_or_h(r)
         return base + (2.0 * k / r) * g_or_h(r)
@@ -299,7 +266,7 @@ def field_norm_weighted(field: SpinorField, weight=None, shells=()) -> float:
     total = 0.0
     for ch, prof in field.sorted_terms():
         if w is not None:
-            integrand = lambda r: float(w(r)) * abs(prof(r)) ** 2 * r * r
+            integrand = lambda r: w(r) * np.abs(prof(r)) ** 2 * r * r
             total += integrate_radial(integrand, breakpoints=bps).value
         for shell in shells:
             total += shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
@@ -314,7 +281,7 @@ def sigma_grad_norm_weighted(field: SpinorField, weight=None) -> float:
     total = 0.0
     for ch, prof in field.sorted_terms():
         reduced = prof.reduced(ch.k)
-        integrand = lambda r: float(w(r)) * abs(reduced(r)) ** 2 * r * r
+        integrand = lambda r: w(r) * np.abs(reduced(r)) ** 2 * r * r
         total += integrate_radial(integrand, breakpoints=bps).value
     return total
 

@@ -61,15 +61,19 @@ def _add_pair_flags(p: argparse.ArgumentParser):
     p.add_argument("--c2", type=float, default=1.0)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_gap_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+
+
+def _add_grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid-n", type=int, default=1500)
     p.add_argument("--rmin", type=float, default=1e-7)
     p.add_argument("--rmax", type=float, default=50.0)
+
+
+def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
 
@@ -80,41 +84,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="Hardy constants of a pair")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
 
     p = sub.add_parser("channel-constants", help="per-channel constants A_k")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
     p.add_argument("--kmin", type=int, default=-4)
     p.add_argument("--kmax", type=int, default=3)
 
     p = sub.add_parser("verify", help="check the inequalities on given fields")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_gap_flags(p)
+    _add_output_flags(p)
+    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--field", action="append", default=None,
                    help="channel term k=<int>:<profile>, repeatable")
 
     p = sub.add_parser("extremize", help="maximize lhs/rhs over a profile family")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_output_flags(p)
+    p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--kset", default="0,-2", help="comma-separated channel list")
     p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="weak solve of (H_V + lambda) pair = (F1, F2)")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_gap_flags(p)
+    _add_grid_flags(p)
+    _add_output_flags(p)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--f1", default="exp:0,1", help="upper datum profile")
     p.add_argument("--f2", default=None, help="lower datum profile (default zero)")
 
     p = sub.add_parser("spectrum", help="gap eigenvalues per channel")
     _add_pair_flags(p)
-    _add_common_flags(p)
+    _add_gap_flags(p)
+    _add_grid_flags(p)
+    _add_output_flags(p)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--count", type=int, default=2)
 
     p = sub.add_parser("experiment", help="mollified-delta degeneration table")
-    _add_common_flags(p)
+    _add_gap_flags(p)
+    _add_output_flags(p)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.25)
     p.add_argument("--R", type=float, default=2.0)

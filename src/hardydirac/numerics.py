@@ -7,7 +7,9 @@ symmetric banded matrix.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
-into smooth integrands on the line.
+into smooth integrands on the line.  Integrands take a 1-D array of radii
+and return an array of values: the adaptive rule evaluates them once per
+sweep on the Gauss-Legendre nodes of every unconverged panel in log r.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "RadialGrid",
@@ -31,9 +32,25 @@ __all__ = [
 
 # Contributions from r outside [1e-60, 1e60] are below every tolerance used
 # here for weights with power-law-or-faster decay, so the log-space window is
-# clipped there.  Without the clip QUADPACK wanders into overflow territory.
+# clipped there.  Without the clip the panels reach overflow territory.
 _T_LO = math.log(1e-60)
 _T_HI = math.log(1e60)
+
+# Panel rule: 16- and 8-point Gauss-Legendre on [-1, 1], evaluated on one
+# set of 24 nodes per panel; |G16 - G8| is the panel's error estimate.
+_X16, _W16 = np.polynomial.legendre.leggauss(16)
+_X8, _W8 = np.polynomial.legendre.leggauss(8)
+_NODES = np.concatenate([_X16, _X8])
+_REL_TOL = 1e-10
+_MAX_START_WIDTH = 2.0      # widest starting panel in log r
+_MAX_PANELS = 1 << 15
+# an estimate at this multiple of the panel's round-off level cannot shrink
+# by halving (integrals that cancel to zero)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+# supremum scan
+_SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-6, 1e6, 433
+_GROWTH_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -59,10 +76,9 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive radial nodes with a transform label."""
+    """Strictly increasing positive radial nodes."""
 
     nodes: np.ndarray
-    transform: str = "log-uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -76,7 +92,7 @@ class RadialGrid:
     def log_uniform(cls, n: int, r_min: float = 1e-6, r_max: float = 50.0) -> "RadialGrid":
         if not (0.0 < r_min < r_max):
             raise ValueError("need 0 < r_min < r_max")
-        return cls(np.exp(np.linspace(math.log(r_min), math.log(r_max), n)), "log-uniform")
+        return cls(np.exp(np.linspace(math.log(r_min), math.log(r_max), n)))
 
     @property
     def n(self) -> int:
@@ -94,6 +110,14 @@ class RadialGrid:
     def t(self) -> np.ndarray:
         """Log-space coordinates of the nodes."""
         return np.log(self.nodes)
+
+    @property
+    def log_step(self) -> float:
+        """Spacing of the nodes in log r; raises unless it is uniform."""
+        dt = np.diff(self.t)
+        if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
+            raise ValueError("grid nodes are not uniformly spaced in log r")
+        return float(dt[0])
 
     def refined(self) -> "RadialGrid":
         """Grid with at least twice the nodes, r_min halved and r_max doubled."""
@@ -128,15 +152,18 @@ class SupResult:
 
 
 def integrate_radial(f, a: float = 0.0, b: float = math.inf,
-                     rel_tol: float = 1e-10,
                      breakpoints=()) -> Quadrant:
     """Integrate ``f(r) dr`` over (a, b) with 0 <= a < b <= inf.
 
-    The log substitution neutralizes inverse-power singularities at the
-    origin and decaying tails alike.  ``breakpoints`` are radii where the
-    integrand is known to be non-smooth (shell edges, table ends); the
-    integral is split there so the adaptive rule cannot step over a narrow
-    feature.
+    ``f`` maps a 1-D array of radii to an array of values.  The log
+    substitution neutralizes inverse-power singularities at the origin and
+    decaying tails alike.  The window starts as panels in log r cut at
+    r = 1 and at ``breakpoints`` (radii where the integrand is not smooth:
+    shell edges, table samples), none wider than 2, so the rule cannot
+    step over a narrow feature.  Each sweep evaluates ``f`` once on the
+    nodes of every open panel; a panel is accepted when its |G16 - G8| is
+    within its share (width over window width) of ``_REL_TOL * |total|``
+    or at its round-off level, and otherwise halved.
     """
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
@@ -155,31 +182,41 @@ def integrate_radial(f, a: float = 0.0, b: float = math.inf,
             if t_lo < tb < t_hi:
                 cuts.add(tb)
     edges = sorted(cuts)
+    lo = np.concatenate([
+        np.linspace(e0, e1, math.ceil((e1 - e0) / _MAX_START_WIDTH) + 1)[:-1]
+        for e0, e1 in zip(edges[:-1], edges[1:])])
+    hi = np.append(lo[1:], t_hi)
+    window = t_hi - t_lo
 
-    def g(t: float) -> float:
-        r = math.exp(t)
-        val = f(r) * r
-        if not math.isfinite(val):
-            raise ValueError(f"integrand returned a non-finite value at r={r:g}")
-        return val
-
-    total = 0.0
+    done = 0.0
     err = 0.0
-    troubled = False
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, *rest = quad(g, lo, hi, epsabs=1e-300, epsrel=rel_tol,
-                           limit=300, full_output=True)
-        total += v
-        err += e
-        if len(rest) == 2:  # (infodict, message) present on trouble
-            troubled = True
-    # a flagged run whose estimate is still tiny relative to the value has
-    # converged for every purpose here (merely kinked, not divergent)
-    if troubled and err > max(1e4 * rel_tol * abs(total), 1e-13):
-        raise QuadratureError(
-            f"quadrature did not converge (value={total:.6g}, est={err:.3g})",
-            total, err)
-    return Quadrant(total, err)
+    n_panels = lo.size
+    while True:
+        half = 0.5 * (hi - lo)
+        r = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()
+        vals = (f(r) * r).reshape(lo.size, _NODES.size)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            r_bad = r[np.argmax(bad.ravel())]
+            raise ValueError(f"integrand returned a non-finite value at r={r_bad:g}")
+        g16 = half * (vals[:, :16] @ _W16)
+        est = np.abs(g16 - half * (vals[:, 16:] @ _W8))
+        floor = _ROUNDOFF * half * (np.abs(vals[:, :16]) @ _W16)
+        total = done + g16.sum()
+        ok = est <= np.maximum(_REL_TOL * abs(total) * (hi - lo) / window, floor)
+        done += g16[ok].sum()
+        err += est[ok].sum()
+        if ok.all():
+            return Quadrant(float(done), float(err))
+        lo, hi = lo[~ok], hi[~ok]
+        n_panels += lo.size
+        if n_panels > _MAX_PANELS:
+            value, estimate = float(total), float(err + est[~ok].sum())
+            raise QuadratureError(
+                f"quadrature did not converge in {_MAX_PANELS} panels "
+                f"(value={value:.6g}, est={estimate:.3g})", value, estimate)
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
 def _golden_max(g, t_lo: float, t_hi: float, tol: float = 1e-12, max_iter: int = 200):
@@ -206,19 +243,17 @@ def _golden_max(g, t_lo: float, t_hi: float, tol: float = 1e-12, max_iter: int =
     return math.exp(d), fd
 
 
-def sup_over_r(g, r_lo: float = 1e-6, r_hi: float = 1e6,
-               scan_points: int = 433, candidates=(),
-               rel_tol: float = 1e-8) -> SupResult:
+def sup_over_r(g, candidates=()) -> SupResult:
     """Supremum of ``g`` over r > 0.
 
-    A coarse log-uniform scan over [r_lo, r_hi] brackets the maximum,
+    A coarse log-uniform scan over [1e-6, 1e6] brackets the maximum,
     golden-section refinement polishes it, and both endpoints are probed
     over many further decades: monotone growth that does not level off
     raises :class:`UnboundedError`, growth that saturates is reported
     with a limit tag.  ``candidates`` are radii that must be probed
     exactly (jump points of the integrand).
     """
-    rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), scan_points))
+    rs = np.exp(np.linspace(math.log(_SCAN_LO), math.log(_SCAN_HI), _SCAN_POINTS))
     vals = np.empty_like(rs)
     for i, r in enumerate(rs):
         vals[i] = _checked_eval(g, r)
@@ -235,7 +270,7 @@ def sup_over_r(g, r_lo: float = 1e-6, r_hi: float = 1e6,
             best, arg = v, float(r)
 
     # refine around the best scanned bracket when it is interior and strict
-    if 0 < i_best < scan_points - 1 and vals[i_best] > max(vals[i_best - 1], vals[i_best + 1]):
+    if 0 < i_best < _SCAN_POINTS - 1 and vals[i_best] > max(vals[i_best - 1], vals[i_best + 1]):
         r_ref, v_ref = _golden_max(g, math.log(rs[i_best - 1]), math.log(rs[i_best + 1]))
         if v_ref > best:
             best, arg = v_ref, r_ref
@@ -243,7 +278,7 @@ def sup_over_r(g, r_lo: float = 1e-6, r_hi: float = 1e6,
     # when the scan maximum sits on an edge, probe 24 further decades:
     # saturating growth yields a limit tag, persistent growth is unbounded
     tag = None
-    for edge, direction, label in ((0, -1.0, "r->0"), (scan_points - 1, 1.0, "r->inf")):
+    for edge, direction, label in ((0, -1.0, "r->0"), (_SCAN_POINTS - 1, 1.0, "r->inf")):
         if i_best != edge:
             continue
         v_prev = vals[edge]
@@ -253,7 +288,7 @@ def sup_over_r(g, r_lo: float = 1e-6, r_hi: float = 1e6,
         for _ in range(24):
             r = r * (10.0 ** direction)
             v = _checked_eval(g, r)
-            if v > v_prev * (1.0 + rel_tol) or (v_prev <= 0.0 and v > 0.0):
+            if v > v_prev * (1.0 + _GROWTH_TOL) or (v_prev <= 0.0 and v > 0.0):
                 grew = True
                 v_prev = v
                 if v > best:

@@ -52,7 +52,6 @@ __all__ = [
     "a_k",
     "tilde_constants",
     "hardy_constants",
-    "scale_component",
     "scale_pair",
     "bump",
 ]
@@ -121,8 +120,6 @@ class PotentialComponent:
 @dataclass(frozen=True)
 class ZeroPotential(PotentialComponent):
     def __call__(self, r):
-        if isinstance(r, (float, int)):
-            return 0.0
         return np.zeros_like(np.asarray(r, dtype=float))
 
     def derivative(self, r):
@@ -145,8 +142,6 @@ class CoulombPotential(PotentialComponent):
     nu: float
 
     def __call__(self, r):
-        if isinstance(r, (float, int)):
-            return self.nu / r
         return self.nu / np.asarray(r, dtype=float)
 
     def derivative(self, r):
@@ -170,8 +165,6 @@ class PowerPotential(PotentialComponent):
     p: float
 
     def __call__(self, r):
-        if isinstance(r, (float, int)):
-            return self.a * r ** self.p
         return self.a * np.asarray(r, dtype=float) ** self.p
 
     def derivative(self, r):
@@ -248,11 +241,6 @@ class MollifiedShell(PotentialComponent):
             raise ValueError("mollified shell needs eps > 0 and R > 0")
 
     def __call__(self, r):
-        if isinstance(r, (float, int)):
-            u = (r - self.R) / self.eps
-            if abs(u) >= 1.0:
-                return 0.0
-            return (self.c / self.eps) * math.exp(-1.0 / (1.0 - u * u)) / _bump_norm()
         r = np.asarray(r, dtype=float)
         return (self.c / self.eps) * bump((r - self.R) / self.eps)
 
@@ -279,8 +267,6 @@ class SumPotential(PotentialComponent):
     parts: tuple
 
     def __call__(self, r):
-        if isinstance(r, (float, int)):
-            return sum(part(r) for part in self.parts)
         out = np.zeros_like(np.asarray(r, dtype=float))
         for part in self.parts:
             out = out + part(r)
@@ -581,12 +567,6 @@ def hardy_constants(pair: PotentialPair, k_values=()) -> HardyConstants:
     tp, tm = tilde_constants(pair)
     table = {int(k): a_k(pair, int(k)) for k in k_values}
     return HardyConstants(ap, am, tp, tm, table)
-
-
-def scale_component(component: PotentialComponent, alpha: float) -> PotentialComponent:
-    if alpha <= 0:
-        raise ValueError("scaling parameter must be positive")
-    return component.scaled(alpha)
 
 
 def scale_shell(shell: ShellMeasure, alpha: float) -> ShellMeasure:

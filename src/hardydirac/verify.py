@@ -28,7 +28,6 @@ from .numerics import QuadratureError, integrate_radial
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 
 __all__ = [
-    "GapParameters",
     "ChannelCheck",
     "InequalityReport",
     "NormEquivalenceCheck",
@@ -48,23 +47,6 @@ __all__ = [
 
 class HypothesisViolationError(ValueError):
     """The coupling product exceeds the admissible threshold."""
-
-
-@dataclass(frozen=True)
-class GapParameters:
-    """Mass, spectral parameter inside the gap, and the gamma shift."""
-
-    m: float = 1.0
-    lam: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if not (-self.m < self.lam < self.m):
-            raise ValueError("lambda must lie in (-m, m)")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -139,10 +121,7 @@ def _lhs_cached(pair: PotentialPair, field_: SpinorField) -> float:
 
 def hardy_lhs(pair: PotentialPair, field_: SpinorField) -> float:
     """int V1 |phi|^2 including shell terms (couplings not applied)."""
-    try:
-        return _lhs_cached(pair, field_)
-    except TypeError:  # unhashable profile (grid samples); compute directly
-        return field_norm_weighted(field_, weight=pair.v1_regular, shells=pair.v1_shells)
+    return _lhs_cached(pair, field_)
 
 
 def _v2_state(pair: PotentialPair) -> str:
@@ -161,7 +140,7 @@ def _v2_state(pair: PotentialPair) -> str:
 
 def _grad_weight(pair: PotentialPair, gamma: float):
     v2 = pair.v2
-    return lambda r: 1.0 / (float(v2(r)) + gamma)
+    return lambda r: 1.0 / (v2(r) + gamma)
 
 
 def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,
@@ -245,7 +224,7 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
         raise ValueError("lambda must lie in (-m, m)")
 
     v2 = pair.v2
-    weight = lambda r: 1.0 / (m + c2 * float(v2(r)) - lam)
+    weight = lambda r: 1.0 / (m + c2 * v2(r) - lam)
     lhs_base = hardy_lhs(pair, field_)
     lhs = c1 * lhs_base
     grad = sigma_grad_norm_weighted(field_, weight=weight)
@@ -268,7 +247,7 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
         eps = min(1.0 / (c1 * c2 * maxsq) - 1.0, 1e3)
         lam_min = max(0.0, m * ((1.0 + eps) * c1 - c2) / ((1.0 + eps) * c1 + c2))
         lam_eps = 0.5 * (lam_min + m)
-        weight_eps = lambda r: 1.0 / (m + c2 * float(v2(r)) - lam_eps)
+        weight_eps = lambda r: 1.0 / (m + c2 * v2(r) - lam_eps)
         grad_eps = sigma_grad_norm_weighted(field_, weight=weight_eps)
         lhs_w = eps * c1 * lhs_base
         rhs_w = grad_eps + (m + lam_eps) * mass - c1 * lhs_base
@@ -409,7 +388,7 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
         annulus = 0.0
         for ch, prof in field_.sorted_terms():
             reduced = prof.reduced(ch.k)
-            dens = lambda r: abs(reduced(r)) ** 2 * r * r
+            dens = lambda r: np.abs(reduced(r)) ** 2 * r * r
             if inner > 0.0:
                 bulk += integrate_radial(dens, a=0.0, b=inner).value
             bulk += integrate_radial(dens, a=outer, b=math.inf).value

@@ -128,7 +128,7 @@ class TestNorms:
                  (Channel(1), exp_profile(1, 0.7)),
                  (Channel(-2), gauss_profile(1, 1.1)))
         field = SpinorField(terms)
-        w = lambda r: math.exp(-0.3 * r)
+        w = lambda r: np.exp(-0.3 * r)
         total = field_norm_weighted(field, weight=w)
         by_k = sorted(terms, key=lambda t: t[0].k)
         parts = sum(field_norm_weighted(SpinorField((t,)), weight=w) for t in by_k)
@@ -147,7 +147,7 @@ class TestNorms:
         f = SpinorField.single(0, exp_profile(0, 1.0))
         w = lambda r: 1.0 / (1.0 / r + 1.0)
         got = sigma_grad_norm_weighted(f, weight=w)
-        oracle = integrate_radial(lambda r: math.exp(-2 * r) * r ** 3 / (r + 1)).value
+        oracle = integrate_radial(lambda r: np.exp(-2 * r) * r ** 3 / (r + 1)).value
         assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -198,7 +198,7 @@ class TestLatticeOracle:
         field = SpinorField(((Channel(0), gauss_profile(0, 1.0)),
                              (Channel(-2), gauss_profile(1, 0.9))))
         w = lambda r: np.exp(-r)
-        radial = field_norm_weighted(field, weight=lambda r: math.exp(-r))
+        radial = field_norm_weighted(field, weight=w)
         lattice = lattice_weighted_norm(field, weight=w, spacing=0.05, extent=3.4)
         assert abs(lattice - radial) / radial < 0.01
 

@@ -206,6 +206,17 @@ class TestWeakSolve:
                        residual_tol=1e-300)
         assert "history" in err.value.diagnostics
 
+    def test_nonuniform_grid_rejected(self):
+        # the elements assume one log step; a mixed grid used to solve
+        # silently with residual_upper near 1
+        base = RadialGrid.log_uniform(400, 1e-7, 50.0).nodes[::2]
+        extra = np.sqrt(base[:100] * base[1:101])
+        grid = RadialGrid(np.sort(np.concatenate([base, extra])))
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, grid=grid)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            weak_solve(prob, exp_profile(0, 1.0), None)
+
     def test_shell_enters_weak_form(self):
         # a weak shell perturbs the solution continuously
         base_pair = parse_pair("zero", "coulomb:1", c1=1.0, c2=0.5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardydirac.channels import Channel
+from hardydirac.channels import Channel, GridProfile, exp_profile
 from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_count_fn
 from hardydirac.numerics import (
     RadialGrid,
@@ -16,11 +16,25 @@ from hardydirac.numerics import (
     sup_over_r,
 )
 from hardydirac.potentials import parse_pair
+from hardydirac.verify import random_field_gallery
+
+
+def _moment(n: int, a: float) -> float:
+    """int_0^inf r^n e^{-2 a r} dr."""
+    return math.gamma(n + 1) / (2.0 * a) ** (n + 1)
+
+
+def _coulomb_grad_term(nu2, k, coef, p, a):
+    """int (r/nu2) |f' - k f/r|^2 r^2 dr for f = coef r^p e^{-a r}."""
+    n = int(2 * p + 1)
+    d = p - k
+    return abs(coef) ** 2 / nu2 * (d * d * _moment(n, a) - 2.0 * a * d * _moment(n + 1, a)
+                                   + a * a * _moment(n + 2, a))
 
 
 class TestIntegrateRadial:
     def test_gamma_three(self):
-        q = integrate_radial(lambda r: math.exp(-r) * r * r)
+        q = integrate_radial(lambda r: np.exp(-r) * r * r)
         assert q.value == pytest.approx(2.0, abs=1e-10)
         assert q.abs_error_estimate >= 0
 
@@ -34,7 +48,7 @@ class TestIntegrateRadial:
         assert q.value == pytest.approx(9.0, abs=1e-9)
 
     def test_error_within_estimate(self):
-        q = integrate_radial(lambda r: math.exp(-2 * r) * r ** 3)
+        q = integrate_radial(lambda r: np.exp(-2 * r) * r ** 3)
         assert abs(q.value - 6.0 / 16.0) <= max(q.abs_error_estimate, 1e-12)
 
     def test_nan_integrand_rejected(self):
@@ -49,7 +63,7 @@ class TestIntegrateRadial:
         from hardydirac.numerics import QuadratureError
         with pytest.raises(QuadratureError) as err:
             # ~1.6e7 oscillation periods exhaust the subdivision budget
-            integrate_radial(lambda r: math.cos(1e8 * r), a=1.0, b=2.0)
+            integrate_radial(lambda r: np.cos(1e8 * r), a=1.0, b=2.0)
         assert math.isfinite(err.value.value)
         assert err.value.estimate > 0.0
 
@@ -64,15 +78,55 @@ class TestIntegrateRadial:
         # a narrow annular bump has unit mass; without the breakpoints the
         # adaptive rule on the wide log window could step straight over it
         lo, hi = 5.0 - 1e-3, 5.0 + 1e-3
-        f = lambda r: 500.0 if lo < r < hi else 0.0
+        f = lambda r: np.where((lo < r) & (r < hi), 500.0, 0.0)
         q = integrate_radial(f, breakpoints=(lo, 5.0, hi))
         assert q.value == pytest.approx(1.0, rel=1e-8)
+
+    def test_integrand_called_on_arrays(self):
+        shapes = []
+
+        def f(r):
+            shapes.append(r.shape)
+            return np.exp(-r) * r * r
+
+        integrate_radial(f)
+        assert shapes and all(len(shape) == 1 and shape[0] > 1 for shape in shapes)
+
+    def test_cancelling_integrand_converges_to_zero(self):
+        # odd in t = log r: the panels reach round-off, not a relative tolerance
+        q = integrate_radial(lambda r: np.sin(np.log(r)) * np.exp(-np.log(r) ** 2) / r)
+        assert abs(q.value) <= 1e-15
+
+    def test_double_root_gradient_side(self):
+        # |f' - 3 f/r|^2 for f = r^4 e^{-a r} has a double root at r = 1/a; a
+        # starting panel as wide as [1, 1e60] reads a small |G16 - G8| across
+        # it and misses the integral by up to 1e-4 relative
+        a, nu2 = 1.3398914747697246, 2.0
+        prof = exp_profile(4, a)
+        red = prof.reduced(3)
+        q = integrate_radial(lambda r: r / nu2 * np.abs(red(r)) ** 2 * r * r)
+        assert q.value == pytest.approx(_coulomb_grad_term(nu2, 3, 1.0, 4, a), rel=1e-12)
+
+    def test_estimate_bounds_error_on_coulomb_sides(self):
+        # both sides of the Coulomb inequality over a random gallery, against
+        # their Gamma-function closed forms
+        for field in random_field_gallery(40, seed=0):
+            for ch, prof in field.terms:
+                (term,) = prof.terms
+                red = prof.reduced(ch.k)
+                for nu in (0.5, 2.0):
+                    lhs = integrate_radial(lambda r: nu * np.abs(prof(r)) ** 2 * r)
+                    grad = integrate_radial(lambda r: np.abs(red(r)) ** 2 * r ** 3 / nu)
+                    exact_lhs = nu * abs(term.coef) ** 2 * _moment(int(2 * term.p + 1), term.a)
+                    exact_grad = _coulomb_grad_term(nu, ch.k, term.coef, term.p, term.a)
+                    assert abs(lhs.value - exact_lhs) <= lhs.abs_error_estimate
+                    assert abs(grad.value - exact_grad) <= grad.abs_error_estimate
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_linearity(self, alpha, beta):
-        f = lambda r: math.exp(-r) * r * r
-        g = lambda r: math.exp(-2.0 * r) * r
+        f = lambda r: np.exp(-r) * r * r
+        g = lambda r: np.exp(-2.0 * r) * r
         combo = integrate_radial(lambda r: alpha * f(r) + beta * g(r)).value
         separate = alpha * integrate_radial(f).value + beta * integrate_radial(g).value
         assert combo == pytest.approx(separate, abs=1e-9)
@@ -159,6 +213,21 @@ class TestRadialGrid:
         assert f.n >= 2 * g.n
         assert f.r_min == pytest.approx(g.r_min / 2.0)
         assert f.r_max == pytest.approx(g.r_max * 2.0)
+
+    def test_log_step(self):
+        g = RadialGrid.log_uniform(100, 1e-6, 50.0)
+        assert g.log_step == pytest.approx(math.log(50.0 / 1e-6) / 99, rel=1e-12)
+
+    def test_nonuniform_log_step_rejected(self):
+        # every other node of a log grid plus midpoints of the first intervals
+        base = RadialGrid.log_uniform(400, 1e-7, 50.0).nodes[::2]
+        extra = np.sqrt(base[:100] * base[1:101])
+        grid = RadialGrid(np.sort(np.concatenate([base, extra])))
+        assert grid.n == 300
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            grid.log_step
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            GridProfile(grid, np.exp(-grid.nodes)).reduced(0)
 
     def test_bad_nodes(self):
         with pytest.raises(ValueError):

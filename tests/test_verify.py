@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardydirac.channels import (
+    Channel,
     ClosedFormProfile,
     ProfileTerm,
     SpinorField,
@@ -11,6 +12,8 @@ from hardydirac.channels import (
     gauss_profile,
     sigma_grad_norm_weighted,
 )
+from hardydirac.extension import DiracChannelProblem, weak_solve
+from hardydirac.numerics import RadialGrid
 from hardydirac.potentials import parse_pair, scale_pair
 from hardydirac.verify import (
     HypothesisViolationError,
@@ -130,20 +133,17 @@ class TestVerifyTheorem:
             assert rep.ratio == pytest.approx(base.ratio, abs=1e-6)
 
 
-class TestGapParameters:
-    def test_valid(self):
-        from hardydirac.verify import GapParameters
-        gp = GapParameters(m=2.0, lam=-1.5, gamma=0.3)
-        assert gp.m == 2.0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"m": 0.0}, {"m": 1.0, "lam": 1.0}, {"m": 1.0, "lam": -1.5},
-        {"m": 1.0, "gamma": -0.1},
-    ])
-    def test_invalid(self, kwargs):
-        from hardydirac.verify import GapParameters
-        with pytest.raises(ValueError):
-            GapParameters(**kwargs)
+class TestGridProfileField:
+    def test_weak_solve_output_verifies(self):
+        # a GridProfile is piecewise linear in log r with a kink at every node
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0,
+                                   grid=RadialGrid.log_uniform(400, 1e-7, 50.0))
+        phi = weak_solve(prob, exp_profile(0, 1.0), None).phi
+        rep = verify_theorem(pair, SpinorField.single(0, phi), gamma=0.5)
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+        assert not rep.vacuous and rep.satisfied
+        assert rep.lhs > 0.0
 
 
 class TestSelectLambda:

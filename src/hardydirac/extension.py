@@ -25,8 +25,9 @@ below 1e-6 in the weighted norm for order-one fields.
 
 Gap eigenvalues come from eliminating g, which yields a symmetric problem
 whose weight depends on E; since that dependence is monotone, inertia
-counts of the shifted banded matrix locate every nonlinear eigenvalue by
-bisection, with no spectral pollution by construction.
+counts of the shifted block-tridiagonal matrix locate every nonlinear
+eigenvalue by multisection (one LDL sweep counts 32 shifts), with no
+spectral pollution by construction.
 """
 
 from __future__ import annotations
@@ -131,6 +132,13 @@ class _HermiteFem:
 
     # -- assembly -----------------------------------------------------------
 
+    def element_matrices(self, vals: np.ndarray, k: int | None = None) -> np.ndarray:
+        """(..., nel, 6, 6) element matrices of the term vals*f*u (``k`` None)
+        or vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``."""
+        shapes = self.N if k is None else self.Nd - k * self.N
+        table = (shapes * self.wq)[:, None, :] * shapes[None, :, :]
+        return np.moveaxis(np.tensordot(table, vals, axes=([2], [-1])), (0, 1), (-2, -1))
+
     def band(self, mass_vals: np.ndarray, grad_vals: np.ndarray, k: int,
              point_terms=()) -> np.ndarray:
         """Lower-banded matrix of the form with given coefficient samples.
@@ -139,17 +147,12 @@ class _HermiteFem:
         f*u and (f.-k f)(u.-k u) in the log variable; point_terms are
         (radius, weight) pairs adding weight*f(R)*u(R).
         """
-        nel = self.n_nodes - 1
-        Dk = self.Nd - k * self.N
-        em = np.einsum("q,eq,aq,bq->eab", self.wq, mass_vals, self.N, self.N,
-                       optimize=True)
-        em += np.einsum("q,eq,aq,bq->eab", self.wq, grad_vals, Dk, Dk,
-                        optimize=True)
+        em = self.element_matrices(mass_vals) + self.element_matrices(grad_vals, k)
         ab = np.zeros((6, self.ndof))
-        base = np.arange(nel) * 3
+        stop = 3 * (self.n_nodes - 1)
         for a in range(6):
             for b in range(a, 6):
-                np.add.at(ab, (b - a, base + a), em[:, a, b])
+                ab[b - a, a:a + stop:3] += em[:, a, b]
         for radius, weight in point_terms:
             el, shapes, _, _ = self._element_shapes(radius)
             outer = weight * np.outer(shapes, shapes)
@@ -165,19 +168,16 @@ class _HermiteFem:
         elt = np.einsum("q,eq,aq->ea", self.wq, f1_vals, self.N, optimize=True)
         elt -= np.einsum("q,eq,aq->ea", self.wq, f2_vals, Dk, optimize=True)
         b = np.zeros(self.ndof)
-        base = np.arange(nel) * 3
         for a in range(6):
-            np.add.at(b, base + a, elt[:, a])
+            b[a:a + 3 * nel:3] += elt[:, a]
         return b
 
-    def constrain(self, ab: np.ndarray, diag: float = 1.0) -> np.ndarray:
+    def constrain(self, ab: np.ndarray) -> np.ndarray:
         for idx in self.fixed:
-            for d in range(6):
-                if idx + d < self.ndof:
-                    ab[d, idx] = 0.0
-                if idx - d >= 0:
-                    ab[d, idx - d] = 0.0
-            ab[0, idx] = diag
+            ab[:, idx] = 0.0
+            for d in range(1, min(idx, 5) + 1):
+                ab[d, idx - d] = 0.0
+            ab[0, idx] = 1.0
         return ab
 
     def _element_shapes(self, radius: float):
@@ -197,11 +197,10 @@ class _HermiteFem:
 
     def at_quad(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
         table = (self.N, self.Nd, self.Ndd)[deriv]
-        nel = self.n_nodes - 1
-        base = np.arange(nel) * 3
+        stop = 3 * (self.n_nodes - 1)
         out = np.zeros_like(self.rq)
         for a in range(6):
-            out += coefs[base + a][:, None] * table[a][None, :]
+            out += coefs[a:a + stop:3, None] * table[a]
         return out
 
     def node_values(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
@@ -411,16 +410,6 @@ def _weight_samples(fem: _HermiteFem, problem: DiracChannelProblem):
     return problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
 
 
-def _assemble_h_form(fem: _HermiteFem, problem: DiracChannelProblem, w1q, w2q):
-    m, lam, k = problem.m, problem.lam, problem.channel.k
-    rq = fem.rq
-    mass = (m - w1q + lam) * rq**3
-    grad = rq / (m + w2q - lam)
-    points = [(radius, -a * radius**2) for radius, a in problem.shell_terms()]
-    ab = fem.band(mass, grad, k, point_terms=points)
-    return fem.constrain(ab)
-
-
 def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
                  coefs: np.ndarray, F2):
     """Strong form of (H_V + lam) on the discrete upper component.
@@ -481,7 +470,9 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     samples = _weight_samples(fem, problem)
     w1q, w2q, _ = samples
 
-    ab = _assemble_h_form(fem, problem, w1q, w2q)
+    points = [(radius, -a * radius**2) for radius, a in problem.shell_terms()]
+    ab = fem.constrain(fem.band((m - w1q + lam) * rq**3, rq / (m + w2q - lam), k,
+                                point_terms=points))
     f1_fun, _ = _as_callable(F1)
     f2_fun, _ = _as_callable(F2)
     F2q = f2_fun(rq)
@@ -604,74 +595,89 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # gap spectrum
 # ---------------------------------------------------------------------------
 
-def _gap_count_fn(fem: _HermiteFem, problem: DiracChannelProblem):
-    m, k = problem.m, problem.channel.k
-    rq = fem.rq
-    r3 = rq**3
-    w1q = problem.w1(rq)
+_SHIFTS_PER_SWEEP = 32
+
+
+def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
+    """Batched inertia count of the E-dependent form on one grid: mass part
+    (m - w1 - E) r^3, linear in E and built once; gradient part
+    r/(m + w2 + E), one product for all shifts of a call."""
+    m, k, rq = problem.m, problem.channel.k, fem.rq
     w2q = problem.w2(rq)
-    points = [(radius, -a * radius**2) for radius, a in problem.shell_terms()]
+    em_mass = fem.element_matrices(rq**3)
+    em_fixed = fem.element_matrices((m - problem.w1(rq)) * rq**3)
+    for radius, a in problem.shell_terms():
+        el, shapes, _, _ = fem._element_shapes(radius)
+        em_fixed[el] -= a * radius**2 * np.outer(shapes, shapes)
 
-    def count(E: float) -> int:
-        mass = (m - w1q - E) * r3
-        grad = rq / (m + w2q + E)
-        ab = fem.band(mass, grad, k, point_terms=points)
-        fem.constrain(ab)
-        return ldl_inertia(_scaled_copy(ab)[0])
+    def counts(shifts) -> np.ndarray:
+        E = np.asarray(shifts, dtype=float)
+        em = fem.element_matrices(rq / np.add.outer(E, m + w2q), k)
+        for e, em_e in zip(E, em):      # in place: peak memory stays one em
+            em_e += em_fixed - e * em_mass
+        for el, a in ((0, 0), (-1, 3)):          # value dofs at both ends
+            em[:, el, a, :] = em[:, el, :, a] = 0.0
+            em[:, el, a, a] = 1.0
+        return ldl_inertia(em, E)
 
-    return count
+    return counts
 
 
-def _bisect_gap(count, lo: float, hi: float, how_many: int, tol: float):
-    c_lo = count(lo)
-    c_hi = count(hi)
-    found = min(c_hi - c_lo, how_many)
-    values = []
-    for idx in range(c_lo, c_lo + found):
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if count(mid) > idx:
-                b = mid
-            else:
-                a = mid
-        values.append(0.5 * (a + b))
-    return values
+def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float):
+    """(value, bracket width) of the eigenvalues in (lo, hi) of a count
+    function (shifts to counts below them): each sweep spreads
+    ``_SHIFTS_PER_SWEEP`` shifts, first over [lo, hi], then over the level
+    brackets wider than ``tol``; values are bracket midpoints."""
+    E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)
+    C = counts(E)
+    levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
+    while True:
+        brackets = []
+        for idx in levels:
+            b = E[C > idx].min()
+            brackets.append((E[(C <= idx) & (E < b)].max(), b))
+        open_ = sorted({ab for ab in brackets if ab[1] - ab[0] > tol})[:_SHIFTS_PER_SWEEP]
+        if not open_:
+            return [(float(0.5 * (a + b)), float(b - a)) for a, b in brackets]
+        share, extra = divmod(_SHIFTS_PER_SWEEP, len(open_))
+        new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1]
+                              for j, (a, b) in enumerate(open_)])
+        E, C = np.append(E, new), np.append(C, counts(new))
 
 
 def spectrum_in_gap(problem: DiracChannelProblem, count: int,
                     tol: float = 1e-10, stability_tol: float = 1e-3):
     """Lowest nonlinear eigenvalues of the channel operator inside (-m, m).
 
-    The E-dependent reduced form is monotone in E, so inertia counts of the
-    banded matrix locate each eigenvalue by bisection.  A second solve on a
-    doubled grid provides the reported discretization-error estimate;
-    eigenvalues that move more than ``stability_tol * 2m`` between grids are
-    dropped with a warning.
+    The E-dependent reduced form is monotone in E, so inertia counts of its
+    block-tridiagonal matrix bracket each eigenvalue; multisection shrinks
+    the brackets to ``tol * m``.  A second solve on a doubled grid gives the
+    error estimate, the larger of the drift between grids and the final
+    bracket width; eigenvalues that move more than ``stability_tol * 2m``
+    between grids are dropped with a warning.
     """
     if count < 1:
         return []
     m = problem.m
     edge = 1e-9 * m
     lo, hi = -m + edge, m - edge
-    fem = _HermiteFem(problem.grid)
-    coarse = _bisect_gap(_gap_count_fn(fem, problem), lo, hi, count, tol * m)
-
     fine_grid = RadialGrid.log_uniform(2 * problem.grid.n - 1,
                                        problem.grid.r_min, problem.grid.r_max)
-    fem_fine = _HermiteFem(fine_grid)
-    fine = _bisect_gap(_gap_count_fn(fem_fine, problem), lo, hi, count, tol * m)
+    coarse, fine = (_multisect_gap(_gap_counts(_HermiteFem(grid), problem),
+                                   lo, hi, count, tol * m)
+                    for grid in (problem.grid, fine_grid))
 
     out = []
     for idx in range(min(len(coarse), len(fine))):
-        drift = abs(fine[idx] - coarse[idx])
+        value, width = fine[idx]
+        drift = abs(value - coarse[idx][0])
         if drift > stability_tol * 2.0 * m:
             warnings.warn(
-                f"eigenvalue {fine[idx]:.6g} unstable under refinement "
+                f"eigenvalue {value:.6g} unstable under refinement "
                 f"(drift {drift:.2e}); dropped as spectral pollution")
             continue
-        out.append(GapEigenvalue(value=fine[idx], index=idx,
-                                 error_estimate=drift))
+        out.append(GapEigenvalue(value=value, index=idx,
+                                 error_estimate=max(drift, width)))
     for idx in range(len(fine), len(coarse)):
         warnings.warn("eigenvalue found only on the coarse grid; dropped")
     return out

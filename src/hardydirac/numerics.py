@@ -2,8 +2,9 @@
 
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
-and the inertia count (number of negative eigenvalues) of an equilibrated
-symmetric banded matrix.
+and inertia counts (numbers of negative eigenvalues) of equilibrated
+symmetric block-tridiagonal matrices, one LDL sweep for many shifts at once,
+on which ``extension.spectrum_in_gap`` runs multisection.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -313,53 +314,59 @@ def _checked_eval(g, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# banded inertia
+# equilibration and block inertia
 # ---------------------------------------------------------------------------
+
+def _equilibration(diagonal: np.ndarray) -> np.ndarray:
+    """Scales ``|diagonal|^(-1/2)``; entries below 1e-300 keep scale 1."""
+    d = np.abs(diagonal)
+    return 1.0 / np.sqrt(np.where(d < 1e-300, 1.0, d))
+
 
 def _scaled_copy(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric diagonal equilibration of a lower-banded matrix.
 
-    Returns ``(S A S, s)`` with ``S = diag(s)``, ``s = |diag A|^(-1/2)``
-    (diagonal entries below 1e-300 keep scale 1).  S A S has the inertia of A, and
+    Returns ``(S A S, s)`` with ``S = diag(s)`` and ``s`` from
+    ``_equilibration`` of the diagonal.  S A S has the inertia of A, and
     A x = b is solved as x = s * y with (S A S) y = s * b.
     """
-    d = np.abs(ab[0]).copy()
-    d[d < 1e-300] = 1.0
-    s = 1.0 / np.sqrt(d)
+    s = _equilibration(ab[0])
     out = np.array(ab, dtype=float, copy=True)
     n = ab.shape[1]
     for i in range(ab.shape[0]):
-        j = np.arange(n - i)
-        out[i, j] *= s[j] * s[j + i]
+        out[i, :n - i] *= s[:n - i] * s[i:]
     return out, s
 
 
-def ldl_inertia(ab: np.ndarray) -> int:
-    """Number of negative pivots of a symmetric banded matrix.
+def ldl_inertia(em: np.ndarray, shifts) -> np.ndarray:
+    """Negative-eigenvalue counts of S symmetric block-tridiagonal matrices.
 
-    Unpivoted LDL^T; callers should equilibrate first (``_scaled_copy``) so
-    that element growth stays harmless.  Zero pivots are nudged negative,
-    which at worst moves a bisection probe by one ULP.
+    ``em[j, e]`` is what element e adds to matrix j on the 3+3 dofs of nodes
+    e and e+1; ``shifts`` name the matrices in errors.  After
+    ``_equilibration``, one unpivoted block LDL^T sweep over the nodes,
+    vectorized over the matrices, counts the negative pivots of the 3x3
+    Schur complements (Haynsworth additivity, Sylvester's law).  A zero
+    pivot is nudged to -1e-300 (counts as negative); a non-finite one raises.
     """
-    bw = ab.shape[0] - 1
-    n = ab.shape[1]
-    L = np.zeros((bw + 1, n))
-    d = np.zeros(n)
-    for j in range(n):
-        k0 = max(0, j - bw)
-        if j > k0:
-            ks = np.arange(k0, j)
-            s = ab[0, j] - np.sum(L[j - ks, ks] ** 2 * d[ks])
-        else:
-            s = ab[0, j]
-        if s == 0.0:
-            s = -1e-300
-        d[j] = s
-        top = min(bw, n - 1 - j)
-        for i in range(1, top + 1):
-            r = j + i
-            v = ab[i, j]
-            for k in range(max(0, r - bw), j):
-                v -= L[r - k, k] * L[j - k, k] * d[k]
-            L[i, j] = v / d[j]
-    return int(np.sum(d < 0.0))
+    n_mat, nel = em.shape[:2]
+    # node diagonals, matrix index last; a zero node past the end gets scale 1
+    d = np.zeros((nel + 2, 3, n_mat))
+    d[:-2] += np.moveaxis(np.diagonal(em[..., :3, :3], axis1=2, axis2=3), 0, -1)
+    d[1:-1] += np.moveaxis(np.diagonal(em[..., 3:, 3:], axis1=2, axis2=3), 0, -1)
+    piv = np.empty((nel + 1, 3, n_mat))
+    with np.errstate(all="ignore"):
+        s = _equilibration(d).reshape(-1, n_mat)
+        carry = 0.0     # what eliminating the nodes before leaves on node i
+        # a zero element past the end yields the last node's pivots
+        for i, e in enumerate([*np.moveaxis(em, 0, -1), np.zeros((6, 6, n_mat))]):
+            t = e * s[3 * i:3 * i + 6, None] * s[3 * i:3 * i + 6]
+            t[:3, :3] += carry
+            for j in range(3):
+                piv[i, j] = p = np.where(t[j, j], t[j, j], -1e-300)
+                t[j + 1:, j + 1:] -= t[j + 1:, j, None] * (t[j, j + 1:] / p)
+            carry = t[3:, 3:]
+    bad = ~np.isfinite(piv).all(axis=(0, 1))
+    if bad.any():
+        E = float(shifts[np.argmax(bad)])
+        raise ValueError(f"inertia sweep hit a non-finite pivot at shift E={E!r}")
+    return np.count_nonzero(piv < 0.0, axis=(0, 1))

@@ -67,14 +67,9 @@ class PotentialParseError(ValueError):
         self.position = position
 
 
-_BUMP_NORM: float | None = None
-
-
+@functools.cache
 def _bump_norm() -> float:
-    global _BUMP_NORM
-    if _BUMP_NORM is None:
-        _BUMP_NORM = integrate_radial(lambda r: _raw_bump(r - 2.0), a=1.0, b=3.0).value
-    return _BUMP_NORM
+    return integrate_radial(lambda r: _raw_bump(r - 2.0), a=1.0, b=3.0).value
 
 
 def bump(u) -> np.ndarray:
@@ -346,10 +341,6 @@ class PotentialPair:
                 raise ValueError(
                     f"v2 is unbounded near the shell radius R={shell.R:g}")
 
-    def v_sum(self, r):
-        """V1 + V2 density part."""
-        return self.v1_regular(r) + self.v2(r)
-
     def breakpoints(self) -> tuple[float, ...]:
         pts = set(self.v1_regular.breakpoints()) | set(self.v2.breakpoints())
         pts |= {s.R for s in self.v1_shells}
@@ -469,10 +460,6 @@ class HardyConstants:
     a_tilde_plus: float
     a_tilde_minus: float
     per_channel: dict = field(default_factory=dict)
-
-    @property
-    def max_square(self) -> float:
-        return max(self.a_plus, self.a_minus) ** 2
 
 
 def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):

@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hardydirac import extension
 from hardydirac.channels import Channel, exp_profile, gauss_profile
 from hardydirac.extension import (
     ConvergenceError,
     DiracChannelProblem,
-    _bisect_gap,
+    _HermiteFem,
+    _gap_counts,
+    _multisect_gap,
     apply_H,
     h_inner_product,
     norm_equivalence_probe,
@@ -17,8 +20,14 @@ from hardydirac.extension import (
     spectrum_in_gap,
     weak_solve,
 )
-from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid, _scaled_copy, ldl_inertia
-from hardydirac.potentials import CoulombPotential, PotentialPair, parse_pair
+from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid
+from hardydirac.potentials import (
+    CoulombPotential,
+    PotentialPair,
+    ShellMeasure,
+    ZeroPotential,
+    parse_pair,
+)
 
 
 def dirac_coulomb_level(n_r: int, nu: float, m: float = 1.0) -> float:
@@ -217,6 +226,84 @@ class TestWeakSolve:
         with pytest.raises(ValueError, match="uniformly spaced"):
             weak_solve(prob, exp_profile(0, 1.0), None)
 
+    def test_coefs_bitwise_equal_to_einsum_assembly(self):
+        # band builds its element matrices with the routine the gap count
+        # batches over shifts; on the zero, Coulomb and shell problems of
+        # the solve benchmark the coefficients must equal, bit for bit,
+        # those of the einsum/np.add.at assembly (band, load, constrain and
+        # equilibration) it replaced
+        def einsum_band(fem, mass_vals, grad_vals, k, point_terms=()):
+            Dk = fem.Nd - k * fem.N
+            em = np.einsum("q,eq,aq,bq->eab", fem.wq, mass_vals, fem.N, fem.N,
+                           optimize=True)
+            em += np.einsum("q,eq,aq,bq->eab", fem.wq, grad_vals, Dk, Dk,
+                            optimize=True)
+            ab = np.zeros((6, fem.ndof))
+            base = np.arange(fem.n_nodes - 1) * 3
+            for a in range(6):
+                for b in range(a, 6):
+                    np.add.at(ab, (b - a, base + a), em[:, a, b])
+            for radius, weight in point_terms:
+                el, shapes, _, _ = fem._element_shapes(radius)
+                outer = weight * np.outer(shapes, shapes)
+                for a in range(6):
+                    for b in range(a, 6):
+                        ab[b - a, el * 3 + a] += outer[a, b]
+            return ab
+
+        def add_at_load(fem, f1_vals, f2_vals, k):
+            Dk = fem.Nd - k * fem.N
+            elt = np.einsum("q,eq,aq->ea", fem.wq, f1_vals, fem.N, optimize=True)
+            elt -= np.einsum("q,eq,aq->ea", fem.wq, f2_vals, Dk, optimize=True)
+            b = np.zeros(fem.ndof)
+            base = np.arange(fem.n_nodes - 1) * 3
+            for a in range(6):
+                np.add.at(b, base + a, elt[:, a])
+            return b
+
+        def loop_constrain(fem, ab):
+            for idx in fem.fixed:
+                for d in range(6):
+                    if idx + d < fem.ndof:
+                        ab[d, idx] = 0.0
+                    if idx - d >= 0:
+                        ab[d, idx - d] = 0.0
+                ab[0, idx] = 1.0
+            return ab
+
+        def loop_scaled_copy(ab):
+            d = np.abs(ab[0]).copy()
+            d[d < 1e-300] = 1.0
+            s = 1.0 / np.sqrt(d)
+            out = np.array(ab, dtype=float, copy=True)
+            for i in range(ab.shape[0]):
+                j = np.arange(ab.shape[1] - i)
+                out[i, j] *= s[j] * s[j + i]
+            return out, s
+
+        grid = RadialGrid.log_uniform(2000, 1e-7, 50.0)
+        pairs = {
+            "zero": (PotentialPair(c1=0.0, c2=0.0), 0, 0.3),
+            "coulomb": (PotentialPair(v1_regular=CoulombPotential(1.0),
+                                      v2=CoulombPotential(1.0), c1=0.6, c2=0.7), -2, None),
+            "shell": (PotentialPair(v1_regular=ZeroPotential(),
+                                    v1_shells=(ShellMeasure(R=1.3, a=1.0),),
+                                    v2=CoulombPotential(1.0), c1=0.4, c2=0.5), 1, None),
+        }
+        F1 = exp_profile(1, 1.2, coef=0.7)
+        F2 = gauss_profile(2, 0.9, coef=-0.4)
+        for pair, k, lam in pairs.values():
+            prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=lam,
+                                       grid=grid)
+            sol = weak_solve(prob, F1, F2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_HermiteFem, "band", einsum_band)
+                mp.setattr(_HermiteFem, "load", add_at_load)
+                mp.setattr(_HermiteFem, "constrain", loop_constrain)
+                mp.setattr(extension, "_scaled_copy", loop_scaled_copy)
+                ref = weak_solve(prob, F1, F2)
+            assert np.array_equal(sol.coefs, ref.coefs)
+
     def test_shell_enters_weak_form(self):
         # a weak shell perturbs the solution continuously
         base_pair = parse_pair("zero", "coulomb:1", c1=1.0, c2=0.5)
@@ -313,6 +400,40 @@ class TestSpectrum:
         assert evs[0].error_estimate >= 0.0
         assert evs[0].error_estimate < 1e-6
 
+    def test_error_estimate_includes_bracket_width(self):
+        # both grids used to bisect to the same float here, which reported
+        # an estimate of 0.0 for a level that is off by 1.8e-8
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        grid = RadialGrid.log_uniform(200, 1e-6, 50.0)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
+                                   grid=grid)
+        evs = spectrum_in_gap(prob, 2)
+        fine_grid = RadialGrid.log_uniform(399, 1e-6, 50.0)
+        levels = {}
+        for g in (grid, fine_grid):
+            levels[g.n] = _multisect_gap(_gap_counts(_HermiteFem(g), prob),
+                                         -1.0 + 1e-9, 1.0 - 1e-9, 2, 1e-10)
+        for ev, (coarse, _), (fine, width) in zip(evs, levels[200], levels[399]):
+            assert ev.value == fine
+            assert ev.error_estimate == max(abs(fine - coarse), width)
+            assert 0.0 < width <= 1e-10
+            assert ev.error_estimate > 0.0
+
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_levels_consistent_with_counts(self, k):
+        # every level E_i satisfies count(E_i - tol) <= i < count(E_i + tol)
+        # on the grid it was reported from
+        prob = coulomb_problem(nu=0.6, n=150, lam=0.0, k=k)
+        tol = 1e-10
+        evs = spectrum_in_gap(prob, 2, tol=tol)
+        fine = RadialGrid.log_uniform(2 * prob.grid.n - 1, prob.grid.r_min,
+                                      prob.grid.r_max)
+        counts = _gap_counts(_HermiteFem(fine), prob)
+        c_lo = counts([-1.0 + 1e-9])[0]
+        for ev in evs:
+            below, above = counts([ev.value - tol, ev.value + tol]) - c_lo
+            assert below <= ev.index < above
+
     def test_refinement_drift_decreasing(self):
         # |E(h) - E(h/2)| shrinks under refinement until it hits the
         # domain-truncation floor
@@ -325,38 +446,49 @@ class TestSpectrum:
         assert drift_fine <= drift_coarse + 1e-12
 
 
-def _pencil_count(ab: np.ndarray):
-    """Inertia count of A - E I for a lower-banded A, as spectrum_in_gap counts."""
-    def count(E: float) -> int:
-        shifted = np.array(ab, dtype=float)
-        shifted[0] -= E
-        return ldl_inertia(_scaled_copy(shifted)[0])
-    return count
+def _dense_counts(a: np.ndarray, b: np.ndarray | None = None):
+    """Oracle count function of the pencil A - E B: eigvalsh of each shift."""
+    b = np.eye(len(a)) if b is None else b
+
+    def counts(shifts):
+        return np.array([int(np.sum(np.linalg.eigvalsh(a - E * b) < 0.0))
+                         for E in shifts])
+    return counts
 
 
-class TestBisectGap:
+class TestMultisectGap:
     def test_diagonal_pencil(self):
-        count = _pencil_count(np.array([[1.0, 2.0, 3.0]]))
-        assert _bisect_gap(count, 0.5, 2.5, 3, 1e-12) == pytest.approx([1.0, 2.0], abs=1e-10)
+        counts = _dense_counts(np.diag([1.0, 2.0, 3.0]))
+        levels = _multisect_gap(counts, 0.5, 2.5, 3, 1e-12)
+        assert [v for v, _ in levels] == pytest.approx([1.0, 2.0], abs=1e-12)
+        assert all(0.0 < w <= 1e-12 for _, w in levels)
 
     def test_empty_window(self):
-        count = _pencil_count(np.array([[1.0, 2.0, 3.0]]))
-        assert _bisect_gap(count, 5.0, 6.0, 3, 1e-12) == []
+        counts = _dense_counts(np.diag([1.0, 2.0, 3.0]))
+        assert _multisect_gap(counts, 5.0, 6.0, 3, 1e-12) == []
 
     def test_dirichlet_laplacian_modes(self):
         # -u'' on (0, pi), eigenvalues j^2; refinement converges toward 1 and 4
         errors = []
         for n in (60, 120):
             h = math.pi / (n + 1)
-            ab = np.zeros((2, n))
-            ab[0, :] = 2.0 / h**2
-            ab[1, :-1] = -1.0 / h**2
-            evs = _bisect_gap(_pencil_count(ab), 0.0, 5.0, 5, 1e-12)
-            dense = np.linalg.eigvalsh(np.diag(ab[0]) + np.diag(ab[1, :-1], -1)
-                                       + np.diag(ab[1, :-1], 1))
+            a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+                 - np.diag(np.ones(n - 1), -1)) / h**2
+            evs = [v for v, _ in _multisect_gap(_dense_counts(a), 0.0, 5.0, 5, 1e-12)]
+            dense = np.linalg.eigvalsh(a)
             assert evs == pytest.approx([e for e in dense if 0.0 < e < 5.0], rel=1e-9)
             errors.append(abs(evs[0] - 1.0) + abs(evs[1] - 4.0))
         assert errors[1] < errors[0] / 3.0
+
+    def test_levels_sharing_one_bracket(self):
+        # a generalized pencil whose three lowest levels (one double) lie
+        # far closer together than the first sweep's spacing; how_many
+        # caps the levels returned
+        a = np.diag([0.3, 0.3 + 1e-7, 0.6 + 2e-7, 0.9])
+        b = np.diag([1.0, 1.0, 2.0, 1.0])
+        levels = _multisect_gap(_dense_counts(a, b), 0.0, 1.0, 3, 1e-13)
+        assert [v for v, _ in levels] == pytest.approx(
+            [0.3, 0.3 + 1e-7, 0.3 + 1e-7], abs=1e-13)
 
 
 class TestShellOutsideGrid:

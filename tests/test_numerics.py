@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardydirac.channels import Channel, GridProfile, exp_profile
-from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_count_fn
+from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts
 from hardydirac.numerics import (
     RadialGrid,
     UnboundedError,
@@ -173,31 +173,75 @@ def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
     return a
 
 
+def _elements(dense: np.ndarray) -> np.ndarray:
+    """(nel, 6, 6) element matrices that assemble to a block-tridiagonal matrix."""
+    n = dense.shape[0] // 3
+    em = np.array([dense[3 * e:3 * e + 6, 3 * e:3 * e + 6] for e in range(n - 1)])
+    em[:-1, 3:, 3:] = 0.0      # node e+1's diagonal block comes with element e+1
+    return em
+
+
+def _equilibrated(a: np.ndarray) -> np.ndarray:
+    s = 1.0 / np.sqrt(np.abs(np.diag(a)))
+    return a * s[:, None] * s[None, :]
+
+
 class TestInertia:
     @pytest.mark.parametrize("k", [0, 1, -2])
     def test_gap_counts_match_dense_oracle(self, k):
-        # the E-dependent Dirac-Coulomb form that spectrum_in_gap bisects on;
-        # the raw matrix spans ~20 decades, so the dense oracle is taken of
-        # the equilibrated one, which has the same inertia
+        # the E-dependent Dirac-Coulomb form that spectrum_in_gap counts on,
+        # all 40 shifts in one batched sweep; the raw matrix spans ~20
+        # decades, so the dense oracle is taken of the equilibrated one,
+        # which has the same inertia
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
                                    grid=RadialGrid.log_uniform(200, 1e-6, 50.0))
         fem = _HermiteFem(prob.grid)
-        count = _gap_count_fn(fem, prob)
         rq = fem.rq
         shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
                                  1.0 - np.geomspace(0.2, 1e-4, 32)])
-        counts = []
+        expected = []
         for E in shifts:
             ab = fem.band((1.0 - prob.w1(rq) - E) * rq**3,
                           rq / (1.0 + prob.w2(rq) + E), k)
             scaled, s = _scaled_copy(fem.constrain(ab))
             assert np.all(s > 0.0)
-            expected = int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0))
-            assert ldl_inertia(scaled) == expected
-            assert count(E) == expected
-            counts.append(expected)
-        assert counts == sorted(counts) and counts[-1] >= 3
+            expected.append(int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0)))
+        assert list(_gap_counts(fem, prob)(shifts)) == expected
+        assert expected == sorted(expected) and expected[-1] >= 3
+
+    def test_random_block_tridiagonal(self):
+        # indefinite matrices over 20 decades of diagonal scale
+        rng = np.random.default_rng(7)
+        n_nodes = 12
+        mats = []
+        for _ in range(16):
+            a = np.zeros((3 * n_nodes, 3 * n_nodes))
+            for i in range(n_nodes):
+                lo, hi = 3 * max(i - 1, 0), 3 * i + 3
+                a[3 * i:3 * i + 3, lo:hi] = rng.normal(size=(3, hi - lo))
+            a = a + a.T
+            scale = np.exp(rng.uniform(-23.0, 23.0, 3 * n_nodes))
+            mats.append(a * scale[:, None] * scale[None, :])
+        got = ldl_inertia(np.stack([_elements(a) for a in mats]), np.arange(16.0))
+        expected = [int(np.sum(np.linalg.eigvalsh(_equilibrated(a)) < 0.0)) for a in mats]
+        assert list(got) == expected
+        assert 0 < min(expected) and max(expected) < 3 * n_nodes
+
+    def test_zero_pivot_counts_negative(self):
+        # shifts landing exactly on eigenvalues of the diagonal pencil
+        # diag(1..6) - E I: the eigenvalue at the shift is counted below it
+        shifts = np.array([0.5, 1.0, 2.0, 3.5, 6.0, 7.0])
+        em = np.stack([_elements(np.diag(np.arange(1.0, 7.0)) - E * np.eye(6))
+                       for E in shifts])
+        assert list(ldl_inertia(em, shifts)) == [0, 1, 2, 3, 6, 6]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pivot_raises(self, bad):
+        em = np.stack([_elements(np.diag(np.arange(1.0, 7.0)))] * 3)
+        em[1, 0, 4, 4] = bad
+        with pytest.raises(ValueError, match="E=0.25"):
+            ldl_inertia(em, np.array([0.0, 0.25, 0.5]))
 
 
 class TestRadialGrid:

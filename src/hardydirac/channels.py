@@ -225,23 +225,17 @@ def channel_weights(pair: PotentialPair, channel):
         W_k    = V1 + V2 - (2k/r) g_k,
     and for k <= -2 the tail analogue (h_k, W_k = V1 + V2 + (2k/r) h_k).
     Shell terms enter g_k/h_k with their indicator; W_k is reported for the
-    density part only.  Both are returned as callables of r.
+    density part only.  Both are returned as functions of an array of radii.
     """
     k = channel.k if isinstance(channel, Channel) else int(channel)
     if k == -1:
         raise ValueError("k = -1 is not in the spin-orbit spectrum")
     density = combine([pair.v1_regular, pair.v2])
-    integrand = _hardy_integrand(density, pair.v1_shells, 2 * (k + 1))
-
-    def g_or_h(r):
-        return integrand(float(r))
+    g_or_h = _hardy_integrand(density, pair.v1_shells, 2 * (k + 1))
 
     def w_k(r):
-        r = float(r)
-        base = density(r)
-        if k >= 0:
-            return base - (2.0 * k / r) * g_or_h(r)
-        return base + (2.0 * k / r) * g_or_h(r)
+        r = np.asarray(r, dtype=float)
+        return density(r) - (2.0 * abs(k) / r) * g_or_h(r)
 
     return g_or_h, w_k
 

@@ -10,7 +10,9 @@ All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
 into smooth integrands on the line.  Integrands take a 1-D array of radii
 and return an array of values: the adaptive rule evaluates them once per
-sweep on the Gauss-Legendre nodes of every unconverged panel in log r.
+sweep on the Gauss-Legendre nodes of every unconverged panel in log r, over
+a list of consecutive segments at once (``integrate_radial`` takes one), so
+cumulative integrals at many radii are the prefix sums of one call.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "UnboundedError",
     "NotPositiveDefiniteError",
     "integrate_radial",
+    "integrate_segments",
     "sup_over_r",
 ]
 
@@ -42,12 +45,15 @@ _T_HI = math.log(1e60)
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
 _X8, _W8 = np.polynomial.legendre.leggauss(8)
 _NODES = np.concatenate([_X16, _X8])
+# node values @ _RULES is (G16, G16 - G8) per unit half width
+_RULES = np.stack([np.append(_W16, np.zeros(8)), np.append(_W16, -_W8)], axis=1)
 _REL_TOL = 1e-10
 _MAX_START_WIDTH = 2.0      # widest starting panel in log r
 _MAX_PANELS = 1 << 15
 # an estimate at this multiple of the panel's round-off level cannot shrink
-# by halving (integrals that cancel to zero)
+# by splitting (integrals that cancel to zero)
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+_ZERO = np.zeros(1)
 
 # supremum scan
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-6, 1e6, 433
@@ -156,68 +162,80 @@ def integrate_radial(f, a: float = 0.0, b: float = math.inf,
                      breakpoints=()) -> Quadrant:
     """Integrate ``f(r) dr`` over (a, b) with 0 <= a < b <= inf.
 
-    ``f`` maps a 1-D array of radii to an array of values.  The log
-    substitution neutralizes inverse-power singularities at the origin and
-    decaying tails alike.  The window starts as panels in log r cut at
-    r = 1 and at ``breakpoints`` (radii where the integrand is not smooth:
-    shell edges, table samples), none wider than 2, so the rule cannot
-    step over a narrow feature.  Each sweep evaluates ``f`` once on the
-    nodes of every open panel; a panel is accepted when its |G16 - G8| is
-    within its share (width over window width) of ``_REL_TOL * |total|``
-    or at its round-off level, and otherwise halved.
+    ``f`` maps a 1-D array of radii to an array of values.  This is the
+    one-segment case of :func:`integrate_segments`.
     """
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
+    value, estimate = integrate_segments(f, np.array([a, b], dtype=float), breakpoints)
+    return Quadrant(float(value[0]), float(estimate[0]))
 
-    t_lo = _T_LO if a == 0.0 else max(math.log(a), _T_LO)
-    t_hi = _T_HI if math.isinf(b) else min(math.log(b), _T_HI)
-    if t_lo >= t_hi:
-        return Quadrant(0.0, 0.0)
 
-    cuts = {t_lo, t_hi}
-    if t_lo < 0.0 < t_hi:
-        cuts.add(0.0)
-    for rb in breakpoints:
-        if rb > 0.0:
-            tb = math.log(rb)
-            if t_lo < tb < t_hi:
-                cuts.add(tb)
-    edges = sorted(cuts)
-    lo = np.concatenate([
-        np.linspace(e0, e1, math.ceil((e1 - e0) / _MAX_START_WIDTH) + 1)[:-1]
-        for e0, e1 in zip(edges[:-1], edges[1:])])
-    hi = np.append(lo[1:], t_hi)
-    window = t_hi - t_lo
+def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``f(r) dr`` over the segments [edges[i], edges[i+1]].
 
-    done = 0.0
-    err = 0.0
-    n_panels = lo.size
+    ``edges`` do not decrease from ``edges[0] >= 0`` to ``edges[-1] <= inf``
+    (a repeated edge makes a segment with integral 0); returns the segment
+    integrals and their absolute error estimates.  The log substitution
+    neutralizes inverse-power singularities at the origin and decaying
+    tails alike.  The start panels in log r are cut at every edge, at r = 1
+    and at ``breakpoints`` (radii where the integrand is not smooth: shell
+    edges, table samples), none wider than 2, so the rule cannot step over
+    a narrow feature.  Each sweep evaluates ``f`` once on the nodes of every
+    open panel; a panel is accepted when its |G16 - G8| is within its share
+    (width over the width of all segments) of ``_REL_TOL`` times its
+    segment's |total| or at its round-off level, and otherwise split in four
+    (a panel that fails usually needs two halvings).  So a sum of segments
+    from either end is held at least as tightly as one integral over it.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not (
+            edges[0] >= 0.0 and (edges[1:] >= edges[:-1]).all()):
+        raise ValueError("need 0 <= edges[0] <= edges[1] <= ...")
+    t = np.minimum(np.maximum(np.log(np.maximum(edges, 1e-300)), _T_LO), _T_HI)
+    done = np.zeros(t.size - 1)
+    err = np.zeros(t.size - 1)
+    bps = np.asarray(breakpoints, dtype=float)
+    cuts = np.concatenate([t, _ZERO, np.log(bps[bps > 0.0])])
+    cuts = np.minimum(np.maximum(cuts, t[0]), t[-1])
+    cuts.sort()
+    # start panels: each piece between cuts in equal parts no wider than 2
+    # (a repeated cut makes a piece of no parts), interpolated over the count
+    count = np.concatenate([_ZERO, np.ceil((cuts[1:] - cuts[:-1]) / _MAX_START_WIDTH).cumsum()])
+    ends = np.interp(np.arange(count[-1] + 1.0), count, cuts)
+    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+    seg = t.searchsorted(mid) - 1
+    if not mid.size:
+        return done, err    # every segment lies beyond the clipped window
+
+    n_panels = mid.size
     while True:
-        half = 0.5 * (hi - lo)
-        r = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()
-        vals = (f(r) * r).reshape(lo.size, _NODES.size)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            r_bad = r[np.argmax(bad.ravel())]
+        r = np.exp(mid[:, None] + half[:, None] * _NODES).ravel()
+        vals = (f(r) * r).reshape(mid.size, _NODES.size)
+        if not np.isfinite(vals).all():
+            r_bad = r[np.argmax(~np.isfinite(vals.ravel()))]
             raise ValueError(f"integrand returned a non-finite value at r={r_bad:g}")
-        g16 = half * (vals[:, :16] @ _W16)
-        est = np.abs(g16 - half * (vals[:, 16:] @ _W8))
-        floor = _ROUNDOFF * half * (np.abs(vals[:, :16]) @ _W16)
-        total = done + g16.sum()
-        ok = est <= np.maximum(_REL_TOL * abs(total) * (hi - lo) / window, floor)
-        done += g16[ok].sum()
-        err += est[ok].sum()
+        g16, diff = half * (vals @ _RULES).T
+        # the nodes exp(t) carry a relative error of about eps |t|, so the
+        # round-off floor grows with |t|; it is part of the reported error
+        floor = _ROUNDOFF * (1.0 + np.abs(mid)) * half * (np.abs(vals) @ _RULES[:, 0])
+        est = np.maximum(np.abs(diff), floor)
+        total = done + np.bincount(seg, g16, done.size)
+        ok = est <= np.maximum(np.abs(total)[seg] * half * (2.0 * _REL_TOL / (t[-1] - t[0])), floor)
+        done += np.bincount(seg, g16 * ok, done.size)
+        err += np.bincount(seg, est * ok, done.size)
         if ok.all():
-            return Quadrant(float(done), float(err))
-        lo, hi = lo[~ok], hi[~ok]
-        n_panels += lo.size
+            return done, err
+        split = ~ok
+        mid, half, seg = mid[split], 0.25 * half[split], seg[split]
+        n_panels += 3 * mid.size
         if n_panels > _MAX_PANELS:
-            value, estimate = float(total), float(err + est[~ok].sum())
+            value, estimate = float(total.sum()), float(err.sum() + est[split].sum())
             raise QuadratureError(
                 f"quadrature did not converge in {_MAX_PANELS} panels "
                 f"(value={value:.6g}, est={estimate:.3g})", value, estimate)
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        mid = np.concatenate([mid - 3.0 * half, mid - half, mid + half, mid + 3.0 * half])
+        half, seg = np.concatenate([half] * 4), np.concatenate([seg] * 4)
 
 
 def _golden_max(g, t_lo: float, t_hi: float, tol: float = 1e-12, max_iter: int = 200):
@@ -247,32 +265,35 @@ def _golden_max(g, t_lo: float, t_hi: float, tol: float = 1e-12, max_iter: int =
 def sup_over_r(g, candidates=()) -> SupResult:
     """Supremum of ``g`` over r > 0.
 
-    A coarse log-uniform scan over [1e-6, 1e6] brackets the maximum,
-    golden-section refinement polishes it, and both endpoints are probed
-    over many further decades: monotone growth that does not level off
-    raises :class:`UnboundedError`, growth that saturates is reported
-    with a limit tag.  ``candidates`` are radii that must be probed
-    exactly (jump points of the integrand).
+    ``g`` maps a 1-D array of radii to an array of values.  Its first call
+    is the whole log-uniform scan over [1e-6, 1e6], in increasing order, so
+    a cumulative ``g`` can integrate it as consecutive segments; the
+    ``candidates`` (radii that must be probed exactly: jump points of the
+    integrand) follow in one call.  Golden-section refinement polishes the
+    best bracket, and both endpoints are probed over many further decades:
+    monotone growth that does not level off raises :class:`UnboundedError`,
+    growth that saturates is reported with a limit tag.
     """
     rs = np.exp(np.linspace(math.log(_SCAN_LO), math.log(_SCAN_HI), _SCAN_POINTS))
-    vals = np.empty_like(rs)
-    for i, r in enumerate(rs):
-        vals[i] = _checked_eval(g, r)
+    vals = _checked_eval(g, rs)
 
     i_best = int(np.argmax(vals))
     best = float(vals[i_best])
     arg = float(rs[i_best])
 
-    for r in candidates:
-        if r <= 0.0:
-            continue
-        v = _checked_eval(g, r)
-        if v > best:
-            best, arg = v, float(r)
+    cand = np.array([r for r in candidates if r > 0.0], dtype=float)
+    if cand.size:
+        cvals = _checked_eval(g, cand)
+        j = int(np.argmax(cvals))
+        if cvals[j] > best:
+            best, arg = float(cvals[j]), float(cand[j])
+
+    def g1(r: float) -> float:
+        return float(_checked_eval(g, np.array([r]))[0])
 
     # refine around the best scanned bracket when it is interior and strict
     if 0 < i_best < _SCAN_POINTS - 1 and vals[i_best] > max(vals[i_best - 1], vals[i_best + 1]):
-        r_ref, v_ref = _golden_max(g, math.log(rs[i_best - 1]), math.log(rs[i_best + 1]))
+        r_ref, v_ref = _golden_max(g1, math.log(rs[i_best - 1]), math.log(rs[i_best + 1]))
         if v_ref > best:
             best, arg = v_ref, r_ref
 
@@ -288,7 +309,7 @@ def sup_over_r(g, candidates=()) -> SupResult:
         still_growing = True
         for _ in range(24):
             r = r * (10.0 ** direction)
-            v = _checked_eval(g, r)
+            v = g1(r)
             if v > v_prev * (1.0 + _GROWTH_TOL) or (v_prev <= 0.0 and v > 0.0):
                 grew = True
                 v_prev = v
@@ -304,13 +325,15 @@ def sup_over_r(g, candidates=()) -> SupResult:
     return SupResult(best, arg, tag)
 
 
-def _checked_eval(g, r: float) -> float:
-    v = g(r)
-    if math.isnan(v):
-        raise ValueError(f"sup integrand returned NaN at r={r:g}")
-    if math.isinf(v):
-        raise UnboundedError(f"sup integrand is infinite at r={r:g}")
-    return float(v)
+def _checked_eval(g, r: np.ndarray) -> np.ndarray:
+    v = np.asarray(g(r), dtype=float)
+    if v.shape != r.shape:
+        raise ValueError(f"sup integrand returned shape {v.shape} for radii of shape {r.shape}")
+    if np.isnan(v).any():
+        raise ValueError(f"sup integrand returned NaN at r={r[np.argmax(np.isnan(v))]:g}")
+    if np.isinf(v).any():
+        raise UnboundedError(f"sup integrand is infinite at r={r[np.argmax(np.isinf(v))]:g}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .numerics import (
     SupResult,
     UnboundedError,
     integrate_radial,
+    integrate_segments,
     sup_over_r,
 )
 
@@ -210,12 +211,8 @@ class TablePotential(PotentialComponent):
         return TablePotential(rs, vals, path=None)
 
     def breakpoints(self):
-        # every interior sample is a kink of the interpolant; cap the count
-        # so huge tables do not fragment the quadrature
-        if len(self.rs) <= 128:
-            return tuple(self.rs)
-        step = len(self.rs) // 64
-        return tuple(self.rs[::step]) + (self.rs[-1],)
+        # every sample is a kink of the interpolant
+        return tuple(self.rs)
 
     def spec_str(self):
         if self.path is None:
@@ -470,24 +467,47 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     complementary indicator (and (R/r)^e then increases toward r = R).
     e = 2 and -2 give the forward/backward constants, e = 2(k+1) the
     channel constants and the channel weights g_k/h_k.
+
+    It takes an array of radii.  The first call integrates them as
+    consecutive segments from 0 (to infinity, for the tail) in one
+    ``integrate_segments`` call and keeps the prefix sums as anchors; later
+    calls integrate from the nearest anchor.  So a supremum costs one
+    segmented quadrature over its scan plus a short segment per probe.
     """
     bps = regular.breakpoints()
     zero = regular.is_zero()
     forward = exponent > 0
+    anchor_r = np.array([0.0 if forward else math.inf])
+    anchor_int = np.zeros(1)
 
-    def integrand(r: float) -> float:
-        total = 0.0
-        if not zero:
-            if forward:
-                part = integrate_radial(lambda s: regular(s) * s ** exponent,
-                                        a=0.0, b=r, breakpoints=bps).value
-            else:
-                part = integrate_radial(lambda s: regular(s) * s ** exponent,
-                                        a=r, b=math.inf, breakpoints=bps).value
-            total += part / r ** exponent
+    def weighted(s):
+        return regular(s) * s ** exponent
+
+    def cumulative(r: np.ndarray) -> np.ndarray:
+        nonlocal anchor_r, anchor_int
+        q = np.sort(r, axis=None)
+        if not (0.0 < q[0] and q[-1] < math.inf):
+            raise ValueError("radii must be positive and finite")
+        if forward:
+            i = anchor_r.searchsorted(q[0]) - 1
+            parts, _ = integrate_segments(weighted, np.concatenate([anchor_r[i:i + 1], q]), bps)
+            acc = anchor_int[i] + parts.cumsum()
+            if anchor_r.size == 1:
+                anchor_r, anchor_int = np.append(0.0, q), np.append(0.0, acc)
+        else:
+            i = anchor_r.searchsorted(q[-1], side="right")
+            parts, _ = integrate_segments(weighted, np.concatenate([q, anchor_r[i:i + 1]]), bps)
+            acc = anchor_int[i] + parts[::-1].cumsum()[::-1]
+            if anchor_r.size == 1:
+                anchor_r, anchor_int = np.append(q, math.inf), np.append(acc, 0.0)
+        return acc[q.searchsorted(r)]
+
+    def integrand(r):
+        r = np.asarray(r, dtype=float)
+        total = np.zeros_like(r) if zero else cumulative(r) / r ** exponent
         for shell in shells:
-            if (forward and r >= shell.R) or (not forward and r <= shell.R):
-                total += shell.a * (shell.R / r) ** exponent
+            side = r >= shell.R if forward else r <= shell.R
+            total = total + np.where(side, shell.a * (shell.R / r) ** exponent, 0.0)
         return total
 
     return integrand

@@ -82,24 +82,24 @@ class TestRadialReduction:
 
 
 class TestChannelWeights:
+    RS = np.array([0.4, 1.0, 5.0])
+
     def test_coulomb_constant_profiles(self, coulomb_pair):
         for k in (0, 1, 2):
             g, W = channel_weights(coulomb_pair, Channel(k))
-            for r in (0.4, 1.0, 5.0):
-                assert g(r) == pytest.approx(1.0 / (k + 1), abs=1e-10)
-                assert W(r) == pytest.approx(2.0 / ((k + 1) * r), rel=1e-9)
+            np.testing.assert_allclose(g(self.RS), 1.0 / (k + 1), rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(W(self.RS), 2.0 / ((k + 1) * self.RS), rtol=1e-9)
 
     def test_coulomb_tail_channel(self, coulomb_pair):
         h, W = channel_weights(coulomb_pair, Channel(-2))
-        for r in (0.4, 1.0, 5.0):
-            assert h(r) == pytest.approx(1.0, abs=1e-10)
-            assert W(r) == pytest.approx(-2.0 / r, rel=1e-9)
+        np.testing.assert_allclose(h(self.RS), 1.0, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(W(self.RS), -2.0 / self.RS, rtol=1e-9)
 
     def test_zero_pair(self):
         pair = parse_pair("zero", "zero")
         g, W = channel_weights(pair, Channel(1))
-        assert g(1.0) == 0.0
-        assert W(1.0) == 0.0
+        assert np.all(g(self.RS) == 0.0)
+        assert np.all(W(self.RS) == 0.0)
 
     @pytest.mark.parametrize("k", [0, 2, -2, -3])
     def test_sup_matches_channel_constant(self, k):
@@ -107,10 +107,21 @@ class TestChannelWeights:
         g, _ = channel_weights(pair, Channel(k))
         ak = a_k(pair, k)
         rs = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 400))
-        samples = max(g(float(r)) for r in rs)
-        samples = max(samples, g(1.0))  # shell radius
+        samples = max(np.max(g(rs)), g(np.array([1.0]))[0])  # and the shell radius
         assert samples <= ak * (1.0 + 1e-8)
         assert samples == pytest.approx(ak, rel=1e-6)
+
+    def test_later_calls_match_first_call(self):
+        # the first call integrates its radii as one chain of segments; later
+        # calls add segments from the radii already known, in any order, and
+        # agree within the quadrature's relative tolerance
+        pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:0.7")
+        rs = np.array([30.0, 0.05, 2.2, 1.7, 2.2, 400.0])
+        for k in (1, -3):
+            g_once, _ = channel_weights(pair, Channel(k))
+            g_steps, _ = channel_weights(pair, Channel(k))
+            steps = np.concatenate([g_steps(rs[:1]), g_steps(rs[1:3]), g_steps(rs[3:])])
+            np.testing.assert_allclose(steps, g_once(rs), rtol=1e-10)
 
 
 class TestNorms:

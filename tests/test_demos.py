@@ -1,0 +1,19 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_hardy_constants_demo():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_hardy_constants.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the Coulomb pair V1 = V2 = 1/r has A+ = A- = 1 (printed to 12 digits)
+    match = re.search(r"Coulomb pair.*\n\s*A\+ = (\S+)\s+A- = (\S+)", proc.stdout)
+    assert match, proc.stdout
+    assert match.groups() == ("1.000000000000", "1.000000000000")

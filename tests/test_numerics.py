@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hardydirac.numerics import (
     UnboundedError,
     _scaled_copy,
     integrate_radial,
+    integrate_segments,
     ldl_inertia,
     sup_over_r,
 )
@@ -132,20 +134,63 @@ class TestIntegrateRadial:
         assert combo == pytest.approx(separate, abs=1e-9)
 
 
+class TestIntegrateSegments:
+    # the supremum scan: 433 log-uniform radii over [1e-6, 1e6], from 0
+    SCAN = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))])
+
+    @pytest.mark.parametrize("e", [-6, -2, 2, 8])
+    def test_estimate_bounds_error_per_segment(self, e):
+        # int s^(e-1) ds = (b^e - a^e)/e on every segment, in exact rational
+        # arithmetic; for e < 0 the segments run from the first scan radius
+        # to infinity.  On these narrow segments |G16 - G8| is nil and the
+        # error is round-off of the log substitution, which the estimate
+        # has to include.
+        edges = np.append(self.SCAN[1:], math.inf) if e < 0 else self.SCAN
+        values, estimates = integrate_segments(lambda s: s ** (e - 1.0), edges)
+        power = [Fraction(0) if x == 0.0 or math.isinf(x) else Fraction(x) ** e for x in edges]
+        exact = np.array([float((b - a) / e) for a, b in zip(power[:-1], power[1:])])
+        assert np.all(np.abs(values - exact) <= estimates)
+        assert np.all(estimates <= 1e-10 * np.abs(exact))
+
+    @pytest.mark.parametrize("e", [-2, 2])
+    def test_matches_one_segment_calls(self, e):
+        # mollified shell plus Coulomb, with the shell edges as breakpoints
+        pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:1")
+        v, bps = pair.v1_regular, pair.breakpoints()
+        f = lambda s: (v(s) + pair.v2(s)) * s ** e
+        edges = np.append(self.SCAN[1:], math.inf) if e < 0 else self.SCAN
+        values, _ = integrate_segments(f, edges, bps)
+        one = [integrate_radial(f, a, b, bps).value for a, b in zip(edges[:-1], edges[1:])]
+        assert values == pytest.approx(one, rel=1e-14, abs=0.0)
+
+    def test_edge_order(self):
+        # a repeated edge is a segment of width 0; a decreasing one is an error
+        values, estimates = integrate_segments(lambda s: s, [0.0, 1.0, 1.0, 2.0])
+        assert values.tolist() == pytest.approx([0.5, 0.0, 1.5], rel=1e-14)
+        assert values[1] == 0.0 and estimates[1] == 0.0
+        with pytest.raises(ValueError):
+            integrate_segments(lambda s: s, [0.0, 2.0, 1.0])
+
+    def test_segments_beyond_the_clipped_window(self):
+        # radii past 1e60 are clipped away, and the integrand is never called
+        values, estimates = integrate_segments(lambda s: pytest.fail("called"), [1e70, 1e80, 1e90])
+        assert values.tolist() == [0.0, 0.0] and estimates.tolist() == [0.0, 0.0]
+
+
 class TestSupOverR:
     def test_unimodal(self):
-        res = sup_over_r(lambda r: r * r * math.exp(-r))
+        res = sup_over_r(lambda r: r * r * np.exp(-r))
         assert res.value == pytest.approx(4.0 * math.exp(-2.0), rel=1e-10)
         assert res.argmax == pytest.approx(2.0, abs=1e-5)
 
     def test_never_below_samples(self):
-        g = lambda r: r * r * math.exp(-r)
+        g = lambda r: r * r * np.exp(-r)
         res = sup_over_r(g)
         rs = np.exp(np.linspace(math.log(1e-5), math.log(1e5), 5001))
-        assert res.value >= max(g(r) for r in rs) - 1e-12
+        assert res.value >= np.max(g(rs)) - 1e-12
 
     def test_zero_function(self):
-        res = sup_over_r(lambda r: 0.0)
+        res = sup_over_r(np.zeros_like)
         assert res.value == 0.0
 
     def test_unbounded(self):
@@ -158,9 +203,23 @@ class TestSupOverR:
         assert res.tag == "r->inf"
 
     def test_explicit_candidate_jump(self):
-        g = lambda r: 1.0 if r >= 3.0 else 0.0
+        g = lambda r: np.where(r >= 3.0, 1.0, 0.0)
         res = sup_over_r(g, candidates=(3.0,))
         assert res.value == 1.0
+
+    def test_scan_is_one_call(self):
+        sizes = []
+
+        def g(r):
+            sizes.append(r.size)
+            return r * r * np.exp(-r)
+
+        sup_over_r(g)
+        assert sizes[0] == 433 and all(n == 1 for n in sizes[1:])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sup_over_r(lambda r: np.where(r > 2.0, np.nan, r))
 
 
 def _banded_to_dense(ab: np.ndarray) -> np.ndarray:

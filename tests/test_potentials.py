@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hardydirac.potentials import (
     scale_pair,
     tilde_constants,
 )
+from hardydirac.numerics import integrate_radial
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -136,6 +138,46 @@ class TestHardyConstants:
             assert hc.a_minus <= hc.a_tilde_minus + 1e-10
 
 
+# a_k and the tilde constants of the gallery's mollified and sum pairs, as
+# computed by one full quadrature per probed radius (before the prefix sums)
+_GALLERY_LITERALS = {
+    3: {-4: 0.28382546055216656, -3: 0.3771030329491326, -2: 0.5864688660999472,
+        0: 0.6005366896698441, 1: 0.39013294884357813, 2: 0.29396896714733844,
+        3: 0.23589145697410618, "tilde": (0.6005366896698447, 0.5864688660999475)},
+    4: {-4: 0.5718042052717586, -3: 0.7801816753579442, -2: 1.2779116850625303,
+        0: 1.312134957030059, 1: 0.8085492172860566, 2: 0.5921208471557998,
+        3: 0.4667951817196748, "tilde": (1.31213495703006, 1.2779116850625314)},
+}
+
+
+class TestGalleryPins:
+    @pytest.mark.parametrize("index", range(5))
+    def test_channel_and_tilde_constants(self, pair_gallery, index):
+        pair = pair_gallery[index]
+        if index in _GALLERY_LITERALS:
+            expected, rtol = _GALLERY_LITERALS[index], 1e-12
+        else:
+            # Coulomb and shell + Coulomb pairs: a + nu / (2 |k + 1|)
+            a = sum(shell.a for shell in pair.v1_shells)
+            nu = getattr(pair.v1_regular, "nu", 0.0) + pair.v2.nu
+            expected = {k: a + nu / (2.0 * abs(k + 1)) for k in (-4, -3, -2, 0, 1, 2, 3)}
+            expected["tilde"] = (expected[0], expected[-2])
+            rtol = 1e-13
+        for k in (-4, -3, -2, 0, 1, 2, 3):
+            assert a_k(pair, k) == pytest.approx(expected[k], rel=rtol, abs=0.0)
+        assert tilde_constants(pair) == pytest.approx(expected["tilde"], rel=rtol, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5663007901938384, 2.0])
+    def test_rescaled_mollified_pair(self, pair_gallery, alpha):
+        # alpha V(alpha r) has the same constants.  At alpha = 1.566... a scan
+        # segment starts just below the bump's left edge, which is flat to all
+        # orders: accepted against that short segment's own width, its panels
+        # put the constant 4e-14 high
+        pair = scale_pair(pair_gallery[3], alpha)
+        for k in (-4, -3, -2, 0, 1, 2, 3):
+            assert a_k(pair, k) == pytest.approx(_GALLERY_LITERALS[3][k], rel=1e-14, abs=0.0)
+
+
 class TestTildeConstants:
     def test_coulomb_pair_sum_of_single_sups(self, coulomb_pair):
         # each single Coulomb weight has sup (1/r^2) int_0^r t dt = 1/2,
@@ -209,6 +251,48 @@ class TestTablePotential:
         pair = parse_pair(f"table:{path}", "coulomb:0.5")
         assert 0.0 < a_plus(pair) < math.inf
         assert 0.0 < a_minus(pair) < math.inf
+
+    # a 1000-sample 1/r table: each sample is a kink of the interpolant, and
+    # a kink inside a quadrature panel costs accuracy and dozens of halvings
+    LONG = np.linspace(0.2, 8.0, 1000)
+
+    def test_long_table_moment_exact(self):
+        tab = TablePotential(tuple(self.LONG), tuple(1.0 / self.LONG))
+
+        def exact(r):
+            # int_0^r tab(s) s^2 ds, piece by piece in rational arithmetic
+            pieces = []
+            for a, b, va, vb in zip(tab.rs[:-1], tab.rs[1:], tab.values[:-1], tab.values[1:]):
+                if a >= r:
+                    break
+                a, b, va, vb, hi = (Fraction(x) for x in (a, b, va, vb, min(b, r)))
+                slope = (vb - va) / (b - a)
+                pieces.append(float((va - slope * a) * (hi ** 3 - a ** 3) / 3
+                                    + slope * (hi ** 4 - a ** 4) / 4))
+            return math.fsum(pieces)
+
+        for r in (1.0, 3.3333, 8.0, 20.0):
+            q = integrate_radial(lambda s: tab(s) * s ** 2, 0.0, r, tab.breakpoints())
+            assert q.value == pytest.approx(exact(r), rel=1e-13)
+
+    def test_long_table_a_minus_dominates_exact_tail(self):
+        rs = self.LONG
+        tab = TablePotential(tuple(rs), tuple(1.0 / rs))
+        pair = PotentialPair(v1_regular=tab, v2=CoulombPotential(0.5))
+        # r^2 int_r^inf (tab(s) + 0.5/s) s^-2 ds; on a piece tab = c0 + slope s
+        vs = np.asarray(tab.values)
+        slope = np.diff(vs) / np.diff(rs)
+        c0 = vs[:-1] - slope * rs[:-1]
+
+        def piece(i, a, b):
+            return c0[i] * (1.0 / a - 1.0 / b) + slope[i] * np.log(b / a)
+
+        full = piece(np.arange(rs.size - 1), rs[:-1], rs[1:])
+        suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
+        x = np.geomspace(rs[0], rs[-1], 2000)
+        j = np.minimum(np.searchsorted(rs, x, side="right") - 1, rs.size - 2)
+        samples = 0.25 + x ** 2 * (piece(j, x, rs[j + 1]) + suffix[j + 1])
+        assert a_minus(pair) >= samples.max() - 1e-12
 
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):

@@ -25,9 +25,9 @@ below 1e-6 in the weighted norm for order-one fields.
 
 Gap eigenvalues come from eliminating g, which yields a symmetric problem
 whose weight depends on E; since that dependence is monotone, inertia
-counts of the shifted block-tridiagonal matrix locate every nonlinear
-eigenvalue by multisection (one LDL sweep counts 32 shifts), with no
-spectral pollution by construction.
+counts of the shifted block-tridiagonal matrix (3x3 node blocks, reduced
+for 32 shifts at once by ``numerics.ldl_inertia``) locate every nonlinear
+eigenvalue by multisection, with no spectral pollution by construction.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ class _HermiteFem:
     # -- assembly -----------------------------------------------------------
 
     def element_matrices(self, vals: np.ndarray, k: int | None = None) -> np.ndarray:
-        """(..., nel, 6, 6) element matrices of the term vals*f*u (``k`` None)
-        or vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``."""
+        """Element matrices ``em[a, b, ..., e]`` (local dofs 0-2 on node e,
+        3-5 on node e+1) of the term vals*f*u (``k`` None) or
+        vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``."""
         shapes = self.N if k is None else self.Nd - k * self.N
         table = (shapes * self.wq)[:, None, :] * shapes[None, :, :]
-        return np.moveaxis(np.tensordot(table, vals, axes=([2], [-1])), (0, 1), (-2, -1))
+        return np.tensordot(table, vals, axes=([2], [-1]))
 
     def band(self, mass_vals: np.ndarray, grad_vals: np.ndarray, k: int,
              point_terms=()) -> np.ndarray:
@@ -152,7 +153,7 @@ class _HermiteFem:
         stop = 3 * (self.n_nodes - 1)
         for a in range(6):
             for b in range(a, 6):
-                ab[b - a, a:a + stop:3] += em[:, a, b]
+                ab[b - a, a:a + stop:3] += em[a, b]
         for radius, weight in point_terms:
             el, shapes, _, _ = self._element_shapes(radius)
             outer = weight * np.outer(shapes, shapes)
@@ -598,34 +599,44 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 _SHIFTS_PER_SWEEP = 32
 
 
+def _node_blocks(em: np.ndarray):
+    """Node blocks D (3, 3, ..., n) and couplings B (3, 3, ..., n-1), rows on node i,
+    of element matrices em (6, 6, ..., nel); B is a copy, so that em can be freed."""
+    D = np.zeros((3, 3) + em.shape[2:-1] + (em.shape[-1] + 1,))
+    D[..., :-1] = em[:3, :3]
+    D[..., 1:] += em[3:, 3:]
+    return D, em[:3, 3:].copy()
+
+
 def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
     """Batched inertia count of the E-dependent form on one grid: mass part
-    (m - w1 - E) r^3, linear in E and built once; gradient part
-    r/(m + w2 + E), one product for all shifts of a call."""
+    (m - w1 - E) r^3, linear in E and in node blocks once (shells included);
+    gradient part r/(m + w2 + E), one product for all shifts of a call."""
     m, k, rq = problem.m, problem.channel.k, fem.rq
     w2q = problem.w2(rq)
-    em_mass = fem.element_matrices(rq**3)
     em_fixed = fem.element_matrices((m - problem.w1(rq)) * rq**3)
     for radius, a in problem.shell_terms():
         el, shapes, _, _ = fem._element_shapes(radius)
-        em_fixed[el] -= a * radius**2 * np.outer(shapes, shapes)
+        em_fixed[..., el] -= a * radius**2 * np.outer(shapes, shapes)
+    fixed, mass = (_node_blocks(em[:, :, None]) for em in (em_fixed, fem.element_matrices(rq**3)))
 
     def counts(shifts) -> np.ndarray:
         E = np.asarray(shifts, dtype=float)
-        em = fem.element_matrices(rq / np.add.outer(E, m + w2q), k)
-        for e, em_e in zip(E, em):      # in place: peak memory stays one em
-            em_e += em_fixed - e * em_mass
-        for el, a in ((0, 0), (-1, 3)):          # value dofs at both ends
-            em[:, el, a, :] = em[:, el, :, a] = 0.0
-            em[:, el, a, a] = 1.0
-        return ldl_inertia(em, E)
+        D, B = _node_blocks(fem.element_matrices(rq / np.add.outer(E, m + w2q), k))
+        for X, X_fixed, X_mass in zip((D, B), fixed, mass):
+            t = E[:, None] * X_mass             # X += X_fixed - E X_mass, one temporary
+            X += np.subtract(X_fixed, t, out=t)
+        D[0, :, :, [0, -1]] = D[:, 0, :, [0, -1]] = 0.0    # value dofs at both ends
+        D[0, 0, :, [0, -1]] = 1.0
+        B[0, :, :, 0] = B[:, 0, :, -1] = 0.0
+        return ldl_inertia(D, B, E)
 
     return counts
 
 
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
-    function (shifts to counts below them): each sweep spreads
+    function (shifts to counts below them): each call of it spreads
     ``_SHIFTS_PER_SWEEP`` shifts, first over [lo, hi], then over the level
     brackets wider than ``tol``; values are bracket midpoints."""
     E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)

@@ -3,8 +3,9 @@
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
 and inertia counts (numbers of negative eigenvalues) of equilibrated
-symmetric block-tridiagonal matrices, one LDL sweep for many shifts at once,
-on which ``extension.spectrum_in_gap`` runs multisection.
+symmetric block-tridiagonal matrices in 3x3 node blocks, many shifts at once
+by block cyclic reduction in about log2(nodes) vectorized levels, on which
+``extension.spectrum_in_gap`` runs multisection.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -125,10 +126,6 @@ class RadialGrid:
         if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
             raise ValueError("grid nodes are not uniformly spaced in log r")
         return float(dt[0])
-
-    def refined(self) -> "RadialGrid":
-        """Grid with at least twice the nodes, r_min halved and r_max doubled."""
-        return RadialGrid.log_uniform(2 * self.n, self.r_min / 2.0, self.r_max * 2.0)
 
 
 @dataclass(frozen=True)
@@ -361,35 +358,56 @@ def _scaled_copy(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, s
 
 
-def ldl_inertia(em: np.ndarray, shifts) -> np.ndarray:
+def _block_ldl(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots (3, ...) and inverses (3, 3, ...) of 3x3 blocks d (3, 3, ...) by
+    unpivoted LDL^T; a zero pivot is nudged to -1e-300 and the inverse is
+    L^-T diag(1/p) L^-1 of the nudged pivots, finite wherever they are."""
+    p0 = np.where(d[0, 0], d[0, 0], -1e-300)
+    l10, l20 = d[1, 0] / p0, d[2, 0] / p0
+    s11, s21 = d[1, 1] - l10 * d[1, 0], d[2, 1] - l20 * d[1, 0]
+    p1 = np.where(s11, s11, -1e-300)
+    l21 = s21 / p1
+    s22 = d[2, 2] - l20 * d[2, 0] - l21 * s21
+    p2 = np.where(s22, s22, -1e-300)
+    q0, q1, q2 = 1.0 / p0, 1.0 / p1, 1.0 / p2
+    m10, m20, m21 = -l10, l10 * l21 - l20, -l21        # L^-1 below the diagonal
+    i10, i20, i21 = m10 * q1 + m20 * m21 * q2, m20 * q2, m21 * q2
+    return np.array([p0, p1, p2]), np.array([[q0 + m10 * m10 * q1 + m20 * m20 * q2, i10, i20],
+                                             [i10, q1 + m21 * m21 * q2, i21], [i20, i21, q2]])
+
+
+def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     """Negative-eigenvalue counts of S symmetric block-tridiagonal matrices.
 
-    ``em[j, e]`` is what element e adds to matrix j on the 3+3 dofs of nodes
-    e and e+1; ``shifts`` name the matrices in errors.  After
-    ``_equilibration``, one unpivoted block LDL^T sweep over the nodes,
-    vectorized over the matrices, counts the negative pivots of the 3x3
-    Schur complements (Haynsworth additivity, Sylvester's law).  A zero
-    pivot is nudged to -1e-300 (counts as negative); a non-finite one raises.
+    ``D[:, :, j, i]`` is the 3x3 diagonal block of node i in matrix j and ``B[:, :, j, i]``
+    its coupling to node i+1 (rows on node i); ``shifts`` name the matrices in errors.
+    After ``_equilibration`` of D and B in place, odd-even block cyclic reduction
+    eliminates the even-numbered nodes of what remains (0, 2, 4, ...) at each level,
+    vectorized over nodes and matrices, in about log2(n) levels; the negative pivots of
+    all eliminated blocks give the count (Haynsworth additivity, Sylvester's law).  A
+    zero pivot is nudged to -1e-300 (counts as negative); a non-finite one raises.
     """
-    n_mat, nel = em.shape[:2]
-    # node diagonals, matrix index last; a zero node past the end gets scale 1
-    d = np.zeros((nel + 2, 3, n_mat))
-    d[:-2] += np.moveaxis(np.diagonal(em[..., :3, :3], axis1=2, axis2=3), 0, -1)
-    d[1:-1] += np.moveaxis(np.diagonal(em[..., 3:, 3:], axis1=2, axis2=3), 0, -1)
-    piv = np.empty((nel + 1, 3, n_mat))
+    pivots = []
     with np.errstate(all="ignore"):
-        s = _equilibration(d).reshape(-1, n_mat)
-        carry = 0.0     # what eliminating the nodes before leaves on node i
-        # a zero element past the end yields the last node's pivots
-        for i, e in enumerate([*np.moveaxis(em, 0, -1), np.zeros((6, 6, n_mat))]):
-            t = e * s[3 * i:3 * i + 6, None] * s[3 * i:3 * i + 6]
-            t[:3, :3] += carry
-            for j in range(3):
-                piv[i, j] = p = np.where(t[j, j], t[j, j], -1e-300)
-                t[j + 1:, j + 1:] -= t[j + 1:, j, None] * (t[j, j + 1:] / p)
-            carry = t[3:, 3:]
-    bad = ~np.isfinite(piv).all(axis=(0, 1))
+        s = _equilibration(D[[0, 1, 2], [0, 1, 2]])
+        B *= s[:, None, ..., :-1] * s[None, :, ..., 1:]
+        D *= s[:, None] * s[None, :]
+        while D.shape[-1]:
+            piv, inv = _block_ldl(D[..., ::2])
+            pivots.append(piv)
+            # odd node i couples to i-1 (rows on i-1) and i+1 (rows on i)
+            left, right = B[..., ::2], B[..., 1::2]
+            odd = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, np.einsum(
+                "ij...,jk...->ik...", inv[..., :left.shape[-1]], left))
+            z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])
+            odd[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
+            # odd nodes i, i+2 now couple by -z_i B_i+1; the sign (a
+            # congruence by diag(+-I)) leaves the count unchanged
+            B = np.einsum("ij...,jk...->ik...", z[..., :odd.shape[-1] - 1], left[..., 1:])
+            D = odd
+    piv = np.concatenate(pivots, axis=-1)
+    bad = ~np.isfinite(piv).all(axis=(0, 2))
     if bad.any():
         E = float(shifts[np.argmax(bad)])
-        raise ValueError(f"inertia sweep hit a non-finite pivot at shift E={E!r}")
-    return np.count_nonzero(piv < 0.0, axis=(0, 1))
+        raise ValueError(f"inertia count hit a non-finite pivot at shift E={E!r}")
+    return np.count_nonzero(piv < 0.0, axis=(0, 2))

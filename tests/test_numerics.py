@@ -232,12 +232,25 @@ def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
     return a
 
 
-def _elements(dense: np.ndarray) -> np.ndarray:
-    """(nel, 6, 6) element matrices that assemble to a block-tridiagonal matrix."""
+def _blocks(dense: np.ndarray):
+    """Node blocks D (3, 3, n) and couplings B (3, 3, n-1) of a dense
+    block-tridiagonal matrix, as ``ldl_inertia`` takes them per matrix."""
     n = dense.shape[0] // 3
-    em = np.array([dense[3 * e:3 * e + 6, 3 * e:3 * e + 6] for e in range(n - 1)])
-    em[:-1, 3:, 3:] = 0.0      # node e+1's diagonal block comes with element e+1
-    return em
+    blocks, i = dense.reshape(n, 3, n, 3), np.arange(n)
+    return blocks[i, :, i].transpose(1, 2, 0), blocks[i[:-1], :, i[1:]].transpose(1, 2, 0)
+
+
+def _stacked(mats):
+    """(D, B) of several dense matrices, matrix index on axis 2."""
+    D, B = zip(*(_blocks(a) for a in mats))
+    return np.stack(D, axis=2), np.stack(B, axis=2)
+
+
+def _dense_count(fem, ab) -> int:
+    """Negative eigenvalues of a constrained, equilibrated banded form."""
+    scaled, s = _scaled_copy(fem.constrain(ab))
+    assert np.all(s > 0.0)
+    return int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0))
 
 
 def _equilibrated(a: np.ndarray) -> np.ndarray:
@@ -249,30 +262,49 @@ class TestInertia:
     @pytest.mark.parametrize("k", [0, 1, -2])
     def test_gap_counts_match_dense_oracle(self, k):
         # the E-dependent Dirac-Coulomb form that spectrum_in_gap counts on,
-        # all 40 shifts in one batched sweep; the raw matrix spans ~20
-        # decades, so the dense oracle is taken of the equilibrated one,
-        # which has the same inertia
+        # all 40 shifts in one batched call, at an odd and an even node
+        # count; the raw matrix spans ~20 decades, so the dense oracle is
+        # taken of the equilibrated one, which has the same inertia
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
-        prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
-                                   grid=RadialGrid.log_uniform(200, 1e-6, 50.0))
-        fem = _HermiteFem(prob.grid)
-        rq = fem.rq
         shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
                                  1.0 - np.geomspace(0.2, 1e-4, 32)])
-        expected = []
-        for E in shifts:
-            ab = fem.band((1.0 - prob.w1(rq) - E) * rq**3,
-                          rq / (1.0 + prob.w2(rq) + E), k)
-            scaled, s = _scaled_copy(fem.constrain(ab))
-            assert np.all(s > 0.0)
-            expected.append(int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0)))
+        for n in (199, 200):
+            prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
+                                       grid=RadialGrid.log_uniform(n, 1e-6, 50.0))
+            fem = _HermiteFem(prob.grid)
+            rq = fem.rq
+            expected = [_dense_count(fem, fem.band((1.0 - prob.w1(rq) - E) * rq**3,
+                                                   rq / (1.0 + prob.w2(rq) + E), k))
+                        for E in shifts]
+            assert list(_gap_counts(fem, prob)(shifts)) == expected
+            assert expected == sorted(expected) and expected[-1] >= 3
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_shell_gap_counts_match_dense_oracle(self, k):
+        # shell point terms enter the node blocks of both nodes of their
+        # element and the coupling between them; one shell sits in the last
+        # element, whose right node carries a Dirichlet value
+        pair = parse_pair("coulomb:1 + shell:2@1 + shell:1@49.9", "coulomb:1", c1=0.4, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(161, 1e-6, 50.0))
+        fem = _HermiteFem(prob.grid)
+        rq = fem.rq
+        points = [(radius, -a * radius**2) for radius, a in prob.shell_terms()]
+        assert fem._element_shapes(49.9)[0] == prob.grid.n - 2
+        shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
+                                 1.0 - np.geomspace(0.2, 1e-4, 24)])
+        expected = [_dense_count(fem, fem.band((1.0 - prob.w1(rq) - E) * rq**3,
+                                               rq / (1.0 + prob.w2(rq) + E), k,
+                                               point_terms=points))
+                    for E in shifts]
         assert list(_gap_counts(fem, prob)(shifts)) == expected
         assert expected == sorted(expected) and expected[-1] >= 3
 
-    def test_random_block_tridiagonal(self):
-        # indefinite matrices over 20 decades of diagonal scale
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 33, 64])
+    def test_random_block_tridiagonal(self, n_nodes):
+        # indefinite matrices over 20 decades of diagonal scale; the node
+        # counts give odd and even lengths at every reduction level
         rng = np.random.default_rng(7)
-        n_nodes = 12
         mats = []
         for _ in range(16):
             a = np.zeros((3 * n_nodes, 3 * n_nodes))
@@ -282,25 +314,35 @@ class TestInertia:
             a = a + a.T
             scale = np.exp(rng.uniform(-23.0, 23.0, 3 * n_nodes))
             mats.append(a * scale[:, None] * scale[None, :])
-        got = ldl_inertia(np.stack([_elements(a) for a in mats]), np.arange(16.0))
+        got = ldl_inertia(*_stacked(mats), np.arange(16.0))
         expected = [int(np.sum(np.linalg.eigvalsh(_equilibrated(a)) < 0.0)) for a in mats]
         assert list(got) == expected
-        assert 0 < min(expected) and max(expected) < 3 * n_nodes
+        assert 0 < min(expected) < max(expected)
+        if n_nodes > 1:     # a lone node may be negative definite
+            assert max(expected) < 3 * n_nodes
 
     def test_zero_pivot_counts_negative(self):
         # shifts landing exactly on eigenvalues of the diagonal pencil
         # diag(1..6) - E I: the eigenvalue at the shift is counted below it
         shifts = np.array([0.5, 1.0, 2.0, 3.5, 6.0, 7.0])
-        em = np.stack([_elements(np.diag(np.arange(1.0, 7.0)) - E * np.eye(6))
-                       for E in shifts])
-        assert list(ldl_inertia(em, shifts)) == [0, 1, 2, 3, 6, 6]
+        D, B = _stacked([np.diag(np.arange(1.0, 7.0)) - E * np.eye(6) for E in shifts])
+        assert list(ldl_inertia(D, B, shifts)) == [0, 1, 2, 3, 6, 6]
+
+    def test_zero_pivot_at_later_level(self):
+        # diag(1..15) - E I on 5 nodes: nodes 0, 2, 4 are eliminated at level
+        # 1, node 1 at level 2 and node 3 at level 3, so these shifts put an
+        # exact zero pivot on each level; a block inverse taken from a zero
+        # determinant would turn the zero couplings into NaN
+        shifts = np.array([2.0, 5.0, 11.0, 14.0])
+        D, B = _stacked([np.diag(np.arange(1.0, 16.0)) - E * np.eye(15) for E in shifts])
+        assert list(ldl_inertia(D, B, shifts)) == [2, 5, 11, 14]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pivot_raises(self, bad):
-        em = np.stack([_elements(np.diag(np.arange(1.0, 7.0)))] * 3)
-        em[1, 0, 4, 4] = bad
+        D, B = _stacked([np.diag(np.arange(1.0, 7.0))] * 3)
+        D[1, 1, 1, 1] = bad
         with pytest.raises(ValueError, match="E=0.25"):
-            ldl_inertia(em, np.array([0.0, 0.25, 0.5]))
+            ldl_inertia(D, B, np.array([0.0, 0.25, 0.5]))
 
 
 class TestRadialGrid:
@@ -309,13 +351,6 @@ class TestRadialGrid:
         assert g.r_min == pytest.approx(1e-6)
         assert g.r_max == pytest.approx(50.0)
         assert np.all(np.diff(g.nodes) > 0)
-
-    def test_refined(self):
-        g = RadialGrid.log_uniform(100, 1e-6, 50.0)
-        f = g.refined()
-        assert f.n >= 2 * g.n
-        assert f.r_min == pytest.approx(g.r_min / 2.0)
-        assert f.r_max == pytest.approx(g.r_max * 2.0)
 
     def test_log_step(self):
         g = RadialGrid.log_uniform(100, 1e-6, 50.0)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    QuadratureError,
     SupResult,
     UnboundedError,
     integrate_radial,
@@ -520,7 +519,7 @@ def _sup_of_weight(regular: PotentialComponent, shells, exponent: int) -> SupRes
     try:
         return sup_over_r(_hardy_integrand(regular, shells, exponent),
                           candidates=tuple(candidates))
-    except (UnboundedError, QuadratureError) as exc:
+    except UnboundedError as exc:
         raise NotInClassAError(f"not in class A: {exc}") from exc
 
 

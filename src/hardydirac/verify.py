@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     Channel,
@@ -295,6 +294,8 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2),
         raise ValueError("degenerate parameter box")
     if not k_set:
         raise ValueError("empty channel set")
+    from scipy.optimize import minimize     # slow to import; only used here
+
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
     rng = np.random.default_rng(seed)
     weight = _grad_weight(pair, gamma)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hardydirac
+from hardydirac import potentials
 from hardydirac.cli import main
+from hardydirac.numerics import QuadratureError
 
 
 def run_cli(capsys, *args):
@@ -32,6 +38,27 @@ class TestConstantsCommand:
         code, out = run_cli(capsys, "constants", "--v1", "power:1,0", "--v2", "zero")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NotInClassAError"
+
+    def test_quadrature_failure_exits_1(self, capsys, monkeypatch):
+        def fail(g, candidates=()):
+            raise QuadratureError("did not converge", 0.0, 1.0)
+
+        monkeypatch.setattr(potentials, "sup_over_r", fail)
+        potentials._a_exponent_cached.cache_clear()
+        code, out = run_cli(capsys, "constants", "--v1", "coulomb:0.25", "--v2", "zero")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+
+def test_import_leaves_scipy_optimize_out():
+    # only extremize needs scipy.optimize, which takes about a quarter of a
+    # second to import; every command imports the cli module
+    code = "import sys, hardydirac.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hardydirac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

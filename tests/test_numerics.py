@@ -17,7 +17,7 @@ from hardydirac.numerics import (
     ldl_inertia,
     sup_over_r,
 )
-from hardydirac.potentials import parse_pair
+from hardydirac.potentials import CoulombPotential, _hardy_integrand, parse_pair
 from hardydirac.verify import random_field_gallery
 
 
@@ -215,11 +215,68 @@ class TestSupOverR:
             return r * r * np.exp(-r)
 
         sup_over_r(g)
-        assert sizes[0] == 433 and all(n == 1 for n in sizes[1:])
+        assert sizes[0] == 433
+        assert 1 <= len(sizes[1:]) <= 7 and all(n <= 32 for n in sizes[1:])
+
+    @pytest.mark.parametrize("g", [
+        lambda r: 0.5 * (1.0 + 1e-15 * np.sin(1e3 * np.log(r))),
+        _hardy_integrand(CoulombPotential(1.0), (), 2),
+    ], ids=["noise", "coulomb"])
+    def test_flat_to_roundoff_is_not_refined(self, g):
+        # an interior peak within round-off of its neighbours is noise
+        sizes = []
+
+        def counted(r):
+            sizes.append(r.size)
+            return g(r)
+
+        sup_over_r(counted)
+        assert sizes == [433]
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(lambda r: r * r * np.exp(-r), id="gamma"),
+        pytest.param(lambda r: np.log1p(r) / (1.0 + r), id="log"),
+        pytest.param(lambda r: r ** 3 / (1.0 + r ** 5), id="rational"),
+    ] + [
+        # log-r Gaussians of width w at seeded random centres
+        pytest.param(lambda r, c=c, w=w: np.exp(-((np.log(r) - c) / w) ** 2), id=f"w{w:g}-{i}")
+        for w in (1e-2, 1e-1, 1.0, 10.0)
+        for i, c in enumerate(np.random.default_rng(7).uniform(-10.0, 10.0, 8))
+    ])
+    def test_matches_golden_section(self, g):
+        # the refined scan against the golden-section search it replaced
+        value, golden = sup_over_r(g).value, _golden_sup(g)
+        assert abs(value - golden) <= 2e-15 * golden
+        assert value >= golden * (1.0 - 1e-15)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             sup_over_r(lambda r: np.where(r > 2.0, np.nan, r))
+
+
+def _golden_sup(g) -> float:
+    """Scan maximum polished by golden section on its bracket, one radius per
+    call, as ``sup_over_r`` did before its batched refinement."""
+    rs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
+    vals = g(rs)
+    i = int(np.argmax(vals))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    g1 = lambda t: float(g(np.array([math.exp(t)]))[0])
+    a, b = math.log(rs[i - 1]), math.log(rs[i + 1])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = g1(c), g1(d)
+    for _ in range(200):
+        if b - a < 1e-12 * max(1.0, abs(a) + abs(b)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = g1(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = g1(d)
+    return max(float(vals[i]), fc, fd)
 
 
 def _banded_to_dense(ab: np.ndarray) -> np.ndarray:

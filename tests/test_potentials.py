@@ -27,7 +27,8 @@ from hardydirac.potentials import (
     scale_pair,
     tilde_constants,
 )
-from hardydirac.numerics import integrate_radial
+from hardydirac import potentials
+from hardydirac.numerics import QuadratureError, integrate_radial
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -131,6 +132,17 @@ class TestHardyConstants:
         with pytest.raises(NotInClassAError):
             a_plus(pair)
 
+    def test_quadrature_failure_is_not_class_a_verdict(self, monkeypatch):
+        # only unbounded growth means "not in class A"; a quadrature that
+        # does not converge says nothing about the pair and must surface
+        def fail(g, candidates=()):
+            raise QuadratureError("did not converge", 0.0, 1.0)
+
+        monkeypatch.setattr(potentials, "sup_over_r", fail)
+        potentials._a_exponent_cached.cache_clear()
+        with pytest.raises(QuadratureError):
+            a_plus(parse_pair("coulomb:0.25", "zero"))
+
     def test_invariant_bounds(self, pair_gallery):
         for pair in pair_gallery:
             hc = hardy_constants(pair, k_values=(0, 2, -2))
@@ -223,6 +235,17 @@ class TestScaling:
             ap, am = a_plus(pair), a_minus(pair)
             assert abs(a_plus(scaled) - ap) <= 1e-8 * (1.0 + ap)
             assert abs(a_minus(scaled) - am) <= 1e-8 * (1.0 + am)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.25, 2.0, 3.0])
+    def test_mollified_pair_single_weights(self, pair_gallery, alpha):
+        # on the bump's steep flanks the node round-off |dv/dt| eps |t| is
+        # far above the quadrature's value-based round-off floor; unless the
+        # floor includes it, these suprema exhaust the panel budget
+        pair, scaled = pair_gallery[3], scale_pair(pair_gallery[3], alpha)
+        assert tilde_constants(scaled) == pytest.approx(tilde_constants(pair), rel=1e-12, abs=0.0)
+        for e in (-6, -4, -2, 2, 4, 6, 8):
+            assert potentials._sup_of_weight(scaled.v1_regular, (), e).value == pytest.approx(
+                potentials._sup_of_weight(pair.v1_regular, (), e).value, rel=1e-12, abs=0.0)
 
     def test_coulomb_pair_value(self, coulomb_pair):
         assert a_plus(scale_pair(coulomb_pair, 0.5)) == pytest.approx(1.0, abs=1e-9)

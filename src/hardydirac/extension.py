@@ -15,6 +15,8 @@ The energy space for the upper component carries the inner product
 with delta shells in w1 entering as point terms -w a R^2 f(R) u(R); the
 weak solve is a Riesz representation in this space, after which the lower
 component is recovered pointwise as g = -(F2 + f' - k f/r) / (m + w2 - lam).
+This form is the E-dependent gap form below at E = -lam, so one routine
+(``_gap_form``) makes it for the solve and for the inertia counts.
 
 Discretization: quintic Hermite elements (value, first and second
 log-derivative per node) on a log-uniform radial grid, so profiles that are
@@ -37,15 +39,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, GridProfile
 from .numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
+    _equilibrate,
     integrate_radial,
     ldl_inertia,
-    _scaled_copy,
 )
 from .potentials import PotentialPair, a_minus, a_plus
 from .verify import select_lambda
@@ -111,14 +113,15 @@ def _hermite_tables(xi: np.ndarray):
 
 
 class _HermiteFem:
-    """Assembly and evaluation on one log-uniform grid (bandwidth 5)."""
+    """Element matrices, loads and evaluation on one log-uniform grid; dofs
+    are node-major (value and two log-derivatives per node), so forms are
+    block tridiagonal in 3x3 node blocks."""
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
         self.t = grid.t
         self.h = grid.log_step
         self.n_nodes = grid.n
-        self.ndof = 3 * grid.n
         h = self.h
         scale = np.array([1.0, h, h * h, 1.0, h, h * h])
         H, D, D2 = _hermite_tables(_GQ_X)
@@ -128,58 +131,26 @@ class _HermiteFem:
         self.wq = _GQ_W * h
         self.tq = self.t[:-1, None] + h * _GQ_X[None, :]      # (nel, nq)
         self.rq = np.exp(self.tq)
-        self.fixed = (0, 3 * (grid.n - 1))                    # value dofs at ends
 
     # -- assembly -----------------------------------------------------------
 
     def element_matrices(self, vals: np.ndarray, k: int | None = None) -> np.ndarray:
         """Element matrices ``em[a, b, ..., e]`` (local dofs 0-2 on node e,
         3-5 on node e+1) of the term vals*f*u (``k`` None) or
-        vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``."""
+        vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``; ``_gap_form``
+        gathers them into node blocks."""
         shapes = self.N if k is None else self.Nd - k * self.N
         table = (shapes * self.wq)[:, None, :] * shapes[None, :, :]
         return np.tensordot(table, vals, axes=([2], [-1]))
 
-    def band(self, mass_vals: np.ndarray, grad_vals: np.ndarray, k: int,
-             point_terms=()) -> np.ndarray:
-        """Lower-banded matrix of the form with given coefficient samples.
-
-        mass_vals/grad_vals are (nel, nq) samples of the coefficients of
-        f*u and (f.-k f)(u.-k u) in the log variable; point_terms are
-        (radius, weight) pairs adding weight*f(R)*u(R).
-        """
-        em = self.element_matrices(mass_vals) + self.element_matrices(grad_vals, k)
-        ab = np.zeros((6, self.ndof))
-        stop = 3 * (self.n_nodes - 1)
-        for a in range(6):
-            for b in range(a, 6):
-                ab[b - a, a:a + stop:3] += em[a, b]
-        for radius, weight in point_terms:
-            el, shapes, _, _ = self._element_shapes(radius)
-            outer = weight * np.outer(shapes, shapes)
-            for a in range(6):
-                for b in range(a, 6):
-                    ab[b - a, el * 3 + a] += outer[a, b]
-        return ab
-
     def load(self, f1_vals: np.ndarray, f2_vals: np.ndarray, k: int) -> np.ndarray:
-        """Load vector of int f1*u dt - int f2*(u. - k u) dt (samples given)."""
-        nel = self.n_nodes - 1
-        Dk = self.Nd - k * self.N
-        elt = np.einsum("q,eq,aq->ea", self.wq, f1_vals, self.N, optimize=True)
-        elt -= np.einsum("q,eq,aq->ea", self.wq, f2_vals, Dk, optimize=True)
-        b = np.zeros(self.ndof)
-        for a in range(6):
-            b[a:a + 3 * nel:3] += elt[:, a]
+        """Loads (3, n) of int f1*u dt - int f2*(u. - k u) dt on each node's
+        dofs, from (nel, nq) samples."""
+        elt = (self.N * self.wq) @ f1_vals.T - ((self.Nd - k * self.N) * self.wq) @ f2_vals.T
+        b = np.zeros((3, self.n_nodes))
+        b[:, :-1] = elt[:3]
+        b[:, 1:] += elt[3:]
         return b
-
-    def constrain(self, ab: np.ndarray) -> np.ndarray:
-        for idx in self.fixed:
-            ab[:, idx] = 0.0
-            for d in range(1, min(idx, 5) + 1):
-                ab[d, idx - d] = 0.0
-            ab[0, idx] = 1.0
-        return ab
 
     def _element_shapes(self, radius: float):
         if not (self.grid.r_min <= radius <= self.grid.r_max):
@@ -198,11 +169,7 @@ class _HermiteFem:
 
     def at_quad(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
         table = (self.N, self.Nd, self.Ndd)[deriv]
-        stop = 3 * (self.n_nodes - 1)
-        out = np.zeros_like(self.rq)
-        for a in range(6):
-            out += coefs[a:a + stop:3, None] * table[a]
-        return out
+        return sliding_window_view(coefs, 6)[::3] @ table     # each element's six dofs
 
     def node_values(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
         vals = coefs[deriv::3].copy()
@@ -412,13 +379,13 @@ def _weight_samples(fem: _HermiteFem, problem: DiracChannelProblem):
 
 
 def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
-                 coefs: np.ndarray, F2):
+                 coefs: np.ndarray, F2q: np.ndarray, F2dq: np.ndarray):
     """Strong form of (H_V + lam) on the discrete upper component.
 
-    ``samples`` are w1, w2, w2' at the quadrature points.  The lower
-    component is recovered pointwise, g = -(F2 + f' - k f/r)/(m + w2 - lam);
-    returns f, g and the upper and lower output components, all sampled at
-    the quadrature points.
+    ``samples`` are w1, w2, w2' and ``F2q``, ``F2dq`` are F2 and F2' at the
+    quadrature points.  The lower component is recovered pointwise,
+    g = -(F2 + f' - k f/r)/(m + w2 - lam); returns f, g and the upper and
+    lower output components, all sampled at the quadrature points.
     """
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
@@ -427,12 +394,10 @@ def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
     f = fem.at_quad(coefs, 0)
     fd = fem.at_quad(coefs, 1)
     fdd = fem.at_quad(coefs, 2)
-    f2_fun, f2_dfun = _as_callable(F2)
-    F2q = f2_fun(rq)
     Df = (fd - k * f) / rq
     g = -(F2q + Df) / den
     Df_dot = (fdd - k * fd) / rq - Df
-    g_dot = -(f2_dfun(rq) * rq + Df_dot) / den + (F2q + Df) * (w2dq * rq) / den**2
+    g_dot = -(F2dq * rq + Df_dot) / den + (F2q + Df) * (w2dq * rq) / den**2
     upper = (m - w1q + lam) * f + (g_dot + (k + 2) * g) / rq
     lower = -Df + (lam - m - w2q) * g
     return f, g, upper, lower
@@ -465,37 +430,42 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
         raise ConvergenceError(
             f"residual did not reach {residual_tol:g} relative after two "
             f"refinements", diagnostics={"history": history})
+    from scipy.linalg import LinAlgError, solveh_banded    # slow to import; only used here
+
     fem = _HermiteFem(problem.grid)
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
     samples = _weight_samples(fem, problem)
-    w1q, w2q, _ = samples
-
-    points = [(radius, -a * radius**2) for radius, a in problem.shell_terms()]
-    ab = fem.constrain(fem.band((m - w1q + lam) * rq**3, rq / (m + w2q - lam), k,
-                                point_terms=points))
+    w2q = samples[1]
     f1_fun, _ = _as_callable(F1)
-    f2_fun, _ = _as_callable(F2)
-    F2q = f2_fun(rq)
-    b = fem.load(f1_fun(rq) * rq**3, F2q * rq**2 / (m + w2q - lam), k)
-    for idx in fem.fixed:
-        b[idx] = 0.0
-    # diagonal equilibration keeps the Cholesky healthy across 20 decades
-    ab_scaled, s = _scaled_copy(ab)
+    f2_fun, f2_dfun = _as_callable(F2)
+    F1q, F2q = f1_fun(rq), f2_fun(rq)
+    b = fem.load(F1q * rq**3, F2q * rq**2 / (m + w2q - lam), k)
+    b[0, [0, -1]] = 0.0                       # value dofs at both ends
+    # the gap form at E = -lam, equilibrated (the Cholesky then stays healthy
+    # across 20 decades) and packed in lower band storage, dofs node-major
+    D, B = _gap_form(fem, problem)(np.array([-lam]))
+    s = _equilibrate(D, B)[:, 0].T.ravel()
+    ab = np.zeros((6, s.size))
+    for a in range(3):
+        for c in range(a, 3):
+            ab[c - a, a::3] = D[a, c, 0]
+        for c in range(3):
+            ab[3 + c - a, a:-3:3] = B[a, c, 0]
+    b = b.T.ravel()
     try:
-        y = solveh_banded(ab_scaled, b * s, lower=True)
+        coefs = solveh_banded(ab, b * s, lower=True) * s
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "energy form is not positive definite "
             "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
-    coefs = y * s
 
-    _, _, upper, lower = _strong_form(fem, problem, samples, coefs, F2)
+    _, _, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, f2_dfun(rq))
     weight = rq**3
-    residual_upper = fem.quad_norm(upper - f1_fun(rq), weight)
+    residual_upper = fem.quad_norm(upper - F1q, weight)
     residual_lower = fem.quad_norm(lower - F2q, weight)
 
-    h_norm = math.sqrt(max(float(np.dot(coefs, _band_matvec(ab, coefs))), 0.0))
+    h_norm = math.sqrt(max(float(coefs @ b), 0.0))       # coefs . A coefs, as A coefs = b
     nodes = problem.grid
     phi = GridProfile(nodes, fem.node_values(coefs, 0))
     g_nodes = -(f2_fun(nodes.nodes)
@@ -517,17 +487,6 @@ def _data_norm(problem: DiracChannelProblem, F1, F2) -> float:
         val = integrate_radial(lambda r: np.abs(F(r)) ** 2 * r * r).value
         total += math.sqrt(max(val, 0.0))
     return total if total > 0 else 1.0
-
-
-def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = ab.shape[1]
-    y = np.zeros(n)
-    for d in range(ab.shape[0]):
-        diag = ab[d, : n - d]
-        y[d:] += diag * x[: n - d]
-        if d:
-            y[: n - d] += diag * x[d:]
-    return y
 
 
 def apply_H(problem: DiracChannelProblem, phi, chi) -> ApplyHResult:
@@ -572,7 +531,9 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
     samples = _weight_samples(fem, problem)
 
     def pieces(sol):
-        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs, sol.F2)
+        f2_fun, f2_dfun = _as_callable(sol.F2)
+        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs,
+                                          f2_fun(rq), f2_dfun(rq))
         f_at = {radius: fem.at_radius(sol.coefs, radius)
                 for radius, _ in problem.shell_terms()}
         return f, g, upper, lower, f_at
@@ -608,10 +569,13 @@ def _node_blocks(em: np.ndarray):
     return D, em[:3, 3:].copy()
 
 
-def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
-    """Batched inertia count of the E-dependent form on one grid: mass part
+def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
+    """The E-dependent form on one grid, as node blocks: mass part
     (m - w1 - E) r^3, linear in E and in node blocks once (shells included);
-    gradient part r/(m + w2 + E), one product for all shifts of a call."""
+    gradient part r/(m + w2 + E), one product for all shifts of a call.  The
+    returned ``blocks(E)`` gives D (3, 3, S, n) and B (3, 3, S, n-1) of the S
+    shifts E, with the value dofs at both ends fixed; at E = -lam it is the
+    weak-solve form."""
     m, k, rq = problem.m, problem.channel.k, fem.rq
     w2q = problem.w2(rq)
     em_fixed = fem.element_matrices((m - problem.w1(rq)) * rq**3)
@@ -620,8 +584,7 @@ def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
         em_fixed[..., el] -= a * radius**2 * np.outer(shapes, shapes)
     fixed, mass = (_node_blocks(em[:, :, None]) for em in (em_fixed, fem.element_matrices(rq**3)))
 
-    def counts(shifts) -> np.ndarray:
-        E = np.asarray(shifts, dtype=float)
+    def blocks(E: np.ndarray):
         D, B = _node_blocks(fem.element_matrices(rq / np.add.outer(E, m + w2q), k))
         for X, X_fixed, X_mass in zip((D, B), fixed, mass):
             t = E[:, None] * X_mass             # X += X_fixed - E X_mass, one temporary
@@ -629,7 +592,18 @@ def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
         D[0, :, :, [0, -1]] = D[:, 0, :, [0, -1]] = 0.0    # value dofs at both ends
         D[0, 0, :, [0, -1]] = 1.0
         B[0, :, :, 0] = B[:, 0, :, -1] = 0.0
-        return ldl_inertia(D, B, E)
+        return D, B
+
+    return blocks
+
+
+def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
+    """Batched inertia count of the E-dependent form on one grid."""
+    blocks = _gap_form(fem, problem)
+
+    def counts(shifts) -> np.ndarray:
+        E = np.asarray(shifts, dtype=float)
+        return ldl_inertia(*blocks(E), E)
 
     return counts
 

@@ -89,7 +89,9 @@ class UnboundedError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Banded Cholesky factorization broke down."""
+    """An energy form that must be positive definite is not: the Cholesky
+    factorization of the weak solve broke down, or a coupling condition
+    that guarantees definiteness fails."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,19 +345,17 @@ def _equilibration(diagonal: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(d < 1e-300, 1.0, d))
 
 
-def _scaled_copy(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric diagonal equilibration of a lower-banded matrix.
-
-    Returns ``(S A S, s)`` with ``S = diag(s)`` and ``s`` from
-    ``_equilibration`` of the diagonal.  S A S has the inertia of A, and
-    A x = b is solved as x = s * y with (S A S) y = s * b.
+def _equilibrate(D: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Symmetric diagonal equilibration of node blocks D (3, 3, ..., n) and
+    couplings B (3, 3, ..., n-1), in place, by ``_equilibration`` of the
+    diagonal; returns the scales s (3, ..., n).  S A S has the inertia of A,
+    and A x = b is solved as x = s * y with (S A S) y = s * b.
     """
-    s = _equilibration(ab[0])
-    out = np.array(ab, dtype=float, copy=True)
-    n = ab.shape[1]
-    for i in range(ab.shape[0]):
-        out[i, :n - i] *= s[:n - i] * s[i:]
-    return out, s
+    with np.errstate(all="ignore"):
+        s = _equilibration(D[[0, 1, 2], [0, 1, 2]])
+        B *= s[:, None, ..., :-1] * s[None, :, ..., 1:]
+        D *= s[:, None] * s[None, :]
+    return s
 
 
 def _block_ldl(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,17 +381,15 @@ def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
 
     ``D[:, :, j, i]`` is the 3x3 diagonal block of node i in matrix j and ``B[:, :, j, i]``
     its coupling to node i+1 (rows on node i); ``shifts`` name the matrices in errors.
-    After ``_equilibration`` of D and B in place, odd-even block cyclic reduction
+    After ``_equilibrate`` of D and B in place, odd-even block cyclic reduction
     eliminates the even-numbered nodes of what remains (0, 2, 4, ...) at each level,
     vectorized over nodes and matrices, in about log2(n) levels; the negative pivots of
     all eliminated blocks give the count (Haynsworth additivity, Sylvester's law).  A
     zero pivot is nudged to -1e-300 (counts as negative); a non-finite one raises.
     """
     pivots = []
+    _equilibrate(D, B)
     with np.errstate(all="ignore"):
-        s = _equilibration(D[[0, 1, 2], [0, 1, 2]])
-        B *= s[:, None, ..., :-1] * s[None, :, ..., 1:]
-        D *= s[:, None] * s[None, :]
         while D.shape[-1]:
             piv, inv = _block_ldl(D[..., ::2])
             pivots.append(piv)

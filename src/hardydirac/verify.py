@@ -224,22 +224,28 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
 
     v2 = pair.v2
     weight = lambda r: 1.0 / (m + c2 * v2(r) - lam)
+    # a whole-field integral: with shells, the channel lhs entries would sum
+    # their terms in another order
     lhs_base = hardy_lhs(pair, field_)
     lhs = c1 * lhs_base
-    grad = sigma_grad_norm_weighted(field_, weight=weight)
-    mass = field_norm_weighted(field_)
-    rhs = grad + (m + lam) * mass
 
+    # the whole-field norms sum the channel norms from 0.0 in ascending k,
+    # as these totals do, so they come out bit for bit the same
     per_channel = {}
+    grad = 0.0
+    mass = 0.0
     for ch, prof in field_.sorted_terms():
         single = SpinorField(((ch, prof),))
         lhs_k = c1 * hardy_lhs(pair, single)
         ak = a_k(pair, ch.k)
         grad_k = sigma_grad_norm_weighted(single, weight=weight)
         mass_k = field_norm_weighted(single)
+        grad += grad_k
+        mass += mass_k
         rhs_k = min(c1 * c2 * ak ** 2, 1.0) * grad_k + (c1 / c2) * (m - lam) * mass_k
         per_channel[ch.k] = ChannelCheck(lhs_k, rhs_k, _ratio(lhs_k, rhs_k),
                                          c1 * c2 * ak ** 2)
+    rhs = grad + (m + lam) * mass
 
     norm_eq = None
     if maxsq > 0.0 and c1 * c2 * maxsq < 1.0:

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hardydirac import extension
 from hardydirac.channels import Channel, exp_profile, gauss_profile
 from hardydirac.extension import (
     ConvergenceError,
     DiracChannelProblem,
     _HermiteFem,
     _gap_counts,
+    _gap_form,
     _multisect_gap,
     apply_H,
     h_inner_product,
@@ -20,7 +20,7 @@ from hardydirac.extension import (
     spectrum_in_gap,
     weak_solve,
 )
-from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid
+from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid, _equilibrate
 from hardydirac.potentials import (
     CoulombPotential,
     PotentialPair,
@@ -28,6 +28,7 @@ from hardydirac.potentials import (
     ZeroPotential,
     parse_pair,
 )
+from reference_assembly import band_blocks, loop_scaled_copy, reference_form, reference_solve
 
 
 def dirac_coulomb_level(n_r: int, nu: float, m: float = 1.0) -> float:
@@ -226,83 +227,32 @@ class TestWeakSolve:
         with pytest.raises(ValueError, match="uniformly spaced"):
             weak_solve(prob, exp_profile(0, 1.0), None)
 
-    def test_coefs_bitwise_equal_to_einsum_assembly(self):
-        # band builds its element matrices with the routine the gap count
-        # batches over shifts; on the zero, Coulomb and shell problems of
-        # the solve benchmark the coefficients must equal, bit for bit,
-        # those of the einsum/np.add.at assembly (band, load, constrain and
-        # equilibration) it replaced
-        def einsum_band(fem, mass_vals, grad_vals, k, point_terms=()):
-            Dk = fem.Nd - k * fem.N
-            em = np.einsum("q,eq,aq,bq->eab", fem.wq, mass_vals, fem.N, fem.N,
-                           optimize=True)
-            em += np.einsum("q,eq,aq,bq->eab", fem.wq, grad_vals, Dk, Dk,
-                            optimize=True)
-            ab = np.zeros((6, fem.ndof))
-            base = np.arange(fem.n_nodes - 1) * 3
-            for a in range(6):
-                for b in range(a, 6):
-                    np.add.at(ab, (b - a, base + a), em[:, a, b])
-            for radius, weight in point_terms:
-                el, shapes, _, _ = fem._element_shapes(radius)
-                outer = weight * np.outer(shapes, shapes)
-                for a in range(6):
-                    for b in range(a, 6):
-                        ab[b - a, el * 3 + a] += outer[a, b]
-            return ab
+    def test_form_matches_reference_assembly(self):
+        # the weak-solve form is the gap form at E = -lam; equilibrated, its
+        # node blocks match the reference band assembly entry by entry (the
+        # dense matrix is zero off the block tridiagonal in both)
+        for prob in _solve_problems().values():
+            fem = _HermiteFem(prob.grid)
+            D, B = _gap_form(fem, prob)(np.array([-prob.lam]))
+            _equilibrate(D, B)
+            scaled, _ = loop_scaled_copy(reference_form(fem, prob, -prob.lam))
+            for X, X_ref in zip((D[:, :, 0], B[:, :, 0]), band_blocks(scaled)):
+                assert np.array_equal(X == 0.0, X_ref == 0.0)
+                assert np.max(np.abs(X - X_ref)) <= 1e-15
 
-        def add_at_load(fem, f1_vals, f2_vals, k):
-            Dk = fem.Nd - k * fem.N
-            elt = np.einsum("q,eq,aq->ea", fem.wq, f1_vals, fem.N, optimize=True)
-            elt -= np.einsum("q,eq,aq->ea", fem.wq, f2_vals, Dk, optimize=True)
-            b = np.zeros(fem.ndof)
-            base = np.arange(fem.n_nodes - 1) * 3
-            for a in range(6):
-                np.add.at(b, base + a, elt[:, a])
-            return b
-
-        def loop_constrain(fem, ab):
-            for idx in fem.fixed:
-                for d in range(6):
-                    if idx + d < fem.ndof:
-                        ab[d, idx] = 0.0
-                    if idx - d >= 0:
-                        ab[d, idx - d] = 0.0
-                ab[0, idx] = 1.0
-            return ab
-
-        def loop_scaled_copy(ab):
-            d = np.abs(ab[0]).copy()
-            d[d < 1e-300] = 1.0
-            s = 1.0 / np.sqrt(d)
-            out = np.array(ab, dtype=float, copy=True)
-            for i in range(ab.shape[0]):
-                j = np.arange(ab.shape[1] - i)
-                out[i, j] *= s[j] * s[j + i]
-            return out, s
-
-        grid = RadialGrid.log_uniform(2000, 1e-7, 50.0)
-        pairs = {
-            "zero": (PotentialPair(c1=0.0, c2=0.0), 0, 0.3),
-            "coulomb": (PotentialPair(v1_regular=CoulombPotential(1.0),
-                                      v2=CoulombPotential(1.0), c1=0.6, c2=0.7), -2, None),
-            "shell": (PotentialPair(v1_regular=ZeroPotential(),
-                                    v1_shells=(ShellMeasure(R=1.3, a=1.0),),
-                                    v2=CoulombPotential(1.0), c1=0.4, c2=0.5), 1, None),
-        }
+    def test_solve_matches_reference_assembly(self):
+        # the summation order differs from the reference (gradient plus
+        # (fixed - E mass) against mass plus gradient), so the pin is a
+        # tolerance, not bitwise equality
         F1 = exp_profile(1, 1.2, coef=0.7)
         F2 = gauss_profile(2, 0.9, coef=-0.4)
-        for pair, k, lam in pairs.values():
-            prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=lam,
-                                       grid=grid)
+        for prob in _solve_problems().values():
             sol = weak_solve(prob, F1, F2)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_HermiteFem, "band", einsum_band)
-                mp.setattr(_HermiteFem, "load", add_at_load)
-                mp.setattr(_HermiteFem, "constrain", loop_constrain)
-                mp.setattr(extension, "_scaled_copy", loop_scaled_copy)
-                ref = weak_solve(prob, F1, F2)
-            assert np.array_equal(sol.coefs, ref.coefs)
+            coefs, h_norm = reference_solve(_HermiteFem(prob.grid), prob, F1, F2)
+            assert np.max(np.abs(sol.coefs - coefs)) <= 1e-10 * np.max(np.abs(coefs))
+            phi = coefs[0::3]
+            assert np.max(np.abs(sol.phi.values - phi)) <= 1e-11 * np.max(np.abs(phi))
+            assert abs(sol.h_norm_phi - h_norm) <= 1e-12 * h_norm
 
     def test_shell_enters_weak_form(self):
         # a weak shell perturbs the solution continuously
@@ -320,6 +270,21 @@ class TestWeakSolve:
             diffs.append(float(np.max(np.abs(sol.phi.values - base.phi.values))))
         assert diffs[1] < diffs[0]
         assert diffs[0] < 0.1
+
+
+def _solve_problems():
+    """The zero, Coulomb and shell problems of the solve benchmark's kind, at 2000 nodes."""
+    grid = RadialGrid.log_uniform(2000, 1e-7, 50.0)
+    pairs = {
+        "zero": (PotentialPair(c1=0.0, c2=0.0), 0, 0.3),
+        "coulomb": (PotentialPair(v1_regular=CoulombPotential(1.0),
+                                  v2=CoulombPotential(1.0), c1=0.6, c2=0.7), -2, None),
+        "shell": (PotentialPair(v1_regular=ZeroPotential(),
+                                v1_shells=(ShellMeasure(R=1.3, a=1.0),),
+                                v2=CoulombPotential(1.0), c1=0.4, c2=0.5), 1, None),
+    }
+    return {key: DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=lam, grid=grid)
+            for key, (pair, k, lam) in pairs.items()}
 
 
 class TestApplyH:

@@ -11,7 +11,6 @@ from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts
 from hardydirac.numerics import (
     RadialGrid,
     UnboundedError,
-    _scaled_copy,
     integrate_radial,
     integrate_segments,
     ldl_inertia,
@@ -19,6 +18,7 @@ from hardydirac.numerics import (
 )
 from hardydirac.potentials import CoulombPotential, _hardy_integrand, parse_pair
 from hardydirac.verify import random_field_gallery
+from reference_assembly import banded_to_dense, loop_scaled_copy, reference_form
 
 
 def _moment(n: int, a: float) -> float:
@@ -279,16 +279,6 @@ def _golden_sup(g) -> float:
     return max(float(vals[i]), fc, fd)
 
 
-def _banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    n = ab.shape[1]
-    a = np.zeros((n, n))
-    for d in range(ab.shape[0]):
-        i = np.arange(n - d)
-        a[i + d, i] = ab[d, i]
-        a[i, i + d] = ab[d, i]
-    return a
-
-
 def _blocks(dense: np.ndarray):
     """Node blocks D (3, 3, n) and couplings B (3, 3, n-1) of a dense
     block-tridiagonal matrix, as ``ldl_inertia`` takes them per matrix."""
@@ -303,11 +293,11 @@ def _stacked(mats):
     return np.stack(D, axis=2), np.stack(B, axis=2)
 
 
-def _dense_count(fem, ab) -> int:
-    """Negative eigenvalues of a constrained, equilibrated banded form."""
-    scaled, s = _scaled_copy(fem.constrain(ab))
+def _dense_count(fem, prob, E) -> int:
+    """Negative eigenvalues of the equilibrated reference form at shift E."""
+    scaled, s = loop_scaled_copy(reference_form(fem, prob, E))
     assert np.all(s > 0.0)
-    return int(np.sum(np.linalg.eigvalsh(_banded_to_dense(scaled)) < 0.0))
+    return int(np.sum(np.linalg.eigvalsh(banded_to_dense(scaled)) < 0.0))
 
 
 def _equilibrated(a: np.ndarray) -> np.ndarray:
@@ -329,10 +319,7 @@ class TestInertia:
             prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
                                        grid=RadialGrid.log_uniform(n, 1e-6, 50.0))
             fem = _HermiteFem(prob.grid)
-            rq = fem.rq
-            expected = [_dense_count(fem, fem.band((1.0 - prob.w1(rq) - E) * rq**3,
-                                                   rq / (1.0 + prob.w2(rq) + E), k))
-                        for E in shifts]
+            expected = [_dense_count(fem, prob, E) for E in shifts]
             assert list(_gap_counts(fem, prob)(shifts)) == expected
             assert expected == sorted(expected) and expected[-1] >= 3
 
@@ -345,15 +332,10 @@ class TestInertia:
         prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
                                    grid=RadialGrid.log_uniform(161, 1e-6, 50.0))
         fem = _HermiteFem(prob.grid)
-        rq = fem.rq
-        points = [(radius, -a * radius**2) for radius, a in prob.shell_terms()]
         assert fem._element_shapes(49.9)[0] == prob.grid.n - 2
         shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
                                  1.0 - np.geomspace(0.2, 1e-4, 24)])
-        expected = [_dense_count(fem, fem.band((1.0 - prob.w1(rq) - E) * rq**3,
-                                               rq / (1.0 + prob.w2(rq) + E), k,
-                                               point_terms=points))
-                    for E in shifts]
+        expected = [_dense_count(fem, prob, E) for E in shifts]
         assert list(_gap_counts(fem, prob)(shifts)) == expected
         assert expected == sorted(expected) and expected[-1] >= 3
 

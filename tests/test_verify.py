@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hardydirac import channels, verify
 from hardydirac.channels import (
     Channel,
     ClosedFormProfile,
     ProfileTerm,
     SpinorField,
     exp_profile,
+    field_norm_weighted,
     gauss_profile,
     sigma_grad_norm_weighted,
 )
@@ -203,6 +205,36 @@ class TestVerifyCorollary:
             for field in fields[i * per_pair:(i + 1) * per_pair]:
                 rep = verify_corollary(pair, field, m=1.0)
                 assert rep.satisfied
+
+
+    def test_integrates_each_channel_once(self, monkeypatch):
+        # two channels: the whole-field lhs, the channel lhs, gradient and
+        # mass, and the epsilon-weighted gradient, one integral per channel
+        # each; the whole-field gradient and mass are the channel sums
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.9, c2=0.9)
+        field = SpinorField(((Channel(0), exp_profile(0, 1.0)),
+                             (Channel(-2), gauss_profile(1, 0.7))))
+        verify_corollary(pair, field, m=1.0)       # constants cached
+        calls = []
+        inner = channels.integrate_radial
+        monkeypatch.setattr(channels, "integrate_radial",
+                            lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        verify._lhs_cached.cache_clear()
+        rep = verify_corollary(pair, field, m=1.0)
+        assert rep.norm_equivalence is not None
+        assert len(calls) == 5 * 2
+
+    @pytest.mark.parametrize("spec", [("coulomb:1", "coulomb:1", 0.9, 0.9),
+                                      ("shell:1@2", "coulomb:1", 0.8, 0.5)])
+    def test_rhs_equals_whole_field_formula(self, spec):
+        v1, v2, c1, c2 = spec
+        pair = parse_pair(v1, v2, c1=c1, c2=c2)
+        for field in random_field_gallery(20, seed=13):
+            rep = verify_corollary(pair, field, m=1.0)
+            weight = lambda r: 1.0 / (1.0 + c2 * pair.v2(r) - rep.lam)
+            rhs = (sigma_grad_norm_weighted(field, weight=weight)
+                   + (1.0 + rep.lam) * field_norm_weighted(field))
+            assert rep.rhs == rhs
 
 
 class TestExtremize:

@@ -608,12 +608,24 @@ def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
     return counts
 
 
-def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float):
+def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
     function (shifts to counts below them): each call of it spreads
     ``_SHIFTS_PER_SWEEP`` shifts, first over [lo, hi], then over the level
-    brackets wider than ``tol``; values are bracket midpoints."""
+    brackets wider than ``tol``; values are bracket midpoints.
+
+    ``warm = (guesses, reach)`` replaces the first spread, for at most 7
+    guesses, by lo, hi and a geometric ladder g +- w rho^j around each guess
+    g, from w = 0.4 tol (so that an exact guess closes its bracket in one
+    call) out to g +- reach.  Later sweeps bracket from the counts as before,
+    so a level the ladder misses is still found."""
     E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)
+    if warm and 0 < len(warm[0]) <= (_SHIFTS_PER_SWEEP - 2) // 4:
+        (guesses, reach), w = warm, 0.4 * tol
+        rungs = (_SHIFTS_PER_SWEEP - 2) // (2 * len(guesses))
+        ladder = w * (reach / w) ** np.linspace(0.0, 1.0, rungs)
+        E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
+        E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
     C = counts(E)
     levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
     while True:
@@ -639,7 +651,9 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
     the brackets to ``tol * m``.  A second solve on a doubled grid gives the
     error estimate, the larger of the drift between grids and the final
     bracket width; eigenvalues that move more than ``stability_tol * 2m``
-    between grids are dropped with a warning.
+    between grids are dropped with a warning.  The doubled grid starts from
+    ladders around the coarse levels, which resolve the drift down to 0.4 tol
+    * m, so a level that did not move reports its bracket width, 0.8 tol * m.
     """
     if count < 1:
         return []
@@ -648,9 +662,10 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
     lo, hi = -m + edge, m - edge
     fine_grid = RadialGrid.log_uniform(2 * problem.grid.n - 1,
                                        problem.grid.r_min, problem.grid.r_max)
-    coarse, fine = (_multisect_gap(_gap_counts(_HermiteFem(grid), problem),
-                                   lo, hi, count, tol * m)
-                    for grid in (problem.grid, fine_grid))
+    coarse = _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
+                            lo, hi, count, tol * m)
+    fine = _multisect_gap(_gap_counts(_HermiteFem(fine_grid), problem), lo, hi, count,
+                          tol * m, warm=([v for v, _ in coarse], stability_tol * 2.0 * m))
 
     out = []
     for idx in range(min(len(coarse), len(fine))):

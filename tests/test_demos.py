@@ -17,3 +17,16 @@ def test_hardy_constants_demo():
     match = re.search(r"Coulomb pair.*\n\s*A\+ = (\S+)\s+A- = (\S+)", proc.stdout)
     assert match, proc.stdout
     assert match.groups() == ("1.000000000000", "1.000000000000")
+
+
+def test_gap_spectrum_demo():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_gap_spectrum.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the Coulomb ground level against its printed closed form (10 decimals)
+    match = re.search(r"E_0 = (\S+)\s+closed form (\S+)", proc.stdout)
+    assert match, proc.stdout
+    value, exact = map(float, match.groups())
+    assert abs(value - exact) <= 1e-9

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from hardydirac import extension
 from hardydirac.channels import Channel, exp_profile, gauss_profile
 from hardydirac.extension import (
     ConvergenceError,
@@ -367,22 +371,80 @@ class TestSpectrum:
 
     def test_error_estimate_includes_bracket_width(self):
         # both grids used to bisect to the same float here, which reported
-        # an estimate of 0.0 for a level that is off by 1.8e-8
+        # an estimate of 0.0 for a level that is off by 1.8e-8; the doubled
+        # grid now starts from ladders around the coarse levels, so its drift
+        # is often exactly 0.0 and the estimate is then the bracket width
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         grid = RadialGrid.log_uniform(200, 1e-6, 50.0)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
                                    grid=grid)
         evs = spectrum_in_gap(prob, 2)
-        fine_grid = RadialGrid.log_uniform(399, 1e-6, 50.0)
-        levels = {}
-        for g in (grid, fine_grid):
-            levels[g.n] = _multisect_gap(_gap_counts(_HermiteFem(g), prob),
-                                         -1.0 + 1e-9, 1.0 - 1e-9, 2, 1e-10)
-        for ev, (coarse, _), (fine, width) in zip(evs, levels[200], levels[399]):
-            assert ev.value == fine
-            assert ev.error_estimate == max(abs(fine - coarse), width)
+        assert len(evs) == 2
+        lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+        coarse = _multisect_gap(_gap_counts(_HermiteFem(grid), prob), lo, hi, 2, 1e-10)
+        fine_counts = _gap_counts(_HermiteFem(RadialGrid.log_uniform(399, 1e-6, 50.0)), prob)
+        fine = _multisect_gap(fine_counts, lo, hi, 2, 1e-10,
+                              warm=([v for v, _ in coarse], 1e-3 * 2.0))
+        cold = _multisect_gap(fine_counts, lo, hi, 2, 1e-10)
+        for ev, (c, _), (f, width), (f_cold, _) in zip(evs, coarse, fine, cold):
+            assert ev.value == f
+            assert ev.error_estimate == max(abs(f - c), width)
             assert 0.0 < width <= 1e-10
             assert ev.error_estimate > 0.0
+            assert abs(f - f_cold) <= 1e-10
+
+    @pytest.mark.parametrize("fine_levels, message", [
+        ([0.2, 0.6], "unstable under refinement"),
+        ([0.2], "found only on the coarse grid"),
+    ])
+    def test_levels_dropped_between_grids(self, monkeypatch, fine_levels, message):
+        # pencils keyed on the grid size stand in for the two grids' forms:
+        # a level that moves by 0.1 is pollution, one missing on the doubled
+        # grid is not reported either
+        levels = {50: [0.2, 0.5], 99: fine_levels}
+        monkeypatch.setattr(extension, "_gap_counts",
+                            lambda fem, problem: _dense_counts(np.diag(levels[fem.n_nodes])))
+        with pytest.warns(UserWarning, match=message):
+            evs = spectrum_in_gap(coulomb_problem(n=50), 2)
+        assert [ev.index for ev in evs] == [0]
+        assert evs[0].value == pytest.approx(0.2, abs=1e-10)
+
+    @pytest.mark.parametrize("n, r_min", [(700, 1e-6), (1500, 1e-7)])
+    def test_doubled_grid_warm_started(self, monkeypatch, n, r_min):
+        # criterion 8 and the README spectrum problem: the coarse levels'
+        # ladders bracket the doubled grid's levels in one or two count calls
+        calls = {}
+
+        def gap_counts(fem, problem, inner=_gap_counts):
+            counts = inner(fem, problem)
+
+            def counted(shifts):
+                calls[fem.n_nodes] = calls.get(fem.n_nodes, 0) + 1
+                return counts(shifts)
+            return counted
+
+        monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(n, r_min, 50.0))
+        assert len(spectrum_in_gap(prob, 2)) == 2
+        assert set(calls) == {n, 2 * n - 1}
+        assert calls[2 * n - 1] <= 2
+
+    def test_no_masked_arrays_imported(self):
+        # numpy.ma costs about 0.7 MB of resident memory per process
+        code = ("import sys; from hardydirac import Channel, DiracChannelProblem, "
+                "RadialGrid, parse_pair, spectrum_in_gap; "
+                "pair = parse_pair('coulomb:1', 'coulomb:1', c1=0.5, c2=0.5); "
+                "grid = RadialGrid.log_uniform(200, 1e-6, 50.0); "
+                "spectrum_in_gap(DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, "
+                "lam=0.0, grid=grid), 2); print('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(extension.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("k", [0, 1, -2])
     def test_levels_consistent_with_counts(self, k):
@@ -454,6 +516,58 @@ class TestMultisectGap:
         levels = _multisect_gap(_dense_counts(a, b), 0.0, 1.0, 3, 1e-13)
         assert [v for v, _ in levels] == pytest.approx(
             [0.3, 0.3 + 1e-7, 0.3 + 1e-7], abs=1e-13)
+
+    @staticmethod
+    def _counted(counts):
+        calls = []
+
+        def wrapped(shifts):
+            calls.append(np.asarray(shifts))
+            return counts(shifts)
+        return wrapped, calls
+
+    def _warm_matches_cold(self, a, lo, hi, how_many, guesses, tol=1e-12, reach=1e-3):
+        cold, cold_calls = self._counted(_dense_counts(a))
+        warm, warm_calls = self._counted(_dense_counts(a))
+        want = _multisect_gap(cold, lo, hi, how_many, tol)
+        got = _multisect_gap(warm, lo, hi, how_many, tol, warm=(guesses, reach))
+        assert len(got) == len(want)
+        assert [v for v, _ in got] == pytest.approx([v for v, _ in want], abs=tol)
+        assert all(0.0 < w <= tol for _, w in got)
+        # the count of the gap form is not defined outside the window
+        assert all(len(E) <= 32 and lo <= E.min() and E.max() <= hi for E in warm_calls)
+        return len(cold_calls), len(warm_calls)
+
+    def test_warm_exact_guesses_one_call(self):
+        a = np.diag([0.3, 0.55, 0.8, 1.7])
+        assert self._warm_matches_cold(a, 0.0, 1.0, 3, [0.3, 0.55, 0.8])[1] == 1
+
+    def test_warm_guesses_beyond_ladder_fall_back(self):
+        # guesses 0.05 off with a ladder reaching 1e-3: the levels are
+        # bracketed from the counts as in a cold call
+        a = np.diag([0.3, 0.55, 0.8])
+        self._warm_matches_cold(a, 0.0, 1.0, 3, [0.35, 0.5, 0.85])
+
+    @pytest.mark.parametrize("guesses", [[0.55], [0.1, 0.3, 0.45, 0.55, 0.7, 0.8, 0.95]])
+    def test_warm_fewer_or_more_guesses_than_levels(self, guesses):
+        self._warm_matches_cold(np.diag([0.3, 0.55, 0.8]), 0.0, 1.0, 3, guesses)
+
+    def test_warm_guesses_at_or_beyond_window(self):
+        a = np.diag([0.3, 0.55, 0.8])
+        self._warm_matches_cold(a, 0.0, 1.0, 3, [-0.5, 0.0, 0.55, 1.0, 2.0], reach=0.4)
+
+    def test_warm_more_guesses_than_spare_shifts(self):
+        # 20 guesses leave no room for a ladder in one sweep: the first
+        # sweep is the cold one
+        n = 20
+        h = math.pi / (n + 1)
+        a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) / h**2
+        dense = np.linalg.eigvalsh(a)
+        for count in (8, 20):
+            cold_calls, warm_calls = self._warm_matches_cold(
+                a, 0.0, dense[-1] + 1.0, count, dense[:count])
+            assert warm_calls == cold_calls
 
 
 class TestShellOutsideGrid:

@@ -153,17 +153,15 @@ class _HermiteFem:
         return b
 
     def _element_shapes(self, radius: float):
+        """(element, its six value shapes at ``radius``)."""
         if not (self.grid.r_min <= radius <= self.grid.r_max):
             raise ValueError(
                 f"radius R={radius:g} lies outside the element grid "
                 f"[{self.grid.r_min:g}, {self.grid.r_max:g}]")
         tr = math.log(radius)
         el = int(np.clip((tr - self.t[0]) // self.h, 0, self.n_nodes - 2))
-        xi = np.array([(tr - self.t[el]) / self.h])
-        H, D, D2 = _hermite_tables(xi)
-        scale = np.array([1.0, self.h, self.h**2, 1.0, self.h, self.h**2])
-        return (el, (H[:, 0] * scale), (D[:, 0] * scale / self.h),
-                (D2[:, 0] * scale / self.h**2))
+        H = _hermite_tables(np.array([(tr - self.t[el]) / self.h]))[0]
+        return el, H[:, 0] * np.array([1.0, self.h, self.h**2, 1.0, self.h, self.h**2])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -176,12 +174,6 @@ class _HermiteFem:
         if deriv == 1:
             vals = vals / self.grid.nodes          # d/dr = (d/dt)/r
         return vals
-
-    def at_radius(self, coefs: np.ndarray, radius: float, deriv: int = 0) -> float:
-        el, s0, s1, s2 = self._element_shapes(radius)
-        shapes = (s0, s1, s2)[deriv]
-        dofs = coefs[el * 3: el * 3 + 6]
-        return float(np.dot(shapes, dofs))
 
     def quad_norm(self, vals: np.ndarray, weight_vals: np.ndarray) -> float:
         return math.sqrt(float(np.einsum("q,eq->", self.wq,
@@ -259,6 +251,14 @@ class DiracChannelProblem:
 
 @dataclass(frozen=True)
 class WeakSolveResult:
+    """Weak solution (phi, chi) of ``problem`` with its strong-form residuals.
+
+    ``coefs`` are the Hermite dofs of phi.  ``_pairing`` keeps the solve's
+    strong form for :func:`pairing_defect`: the upper and lower output
+    components pre-weighted by the quadrature weights times r^3, f and g at
+    the quadrature points, and phi at the problem's shell radii.
+    """
+
     phi: GridProfile
     chi: GridProfile
     residual_upper: float
@@ -266,8 +266,7 @@ class WeakSolveResult:
     h_norm_phi: float
     problem: DiracChannelProblem
     coefs: np.ndarray = field(repr=False, default=None)
-    F1: object = field(repr=False, default=None)
-    F2: object = field(repr=False, default=None)
+    _pairing: tuple = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {"residual_upper": self.residual_upper,
@@ -372,12 +371,6 @@ def _as_callable(profile):
     return (lambda r: np.real(profile(r))), (lambda r: np.real(deriv(r)))
 
 
-def _weight_samples(fem: _HermiteFem, problem: DiracChannelProblem):
-    """w1, w2 and w2' at the quadrature points."""
-    rq = fem.rq
-    return problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
-
-
 def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
                  coefs: np.ndarray, F2q: np.ndarray, F2dq: np.ndarray):
     """Strong form of (H_V + lam) on the discrete upper component.
@@ -417,9 +410,9 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     if residual_tol is not None:
         history = []
         prob = problem
+        scale = _data_norm(F1, F2)
         for _ in range(3):
             sol = weak_solve(prob, F1, F2)
-            scale = _data_norm(prob, F1, F2)
             history.append((prob.grid.n, sol.residual_upper))
             if sol.residual_upper <= residual_tol * scale:
                 return sol
@@ -435,7 +428,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     fem = _HermiteFem(problem.grid)
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
-    samples = _weight_samples(fem, problem)
+    samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
     w2q = samples[1]
     f1_fun, _ = _as_callable(F1)
     f2_fun, f2_dfun = _as_callable(F2)
@@ -460,10 +453,13 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
             "energy form is not positive definite "
             "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
 
-    _, _, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, f2_dfun(rq))
+    f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, f2_dfun(rq))
     weight = rq**3
     residual_upper = fem.quad_norm(upper - F1q, weight)
     residual_lower = fem.quad_norm(lower - F2q, weight)
+    weight *= fem.wq
+    shells = (fem._element_shapes(radius) for radius, _ in problem.shell_terms())
+    phi_at = tuple(float(shapes @ coefs[3 * el: 3 * el + 6]) for el, shapes in shells)
 
     h_norm = math.sqrt(max(float(coefs @ b), 0.0))       # coefs . A coefs, as A coefs = b
     nodes = problem.grid
@@ -476,10 +472,10 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
                            residual_upper=residual_upper,
                            residual_lower=residual_lower,
                            h_norm_phi=h_norm, problem=problem, coefs=coefs,
-                           F1=F1, F2=F2)
+                           _pairing=(upper * weight, lower * weight, f, g, phi_at))
 
 
-def _data_norm(problem: DiracChannelProblem, F1, F2) -> float:
+def _data_norm(F1, F2) -> float:
     total = 0.0
     for F in (F1, F2):
         if F is None:
@@ -522,35 +518,24 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
                    v: WeakSolveResult) -> float:
     """|<(H+lam)u, v> - <u, (H+lam)v>| over the discrete pairing.
 
-    u and v are weak-solve results on the same problem: pairs in the
-    discrete operator domain.  The pairing integrates both components with
-    the r^2 dr measure and adds the shell point terms.
+    u and v are weak-solve results on ``problem`` itself (else ValueError):
+    pairs in the discrete operator domain.  The pairing integrates both
+    components with the r^2 dr measure and adds the shell point terms; it
+    sums the strong form that each solve kept, so nothing is re-evaluated.
     """
-    fem = _HermiteFem(problem.grid)
-    rq = fem.rq
-    samples = _weight_samples(fem, problem)
+    if u.problem != problem or v.problem != problem:
+        raise ValueError("pairing_defect needs two weak solutions of the problem it is given")
+    shells = [a * radius**2 for radius, a in problem.shell_terms()]
 
-    def pieces(sol):
-        f2_fun, f2_dfun = _as_callable(sol.F2)
-        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs,
-                                          f2_fun(rq), f2_dfun(rq))
-        f_at = {radius: fem.at_radius(sol.coefs, radius)
-                for radius, _ in problem.shell_terms()}
-        return f, g, upper, lower, f_at
-
-    f_u, g_u, up_u, lo_u, at_u = pieces(u)
-    f_v, g_v, up_v, lo_v, at_v = pieces(v)
-    w3 = rq**3
-
-    def pair(up_a, lo_a, at_a, f_b, g_b, at_b):
-        val = float(np.einsum("q,eq->", fem.wq, (up_a * f_b + lo_a * g_b) * w3))
-        for radius, a in problem.shell_terms():
-            val -= a * radius**2 * at_a[radius] * at_b[radius]
+    def pair(a, b):
+        up_a, lo_a, _, _, at_a = a._pairing
+        _, _, f_b, g_b, at_b = b._pairing
+        val = float(np.vdot(up_a, f_b) + np.vdot(lo_a, g_b))
+        for c, phi_a, phi_b in zip(shells, at_a, at_b):
+            val -= c * phi_a * phi_b
         return val
 
-    p_uv = pair(up_u, lo_u, at_u, f_v, g_v, at_v)
-    p_vu = pair(up_v, lo_v, at_v, f_u, g_u, at_u)
-    return abs(p_uv - p_vu)
+    return abs(pair(u, v) - pair(v, u))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +565,7 @@ def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
     w2q = problem.w2(rq)
     em_fixed = fem.element_matrices((m - problem.w1(rq)) * rq**3)
     for radius, a in problem.shell_terms():
-        el, shapes, _, _ = fem._element_shapes(radius)
+        el, shapes = fem._element_shapes(radius)
         em_fixed[..., el] -= a * radius**2 * np.outer(shapes, shapes)
     fixed, mass = (_node_blocks(em[:, :, None]) for em in (em_fixed, fem.element_matrices(rq**3)))
 

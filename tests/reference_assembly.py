@@ -23,7 +23,7 @@ def einsum_band(fem, mass_vals, grad_vals, k, point_terms=()):
         for b in range(a, 6):
             np.add.at(ab, (b - a, base + a), em[:, a, b])
     for radius, weight in point_terms:
-        el, shapes, _, _ = fem._element_shapes(radius)
+        el, shapes = fem._element_shapes(radius)
         outer = weight * np.outer(shapes, shapes)
         for a in range(6):
             for b in range(a, 6):

@@ -19,6 +19,18 @@ def test_hardy_constants_demo():
     assert match.groups() == ("1.000000000000", "1.000000000000")
 
 
+def test_weak_solve_demo():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_weak_solve.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the only demo that checks the symmetry of the discrete pairing
+    match = re.search(r"worst scaled defect (\S+)", proc.stdout)
+    assert match, proc.stdout
+    assert float(match.group(1)) <= 1e-8
+
+
 def test_gap_spectrum_demo():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -12,10 +12,12 @@ from hardydirac.channels import Channel, exp_profile, gauss_profile
 from hardydirac.extension import (
     ConvergenceError,
     DiracChannelProblem,
+    _as_callable,
     _HermiteFem,
     _gap_counts,
     _gap_form,
     _multisect_gap,
+    _strong_form,
     apply_H,
     h_inner_product,
     norm_equivalence_probe,
@@ -339,6 +341,63 @@ class TestApplyH:
                 d = pairing_defect(prob, sols[i], sols[j])
                 bound = 1e-8 * sols[i].h_norm_phi * sols[j].h_norm_phi
                 assert d <= bound
+
+
+def _recomputed_pairing_defect(problem, u, v, F2_u, F2_v):
+    """The pairing defect recomputed from the coefficients alone: a fresh
+    element set, the strong form of both solutions (with their F2 data) and
+    the einsum pairing, plus the shell point terms."""
+    fem = _HermiteFem(problem.grid)
+    rq = fem.rq
+    samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
+
+    def pieces(sol, F2):
+        f2_fun, f2_dfun = _as_callable(F2)
+        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs,
+                                          f2_fun(rq), f2_dfun(rq))
+        f_at = {}
+        for radius, _ in problem.shell_terms():
+            el, shapes = fem._element_shapes(radius)
+            f_at[radius] = float(np.dot(shapes, sol.coefs[el * 3: el * 3 + 6]))
+        return f, g, upper, lower, f_at
+
+    f_u, g_u, up_u, lo_u, at_u = pieces(u, F2_u)
+    f_v, g_v, up_v, lo_v, at_v = pieces(v, F2_v)
+    w3 = rq**3
+
+    def pair(up_a, lo_a, at_a, f_b, g_b, at_b):
+        val = float(np.einsum("q,eq->", fem.wq, (up_a * f_b + lo_a * g_b) * w3))
+        for radius, a in problem.shell_terms():
+            val -= a * radius**2 * at_a[radius] * at_b[radius]
+        return val
+
+    return abs(pair(up_u, lo_u, at_u, f_v, g_v, at_v) - pair(up_v, lo_v, at_v, f_u, g_u, at_u))
+
+
+class TestPairingDefect:
+    def test_matches_recomputed_strong_form(self):
+        # the defect sums the strong form each solve kept; recomputing it from
+        # the coefficients gives the same number to round-off
+        data_u = (exp_profile(1, 1.2, coef=0.7), gauss_profile(2, 0.9, coef=-0.4))
+        data_v = (gauss_profile(0, 1.1, coef=0.8), gauss_profile(1, 1.3, coef=0.6))
+        for prob in _solve_problems().values():
+            u, v = weak_solve(prob, *data_u), weak_solve(prob, *data_v)
+            old = _recomputed_pairing_defect(prob, u, v, data_u[1], data_v[1])
+            new = pairing_defect(prob, u, v)
+            assert abs(new - old) <= 1e-13 * u.h_norm_phi * v.h_norm_phi
+
+    def test_solutions_of_other_problems_rejected(self):
+        # a solution of another problem cannot be paired on this one's grid;
+        # unchecked, this pair reads a scaled defect at round-off level
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        probs = [DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0,
+                                     grid=RadialGrid.log_uniform(400, 1e-7, r_max))
+                 for r_max in (50.0, 20.0)]
+        u, v = (weak_solve(p, exp_profile(0, 1.0), None) for p in probs)
+        for prob in probs:
+            with pytest.raises(ValueError, match="weak solutions of the problem"):
+                pairing_defect(prob, u, v)
+        assert pairing_defect(probs[0], u, u) == 0.0
 
 
 class TestSpectrum:

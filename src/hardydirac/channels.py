@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RadialGrid, integrate_radial
-from .potentials import PotentialComponent, PotentialPair, _hardy_integrand, combine
+from .numerics import RadialGrid, integrate_segments
+from .potentials import PotentialComponent, PotentialPair, ZeroPotential, _hardy_integrand, combine
 
 __all__ = [
     "Channel",
@@ -240,10 +240,33 @@ def channel_weights(pair: PotentialPair, channel):
     return g_or_h, w_k
 
 
-def _as_weight(weight):
-    if isinstance(weight, PotentialComponent):
-        return weight, weight.breakpoints()
-    return weight, ()
+def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),
+                       edges=(0.0, math.inf)) -> np.ndarray:
+    """Integrals between ``edges`` of w |f_k|^2 r^2 for each of ``mass_weights``
+    and w |f_k' - k f_k/r|^2 r^2 for each of ``grad_weights``, per channel
+    term in ascending k, as (weights, channels, segments), from one call that
+    evaluates each profile once per sweep.  A weight is a callable, a
+    potential component (its breakpoints cut every integral) or None (unit);
+    one that ``is_zero()`` gives exact zeros unevaluated."""
+    terms = field.sorted_terms()
+    sides = [(w, 0) for w in mass_weights] + [(w, 1) for w in grad_weights]
+    out = np.zeros((len(sides), len(terms), len(edges) - 1))
+    live = [i for i, (w, _) in enumerate(sides) if not getattr(w, "is_zero", bool)()]
+    if not (terms and live):
+        return out
+    sides = [sides[i] for i in live]
+    profiles = ([p for _, p in terms], [p.reduced(ch.k) for ch, p in terms if grad_weights])
+    bps = [b for w, _ in sides if isinstance(w, PotentialComponent) for b in w.breakpoints()]
+
+    def integrand(r):
+        dens = {kind: np.array([np.abs(p(r)) ** 2 for p in profiles[kind]])
+                for kind in {kind for _, kind in sides}}
+        return np.concatenate([(dens[kind] if w is None else w(r) * dens[kind]) * r * r
+                               for w, kind in sides])
+
+    values, _ = integrate_segments(integrand, edges, bps)
+    out[live] = values.reshape(len(live), len(terms), -1)
+    return out
 
 
 def field_norm_weighted(field: SpinorField, weight=None, shells=()) -> float:
@@ -254,30 +277,26 @@ def field_norm_weighted(field: SpinorField, weight=None, shells=()) -> float:
     the unit weight, except that a pure shell list means shell terms only.
     Additive over channels by construction; terms are summed in ascending k.
     """
-    if weight is None:
-        weight = None if shells else (lambda r: 1.0)
-    w, bps = _as_weight(weight)
-    total = 0.0
-    for ch, prof in field.sorted_terms():
-        if w is not None:
-            integrand = lambda r: w(r) * np.abs(prof(r)) ** 2 * r * r
-            total += integrate_radial(integrand, breakpoints=bps).value
+    if weight is None and shells:
+        weight = ZeroPotential()
+    (values,) = _channel_integrals(field, [weight])
+    return sum(_with_shells(field, shells, values[:, 0].tolist()), 0.0)
+
+
+def _with_shells(field: SpinorField, shells, values) -> list:
+    """Per channel term f_k (ascending k): ``values`` plus a R^2 |f_k(R)|^2 per shell."""
+    out = []
+    for (_, prof), value in zip(field.sorted_terms(), values):
         for shell in shells:
-            total += shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
-    return total
+            value += shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
+        out.append(value)
+    return out
 
 
 def sigma_grad_norm_weighted(field: SpinorField, weight=None) -> float:
     """sum_k int W |f_k' - k f_k / r|^2 r^2 dr."""
-    if weight is None:
-        weight = lambda r: 1.0
-    w, bps = _as_weight(weight)
-    total = 0.0
-    for ch, prof in field.sorted_terms():
-        reduced = prof.reduced(ch.k)
-        integrand = lambda r: w(r) * np.abs(reduced(r)) ** 2 * r * r
-        total += integrate_radial(integrand, breakpoints=bps).value
-    return total
+    (values,) = _channel_integrals(field, grad_weights=[weight])
+    return sum(values[:, 0].tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ by block cyclic reduction in about log2(nodes) vectorized levels, on which
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
 into smooth integrands on the line.  Integrands take a 1-D array of radii
-and return an array of values: the adaptive rule evaluates them once per
-sweep on the Gauss-Legendre nodes of every unconverged panel in log r, over
-a list of consecutive segments at once (``integrate_radial`` takes one), so
-cumulative integrals at many radii are the prefix sums of one call.  A
-supremum is a log-uniform scan in one call, refined (unless flat to
-round-off) by a few 32-point sub-scans of the best bracket, one call each.
+and return an array of values, or m rows for m integrals: the adaptive rule
+evaluates them once per sweep on the Gauss-Legendre nodes of every open
+panel in log r, over consecutive segments at once (``integrate_radial``
+takes one), so cumulative integrals at many radii are the prefix sums of
+one call.  A supremum is a log-uniform scan in one call, refined (unless
+flat to round-off) by 32-point sub-scans of the best bracket, one call each.
 """
 
 from __future__ import annotations
@@ -196,6 +196,11 @@ def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray
     segment's |total| or at its round-off level, and otherwise split in four
     (a panel that fails usually needs two halvings).  So a sum of segments
     from either end is held at least as tightly as one integral over it.
+
+    ``f`` may return m integrands, (m, n) for n radii; the results are then
+    (m, segments).  Each runs this rule on the panels it has not accepted,
+    a panel being split until all accept it, so each value and estimate is
+    bit for bit that of its own call, whatever it is batched with.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not (
@@ -218,42 +223,66 @@ def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray
         return done, err    # every segment lies beyond the clipped window
 
     n_panels = n_start = mid.size
+    tol = 2.0 * _REL_TOL / (t[-1] - t[0])
     while True:
         r = np.exp(mid[:, None] + half[:, None] * _NODES).ravel()
-        vals = (f(r) * r).reshape(mid.size, _NODES.size)
+        vals = f(r) * r
         if not np.isfinite(vals).all():
-            r_bad = r[np.argmax(~np.isfinite(vals.ravel()))]
+            r_bad = r[np.argmax(~np.isfinite(vals.reshape(-1, r.size)).all(axis=0))]
             raise ValueError(f"integrand returned a non-finite value at r={r_bad:g}")
-        g16, diff = half * (vals @ _RULES).T
+        vals = vals.reshape(vals.shape[:-1] + (mid.size, _NODES.size))
+        if vals.ndim == 2:
+            rules, weighed, bins = vals @ _RULES, np.abs(vals) @ _RULES[:, 0], seg
+        else:   # each integrand sums only its own open panels, as in its own call
+            if n_panels == n_start:
+                done, err = np.zeros((2, len(vals), t.size - 1))
+                live = np.ones(vals.shape[:2], dtype=bool)
+            bins = (seg + (t.size - 1) * np.arange(len(vals))[:, None]).ravel()
+            rules = _masked_dot(vals, _RULES, live)
+            weighed = _masked_dot(np.abs(vals), _RULES[:, 0], live)
+        g16, diff = half * rules[..., 0], half * rules[..., 1]
         # the nodes exp(t) carry a relative error of about eps |t|, so the
         # round-off floor grows with |t|; it is part of the reported error
         scale = _ROUNDOFF * (1.0 + np.abs(mid))
-        floor = scale * half * (np.abs(vals) @ _RULES[:, 0])
+        floor = scale * half * weighed
         est = np.maximum(np.abs(diff), floor)
-        total = done + np.bincount(seg, g16, done.size)
-        ok = est <= np.maximum(np.abs(total)[seg] * half * (2.0 * _REL_TOL / (t[-1] - t[0])), floor)
+        total = done + np.bincount(bins, g16.ravel(), done.size).reshape(done.shape)
+        ok = est <= np.maximum(np.abs(total)[..., seg] * half * tol, floor)
         if n_panels > n_start and not ok.all():
             # the node error also moves a value by |dv/dt| eps |t|, which on a
             # steep flank outgrows the floor above, so split panels that fail
             # again add it (failing start panels are split in any case)
             bad = ~ok
-            floor[bad] += scale[bad] * (np.abs(vals[bad, :16] @ _DIFF.T) @ _W16)
+            floor[bad] += scale[bad.nonzero()[-1]] * (
+                np.abs(vals[bad, :16] @ _DIFF.T) @ _W16 if vals.ndim == 2 else
+                _masked_dot(np.abs(_masked_dot(vals[..., :16], _DIFF.T, bad)), _W16, bad)[bad])
             est = np.maximum(np.abs(diff), floor)
             ok |= est <= floor
-        done += np.bincount(seg, g16 * ok, done.size)
-        err += np.bincount(seg, est * ok, done.size)
+        done += np.bincount(bins, (g16 * ok).ravel(), done.size).reshape(done.shape)
+        err += np.bincount(bins, (est * ok).ravel(), done.size).reshape(done.shape)
         if ok.all():
             return done, err
-        split = ~ok
+        split = ~(ok.all(axis=0) if ok.ndim > 1 else ok)
         mid, half, seg = mid[split], 0.25 * half[split], seg[split]
+        live = np.tile(~ok[:, split], 4) if ok.ndim > 1 else None
         n_panels += 3 * mid.size
         if n_panels > _MAX_PANELS:
-            value, estimate = float(total.sum()), float(err.sum() + est[split].sum())
-            raise QuadratureError(
-                f"quadrature did not converge in {_MAX_PANELS} panels "
-                f"(value={value:.6g}, est={estimate:.3g})", value, estimate)
+            value, estimate = total.sum(axis=-1), err.sum(axis=-1) + (est * ~ok).sum(axis=-1)
+            raise QuadratureError(f"quadrature did not converge in {_MAX_PANELS} panels (value="
+                                  f"{value}, est={estimate})", value, estimate)
         mid = np.concatenate([mid - 3.0 * half, mid - half, mid + half, mid + 3.0 * half])
         half, seg = np.concatenate([half] * 4), np.concatenate([seg] * 4)
+
+
+def _masked_dot(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``a @ b`` where ``mask`` (integrands, panels) holds, else 0: per integrand
+    one product of its own rows, which BLAS rounds as in that integrand's call."""
+    if mask.all() and a.flags.c_contiguous:
+        return a @ b    # BLAS takes a stack one matrix at a time
+    out = np.zeros(mask.shape + b.shape[1:])
+    for j, on in enumerate(mask):
+        out[j, on] = a[j, on] @ b
+    return out
 
 
 def sup_over_r(g, candidates=()) -> SupResult:

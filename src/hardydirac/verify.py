@@ -19,11 +19,12 @@ import numpy as np
 from .channels import (
     Channel,
     SpinorField,
+    _channel_integrals,
+    _with_shells,
     exp_profile,
     field_norm_weighted,
-    sigma_grad_norm_weighted,
 )
-from .numerics import QuadratureError, integrate_radial
+from .numerics import QuadratureError
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 
 __all__ = [
@@ -114,13 +115,15 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _lhs_cached(pair: PotentialPair, field_: SpinorField) -> float:
-    return field_norm_weighted(field_, weight=pair.v1_regular, shells=pair.v1_shells)
+def _lhs_cached(pair: PotentialPair, field_: SpinorField) -> tuple:
+    """The lhs entry of every channel (ascending k), from one quadrature call."""
+    (values,) = _channel_integrals(field_, [pair.v1_regular])
+    return tuple(_with_shells(field_, pair.v1_shells, values[:, 0].tolist()))
 
 
 def hardy_lhs(pair: PotentialPair, field_: SpinorField) -> float:
-    """int V1 |phi|^2 including shell terms (couplings not applied)."""
-    return _lhs_cached(pair, field_)
+    """int V1 |phi|^2 with shell terms (couplings not applied), summed over channels."""
+    return sum(_lhs_cached(pair, field_), 0.0)
 
 
 def _v2_state(pair: PotentialPair) -> str:
@@ -151,7 +154,8 @@ def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,
     global rhs uses max{A+^2, A-^2} where the channel entries use A_k^2.
     """
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-    lhs = hardy_lhs(pair, field_)
+    lhs_k = _lhs_cached(pair, field_)
+    lhs = sum(lhs_k, 0.0)
 
     if gamma == 0.0:
         state = _v2_state(pair)
@@ -162,27 +166,22 @@ def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,
                                     satisfied=True, vacuous=True,
                                     constant=maxsq, gamma=gamma)
 
-    weight = _grad_weight(pair, gamma)
+    try:
+        # every channel's gradient and (gamma > 0) mass integral in one call
+        *mass, grad = _channel_integrals(field_, [None] if gamma > 0 else [],
+                                         [_grad_weight(pair, gamma)])[..., 0].tolist()
+    except (QuadratureError, ValueError):
+        return InequalityReport(lhs=lhs, rhs=math.inf, ratio=0.0,
+                                satisfied=True, vacuous=True,
+                                constant=maxsq, gamma=gamma)
+    mass = mass[0] if mass else [0.0] * len(grad)
     per_channel = {}
-    grad_total = 0.0
-    mass_total = 0.0
-    for ch, prof in field_.sorted_terms():
-        single = SpinorField(((ch, prof),))
-        lhs_k = hardy_lhs(pair, single)
+    for (ch, _), lhs_c, grad_c, mass_c in zip(field_.sorted_terms(), lhs_k, grad, mass):
         ak = a_k(pair, ch.k)
-        try:
-            grad_k = sigma_grad_norm_weighted(single, weight=weight)
-        except (QuadratureError, ValueError):
-            return InequalityReport(lhs=lhs, rhs=math.inf, ratio=0.0,
-                                    satisfied=True, vacuous=True,
-                                    constant=maxsq, gamma=gamma)
-        mass_k = field_norm_weighted(single) if gamma > 0 else 0.0
-        grad_total += grad_k
-        mass_total += mass_k
-        rhs_k = ak ** 2 * grad_k + gamma * mass_k
-        per_channel[ch.k] = ChannelCheck(lhs_k, rhs_k, _ratio(lhs_k, rhs_k), ak ** 2)
+        rhs_c = ak ** 2 * grad_c + gamma * mass_c
+        per_channel[ch.k] = ChannelCheck(lhs_c, rhs_c, _ratio(lhs_c, rhs_c), ak ** 2)
 
-    rhs = maxsq * grad_total + gamma * mass_total
+    rhs = maxsq * sum(grad, 0.0) + gamma * sum(mass, 0.0)
     ratio = _ratio(lhs, rhs)
     return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio,
                             satisfied=ratio <= 1.0 + tol, constant=maxsq,
@@ -223,39 +222,31 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
         raise ValueError("lambda must lie in (-m, m)")
 
     v2 = pair.v2
-    weight = lambda r: 1.0 / (m + c2 * v2(r) - lam)
-    # a whole-field integral: with shells, the channel lhs entries would sum
-    # their terms in another order
-    lhs_base = hardy_lhs(pair, field_)
-    lhs = c1 * lhs_base
-
-    # the whole-field norms sum the channel norms from 0.0 in ascending k,
-    # as these totals do, so they come out bit for bit the same
-    per_channel = {}
-    grad = 0.0
-    mass = 0.0
-    for ch, prof in field_.sorted_terms():
-        single = SpinorField(((ch, prof),))
-        lhs_k = c1 * hardy_lhs(pair, single)
-        ak = a_k(pair, ch.k)
-        grad_k = sigma_grad_norm_weighted(single, weight=weight)
-        mass_k = field_norm_weighted(single)
-        grad += grad_k
-        mass += mass_k
-        rhs_k = min(c1 * c2 * ak ** 2, 1.0) * grad_k + (c1 / c2) * (m - lam) * mass_k
-        per_channel[ch.k] = ChannelCheck(lhs_k, rhs_k, _ratio(lhs_k, rhs_k),
-                                         c1 * c2 * ak ** 2)
-    rhs = grad + (m + lam) * mass
-
-    norm_eq = None
+    weights = [lambda r: 1.0 / (m + c2 * v2(r) - lam)]
     if maxsq > 0.0 and c1 * c2 * maxsq < 1.0:
         eps = min(1.0 / (c1 * c2 * maxsq) - 1.0, 1e3)
         lam_min = max(0.0, m * ((1.0 + eps) * c1 - c2) / ((1.0 + eps) * c1 + c2))
         lam_eps = 0.5 * (lam_min + m)
-        weight_eps = lambda r: 1.0 / (m + c2 * v2(r) - lam_eps)
-        grad_eps = sigma_grad_norm_weighted(field_, weight=weight_eps)
+        weights.append(lambda r: 1.0 / (m + c2 * v2(r) - lam_eps))
+    lhs_k = _lhs_cached(pair, field_)
+    lhs_base = sum(lhs_k, 0.0)
+    lhs = c1 * lhs_base
+    # every channel's mass, gradient and epsilon-weighted gradient in one call
+    mass, grad, *grad_eps = _channel_integrals(field_, [None], weights)[..., 0].tolist()
+
+    per_channel = {}
+    for (ch, _), base_k, grad_k, mass_k in zip(field_.sorted_terms(), lhs_k, grad, mass):
+        ak = a_k(pair, ch.k)
+        lhs_k = c1 * base_k
+        rhs_k = min(c1 * c2 * ak ** 2, 1.0) * grad_k + (c1 / c2) * (m - lam) * mass_k
+        per_channel[ch.k] = ChannelCheck(lhs_k, rhs_k, _ratio(lhs_k, rhs_k),
+                                         c1 * c2 * ak ** 2)
+    rhs = sum(grad, 0.0) + (m + lam) * sum(mass, 0.0)
+
+    norm_eq = None
+    if grad_eps:
         lhs_w = eps * c1 * lhs_base
-        rhs_w = grad_eps + (m + lam_eps) * mass - c1 * lhs_base
+        rhs_w = sum(grad_eps[0], 0.0) + (m + lam_eps) * sum(mass, 0.0) - c1 * lhs_base
         norm_eq = NormEquivalenceCheck(
             epsilon=eps, lam=lam_eps, lhs=lhs_w, rhs=rhs_w,
             satisfied=lhs_w <= rhs_w * (1.0 + tol) + 1e-300)
@@ -307,16 +298,16 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2),
     weight = _grad_weight(pair, gamma)
 
     def ratio_for(k: int, p: float, a: float) -> float:
-        ch = Channel(k)
         if 2.0 * (p - 1.0) + 2.0 <= -1.0 or 2.0 * p + 2.0 <= -1.0:
             return 0.0
         single = SpinorField.single(k, exp_profile(p, a))
-        lhs = hardy_lhs(pair, single)
+        # lhs, gradient and (gamma > 0) mass in one call
+        v1, *mass, grad = _channel_integrals(
+            single, [pair.v1_regular] + ([None] if gamma > 0 else []), [weight])[:, 0, 0].tolist()
+        (lhs,) = _with_shells(single, pair.v1_shells, [v1])
         if lhs == 0.0:
             return 0.0
-        grad = sigma_grad_norm_weighted(single, weight=weight)
-        mass = gamma * field_norm_weighted(single) if gamma > 0 else 0.0
-        rhs = maxsq * grad + mass
+        rhs = maxsq * grad + (gamma * mass[0] if mass else 0.0)
         if not math.isfinite(rhs) or rhs == 0.0:
             return 0.0
         return lhs / rhs
@@ -389,18 +380,9 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps must be positive")
-        inner = max(1.0 - eps, 0.0)
-        outer = 1.0 + eps
-        bulk = 0.0
-        annulus = 0.0
-        for ch, prof in field_.sorted_terms():
-            reduced = prof.reduced(ch.k)
-            dens = lambda r: np.abs(reduced(r)) ** 2 * r * r
-            if inner > 0.0:
-                bulk += integrate_radial(dens, a=0.0, b=inner).value
-            bulk += integrate_radial(dens, a=outer, b=math.inf).value
-            annulus += integrate_radial(dens, a=inner if inner > 0 else 1e-300,
-                                        b=outer).value
+        edges = (0.0, max(1.0 - eps, 0.0), 1.0 + eps, math.inf)    # eps >= 1: no inner bulk
+        (grad,) = _channel_integrals(field_, (), [None], edges)     # every channel at once
+        bulk, annulus = float(grad[:, [0, 2]].sum()), float(grad[:, 1].sum())
         bulk_term = bulk / (m - lam)
         annulus_term = annulus / (m + 1.0 / eps - lam)
         rhs = bulk_term + annulus_term + mass_term

@@ -177,6 +177,69 @@ class TestIntegrateSegments:
         assert values.tolist() == [0.0, 0.0] and estimates.tolist() == [0.0, 0.0]
 
 
+class TestVectorIntegrand:
+    # an (m, n) integrand: m integrals under one shared subdivision
+    def test_components_match_their_scalar_calls(self):
+        pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:1")
+        v, bps = pair.v1_regular, pair.breakpoints()
+        fs = [lambda s: v(s) * s ** 2, lambda s: np.exp(-s) * s,
+              lambda s: s ** -0.5 * np.exp(-s * s), lambda s: 1e-9 * np.exp(-3.0 * s) * s ** 4]
+        edges = [0.0, 0.5, 2.0, 2.0, 7.0, math.inf]
+        values, estimates = integrate_segments(lambda s: np.array([f(s) for f in fs]), edges, bps)
+        assert values.shape == estimates.shape == (len(fs), len(edges) - 1)
+        for f, value, estimate in zip(fs, values, estimates):
+            one, one_est = integrate_segments(f, edges, bps)
+            assert np.all(np.abs(value - one) <= estimate + one_est)
+
+    def test_each_component_within_its_own_estimate(self):
+        # both Coulomb sides of each gallery term, plus a third integral 1e-12
+        # the size of the first with the next term's profile: a rule that
+        # accepted panels on the norm of all components would hold that one
+        # only to about 1e-10 of the largest
+        nu = 0.5
+        terms = [(ch.k, prof) for field in random_field_gallery(40, seed=0)
+                 for ch, prof in field.terms]
+        for (k, prof), (_, other) in zip(terms, terms[1:] + terms[:1]):
+            (term,), (small,) = prof.terms, other.terms
+            red = prof.reduced(k)
+            values, estimates = integrate_segments(lambda r: np.array([
+                nu * np.abs(prof(r)) ** 2 * r, np.abs(red(r)) ** 2 * r ** 3 / nu,
+                1e-12 * nu * np.abs(other(r)) ** 2 * r]), [0.0, math.inf])
+            exact = np.array([
+                nu * abs(term.coef) ** 2 * _moment(int(2 * term.p + 1), term.a),
+                _coulomb_grad_term(nu, k, term.coef, term.p, term.a),
+                1e-12 * nu * abs(small.coef) ** 2 * _moment(int(2 * small.p + 1), small.a)])
+            assert np.all(np.abs(values[:, 0] - exact) <= estimates[:, 0])
+            assert np.all(estimates[:, 0] <= 1e-9 * exact)
+
+    def test_value_independent_of_batch(self):
+        # a component runs the rule on its own open panels, whatever it is
+        # batched with, so it reads bit for bit as its own call (the steep
+        # mollified shell takes the floor's derivative term)
+        shell = parse_pair("mshell:0.5,0.5@2", "coulomb:1").v1_regular
+        fs = [lambda s: np.exp(-s) * s * s, lambda s: np.exp(-0.1 * s * s) * s ** 3,
+              lambda s: s / (1.0 + s) ** 4, lambda s: shell(s) * s ** 4]
+        edges, bps = [0.0, 1.0, math.inf], shell.breakpoints()
+        together = integrate_segments(lambda s: np.array([f(s) for f in fs]), edges, bps)
+        for f, value, estimate in zip(fs, *together):
+            alone = integrate_segments(lambda s: f(s)[None], edges, bps)
+            assert [x.tolist() for x in alone] == [[value.tolist()], [estimate.tolist()]]
+            assert [x.tolist() for x in integrate_segments(f, edges, bps)] == [
+                value.tolist(), estimate.tolist()]
+
+    def test_nonfinite_component_rejected(self):
+        f = lambda s: np.array([np.exp(-s), np.where(s > 3.0, np.nan, s)])
+        with pytest.raises(ValueError, match="non-finite value at r=") as err:
+            integrate_segments(f, [0.0, math.inf])
+        assert float(str(err.value).rsplit("r=", 1)[1]) > 3.0
+
+    def test_one_dimensional_integrand_keeps_1d_results(self):
+        values, estimates = integrate_segments(lambda s: np.exp(-s), [0.0, 1.0, math.inf])
+        assert values.shape == estimates.shape == (2,)
+        values, estimates = integrate_segments(lambda s: np.exp(-s)[None], [0.0, 1.0, math.inf])
+        assert values.shape == estimates.shape == (1, 2)
+
+
 class TestSupOverR:
     def test_unimodal(self):
         res = sup_over_r(lambda r: r * r * np.exp(-r))

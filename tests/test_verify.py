@@ -7,6 +7,7 @@ from hardydirac import channels, verify
 from hardydirac.channels import (
     Channel,
     ClosedFormProfile,
+    GridProfile,
     ProfileTerm,
     SpinorField,
     exp_profile,
@@ -15,8 +16,8 @@ from hardydirac.channels import (
     sigma_grad_norm_weighted,
 )
 from hardydirac.extension import DiracChannelProblem, weak_solve
-from hardydirac.numerics import RadialGrid
-from hardydirac.potentials import parse_pair, scale_pair
+from hardydirac.numerics import RadialGrid, integrate_radial
+from hardydirac.potentials import PotentialPair, a_k, a_minus, a_plus, parse_pair, scale_pair
 from hardydirac.verify import (
     HypothesisViolationError,
     extremize_ratio,
@@ -193,8 +194,6 @@ class TestVerifyCorollary:
     def test_never_violates_across_gallery(self, pair_gallery):
         # 200 random fields spread over the 5-pair gallery, each pair given
         # admissible couplings just below its own threshold
-        from hardydirac.potentials import PotentialPair, a_minus, a_plus
-
         fields = random_field_gallery(200, seed=99)
         per_pair = len(fields) // len(pair_gallery)
         for i, base in enumerate(pair_gallery):
@@ -208,21 +207,23 @@ class TestVerifyCorollary:
 
 
     def test_integrates_each_channel_once(self, monkeypatch):
-        # two channels: the whole-field lhs, the channel lhs, gradient and
-        # mass, and the epsilon-weighted gradient, one integral per channel
-        # each; the whole-field gradient and mass are the channel sums
+        # two channels: one quadrature call for the lhs of both channels, one
+        # for their gradient, mass and epsilon-weighted gradient; the
+        # whole-field sides are the channel sums
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.9, c2=0.9)
         field = SpinorField(((Channel(0), exp_profile(0, 1.0)),
                              (Channel(-2), gauss_profile(1, 0.7))))
         verify_corollary(pair, field, m=1.0)       # constants cached
         calls = []
-        inner = channels.integrate_radial
-        monkeypatch.setattr(channels, "integrate_radial",
-                            lambda *a, **kw: calls.append(1) or inner(*a, **kw))
+        inner = channels.integrate_segments
+        monkeypatch.setattr(channels, "integrate_segments",
+                            lambda f, *a: calls.append(f(np.ones(1)).shape[0]) or inner(f, *a))
         verify._lhs_cached.cache_clear()
         rep = verify_corollary(pair, field, m=1.0)
         assert rep.norm_equivalence is not None
-        assert len(calls) == 5 * 2
+        assert calls == [2, 3 * 2]
+        verify_corollary(pair, field, m=1.0)       # lhs cached
+        assert calls == [2, 3 * 2, 3 * 2]
 
     @pytest.mark.parametrize("spec", [("coulomb:1", "coulomb:1", 0.9, 0.9),
                                       ("shell:1@2", "coulomb:1", 0.8, 0.5)])
@@ -235,6 +236,102 @@ class TestVerifyCorollary:
             rhs = (sigma_grad_norm_weighted(field, weight=weight)
                    + (1.0 + rep.lam) * field_norm_weighted(field))
             assert rep.rhs == rhs
+
+
+def _per_integral_sides(pair, field, weight):
+    """Per channel (ascending k): lhs, gradient and mass, one integrate_radial
+    call each, as the checks were made before they were batched."""
+    v1 = pair.v1_regular
+    sides = []
+    for ch, prof in field.sorted_terms():
+        red = prof.reduced(ch.k)
+        lhs = 0.0
+        lhs += integrate_radial(lambda r: v1(r) * np.abs(prof(r)) ** 2 * r * r,
+                                breakpoints=v1.breakpoints()).value
+        for shell in pair.v1_shells:
+            lhs += shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
+        grad = integrate_radial(lambda r: weight(r) * np.abs(red(r)) ** 2 * r * r).value
+        mass = integrate_radial(lambda r: np.abs(prof(r)) ** 2 * r * r).value
+        sides.append((ch.k, lhs, grad, mass))
+    return sides
+
+
+class TestBatchedChecks:
+    FIELDS = random_field_gallery(40, seed=0)
+
+    @staticmethod
+    def _close(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0])
+    def test_theorem_matches_per_integral_loop(self, pair_gallery, gamma):
+        for pair in pair_gallery:
+            maxsq = max(a_plus(pair), a_minus(pair)) ** 2
+            for field in self.FIELDS:
+                rep = verify_theorem(pair, field, gamma)
+                sides = _per_integral_sides(pair, field, lambda r: 1.0 / (pair.v2(r) + gamma))
+                mass_on = 1.0 if gamma > 0 else 0.0
+                self._close(rep.lhs, sum(s[1] for s in sides))
+                self._close(rep.rhs, maxsq * sum(s[2] for s in sides)
+                            + gamma * mass_on * sum(s[3] for s in sides))
+                for k, lhs, grad, mass in sides:
+                    check = rep.per_channel[k]
+                    self._close(check.lhs, lhs)
+                    self._close(check.rhs, a_k(pair, k) ** 2 * grad + gamma * mass_on * mass)
+
+    def test_corollary_matches_per_integral_loop(self, pair_gallery):
+        m = 1.0
+        for base in pair_gallery:
+            c = 0.9 / max(a_plus(base), a_minus(base))
+            pair = PotentialPair(v1_regular=base.v1_regular, v1_shells=base.v1_shells,
+                                 v2=base.v2, c1=c, c2=c)
+            for field in self.FIELDS:
+                rep = verify_corollary(pair, field, m=m)
+                lam, eq = rep.lam, rep.norm_equivalence
+                sides = _per_integral_sides(pair, field, lambda r: 1.0 / (m + c * pair.v2(r) - lam))
+                lhs = sum(s[1] for s in sides)
+                mass = sum(s[3] for s in sides)
+                self._close(rep.lhs, c * lhs)
+                self._close(rep.rhs, sum(s[2] for s in sides) + (m + lam) * mass)
+                for k, lhs_k, grad_k, mass_k in sides:
+                    check = rep.per_channel[k]
+                    self._close(check.lhs, c * lhs_k)
+                    self._close(check.rhs, min(c * c * a_k(pair, k) ** 2, 1.0) * grad_k
+                                + (m - lam) * mass_k)
+                eps_sides = _per_integral_sides(pair, field,
+                                                lambda r: 1.0 / (m + c * pair.v2(r) - eq.lam))
+                self._close(eq.lhs, eq.epsilon * c * lhs)
+                self._close(eq.rhs, sum(s[2] for s in eps_sides) + (m + eq.lam) * mass - c * lhs)
+
+    def test_failing_gradient_integral_is_vacuous(self):
+        # V1 = 0 needs no lhs quadrature; the profile is NaN beyond r = 2, so
+        # the gradient integral raises inside the check
+        pair = parse_pair("zero", "coulomb:1")
+        grid = RadialGrid.log_uniform(40, 1e-3, 10.0)
+        values = np.where(grid.nodes > 2.0, np.nan, np.exp(-grid.nodes))
+        field = SpinorField.single(0, GridProfile(grid, values))
+        rep = verify_theorem(pair, field, 0.0)
+        assert rep.vacuous and rep.satisfied and math.isinf(rep.rhs)
+        assert rep.lhs == 0.0
+
+    def test_failing_lhs_integral_raises(self, coulomb_pair):
+        grid = RadialGrid.log_uniform(40, 1e-3, 10.0)
+        values = np.where(grid.nodes > 2.0, np.nan, np.exp(-grid.nodes))
+        field = SpinorField.single(0, GridProfile(grid, values))
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_theorem(coulomb_pair, field, 0.1)
+
+    def test_zero_weight_lhs_skips_quadrature(self, shell_coulomb_pair, monkeypatch):
+        # the shell pair's regular V1 is zero: only the shell terms remain,
+        # bit for bit, and no integrand is evaluated
+        monkeypatch.setattr(channels, "integrate_segments",
+                            lambda *a, **kw: pytest.fail("quadrature called"))
+        (shell,) = shell_coulomb_pair.v1_shells
+        for field in self.FIELDS[:10]:
+            want = 0.0
+            for ch, prof in field.sorted_terms():
+                want += 0.0 + shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
+            assert hardy_lhs(shell_coulomb_pair, field) == want
 
 
 class TestExtremize:
@@ -261,6 +358,13 @@ class TestExtremize:
         res = extremize_ratio(coulomb_pair, 0.0, k_set=(0, -2), restarts=4, seed=1)
         hist = res.restart_history
         assert all(b >= a for a, b in zip(hist, hist[1:]))
+
+    def test_leaves_the_lhs_cache_alone(self, coulomb_pair):
+        # hundreds of one-off fields would only crowd the checks' cache
+        before = verify._lhs_cached.cache_info()
+        extremize_ratio(coulomb_pair, 0.5, k_set=(0,), restarts=1, maxiter=20)
+        after = verify._lhs_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_degenerate_box(self, coulomb_pair):
         with pytest.raises(ValueError):
@@ -294,6 +398,27 @@ class TestMollified:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             mollified_delta_experiment(1.0, 0.25, 2.0, [0.0], F_EXP)
+
+    @pytest.mark.parametrize("field", [F_EXP, SpinorField((
+        (Channel(0), exp_profile(0, 1.0)), (Channel(-2), gauss_profile(1, 0.7))))])
+    def test_rows_match_per_integral_calls(self, field):
+        # demo 06's rows (plus eps >= 1, with no inner bulk segment) against
+        # three integrate_radial calls per channel
+        eps_list = [1.5, 1.0, 0.8, 0.4, 0.2, 0.1, 0.05]
+        rows = mollified_delta_experiment(1.0, 0.25, 2.0, eps_list, field, m=1.0, lam=0.0)
+        for eps, row in zip(eps_list, rows):
+            inner, outer = max(1.0 - eps, 0.0), 1.0 + eps
+            bulk = annulus = 0.0
+            for ch, prof in field.sorted_terms():
+                red = prof.reduced(ch.k)
+                dens = lambda r: np.abs(red(r)) ** 2 * r * r
+                if inner > 0.0:
+                    bulk += integrate_radial(dens, a=0.0, b=inner).value
+                bulk += integrate_radial(dens, a=outer).value
+                annulus += integrate_radial(dens, a=inner, b=outer).value
+            assert row.bulk_term == pytest.approx(bulk, rel=1e-10)
+            assert row.annulus_term == pytest.approx(annulus / (1.0 + 1.0 / eps), rel=1e-10)
+            assert row.rhs == pytest.approx(bulk + row.annulus_term + row.mass_term, rel=1e-10)
 
 
 class TestGallery:

@@ -14,7 +14,6 @@ from .numerics import (
 )
 from .potentials import (
     CoulombPotential,
-    HardyConstants,
     MollifiedShell,
     NotInClassAError,
     PotentialPair,
@@ -27,7 +26,6 @@ from .potentials import (
     a_k,
     a_minus,
     a_plus,
-    hardy_constants,
     parse_component,
     parse_pair,
     parse_v1_slot,
@@ -40,7 +38,6 @@ from .channels import (
     GridProfile,
     SpinorField,
     build_field,
-    channel_weights,
     evaluate_spinor,
     exp_profile,
     field_norm_weighted,
@@ -49,7 +46,6 @@ from .channels import (
     lattice_weighted_norm,
     parse_field_term,
     parse_profile,
-    radial_sigma_grad,
     sigma_grad_norm_weighted,
 )
 from .verify import (
@@ -67,14 +63,10 @@ from .verify import (
     verify_theorem,
 )
 from .extension import (
-    ApplyHResult,
     ConvergenceError,
     DiracChannelProblem,
     GapEigenvalue,
     WeakSolveResult,
-    apply_H,
-    h_inner_product,
-    norm_equivalence_probe,
     pairing_defect,
     shell_spectrum_demo,
     spectrum_in_gap,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RadialGrid, integrate_segments
-from .potentials import PotentialComponent, PotentialPair, ZeroPotential, _hardy_integrand, combine
+from .potentials import PotentialComponent, ZeroPotential
 
 __all__ = [
     "Channel",
@@ -31,8 +31,6 @@ __all__ = [
     "SpinorField",
     "exp_profile",
     "gauss_profile",
-    "radial_sigma_grad",
-    "channel_weights",
     "field_norm_weighted",
     "sigma_grad_norm_weighted",
     "evaluate_spinor",
@@ -207,37 +205,6 @@ class SpinorField:
 
     def sorted_terms(self):
         return sorted(self.terms, key=lambda item: item[0].k)
-
-
-def radial_sigma_grad(profile, channel):
-    """Radial profile of sigma.grad applied to f(r) Omega_k: f' - k f / r."""
-    k = channel.k if isinstance(channel, Channel) else int(channel)
-    if k == -1:
-        raise ValueError("k = -1 is not in the spin-orbit spectrum")
-    return profile.reduced(k)
-
-
-def channel_weights(pair: PotentialPair, channel):
-    """The solved channel weight and the residual weight for channel k.
-
-    For k >= 0 returns (g_k, W_k) with
-        g_k(r) = r^{-2(k+1)} int_0^r (V1+V2)(s) s^{2(k+1)} ds
-        W_k    = V1 + V2 - (2k/r) g_k,
-    and for k <= -2 the tail analogue (h_k, W_k = V1 + V2 + (2k/r) h_k).
-    Shell terms enter g_k/h_k with their indicator; W_k is reported for the
-    density part only.  Both are returned as functions of an array of radii.
-    """
-    k = channel.k if isinstance(channel, Channel) else int(channel)
-    if k == -1:
-        raise ValueError("k = -1 is not in the spin-orbit spectrum")
-    density = combine([pair.v1_regular, pair.v2])
-    g_or_h = _hardy_integrand(density, pair.v1_shells, 2 * (k + 1))
-
-    def w_k(r):
-        r = np.asarray(r, dtype=float)
-        return density(r) - (2.0 * abs(k) / r) * g_or_h(r)
-
-    return g_or_h, w_k
 
 
 def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),

@@ -49,20 +49,15 @@ from .numerics import (
     integrate_radial,
     ldl_inertia,
 )
-from .potentials import PotentialPair, a_minus, a_plus
+from .potentials import PotentialPair
 from .verify import select_lambda
 
 __all__ = [
     "DiracChannelProblem",
     "WeakSolveResult",
-    "ApplyHResult",
     "GapEigenvalue",
-    "NormEquivalenceReport",
     "ConvergenceError",
-    "h_inner_product",
-    "norm_equivalence_probe",
     "weak_solve",
-    "apply_H",
     "pairing_defect",
     "spectrum_in_gap",
     "shell_spectrum_demo",
@@ -191,8 +186,9 @@ class DiracChannelProblem:
     ``pair`` supplies the weights: w1 = c1 V1 (shells included), w2 = c2 V2.
     The sign regime is tagged from the data: 'nonpositive' for c1 <= 0,
     'measure' when shells are present, else 'nonnegative' (which needs
-    c1 c2 <= 1/max(A+^2, A-^2); the operational check is positive
-    definiteness of the assembled form).
+    c1 c2 <= 1/max(A+^2, A-^2)).  The coupling condition is not checked
+    here: ``weak_solve`` raises :class:`NotPositiveDefiniteError` when the
+    assembled form is not positive definite.
     """
 
     pair: PotentialPair
@@ -238,16 +234,6 @@ class DiracChannelProblem:
     def breakpoints(self):
         return self.pair.breakpoints()
 
-    def check_hypothesis(self) -> None:
-        """Raise when the tagged regime's coupling condition fails."""
-        if self.regime == "nonpositive":
-            return
-        maxsq = max(a_plus(self.pair), a_minus(self.pair)) ** 2
-        if maxsq > 0 and self.pair.c1 * self.pair.c2 > 1.0 / maxsq * (1.0 + 1e-12):
-            raise NotPositiveDefiniteError(
-                f"c1*c2 = {self.pair.c1 * self.pair.c2:g} exceeds "
-                f"1/max(A+^2, A-^2) = {1.0 / maxsq:g}")
-
 
 @dataclass(frozen=True)
 class WeakSolveResult:
@@ -276,99 +262,19 @@ class WeakSolveResult:
 
 
 @dataclass(frozen=True)
-class ApplyHResult:
-    upper: GridProfile
-    lower: GridProfile
-    shell_charges: tuple  # (radius, a_coupled * R^2 * phi(R)) per shell
-
-
-@dataclass(frozen=True)
 class GapEigenvalue:
     value: float
     index: int
     error_estimate: float
 
 
-@dataclass(frozen=True)
-class NormEquivalenceReport:
-    c_low: float
-    c_high: float
-    suspicious: bool
-
-
-# ---------------------------------------------------------------------------
-# inner products on profiles
-# ---------------------------------------------------------------------------
-
-def _complex_quad(fn, breakpoints=()) -> complex:
-    re = integrate_radial(lambda r: fn(r).real, breakpoints=breakpoints).value
-    im = integrate_radial(lambda r: fn(r).imag, breakpoints=breakpoints).value
-    return complex(re, im)
-
-
-def h_inner_product(phi1, phi2, problem: DiracChannelProblem) -> complex:
-    """Energy inner product of two upper-component profiles.
-
-    Sesquilinear and conjugate symmetric; shells contribute their point
-    terms with a minus sign.
-    """
-    k = problem.channel.k
-    m, lam = problem.m, problem.lam
-    w1, w2 = problem.w1, problem.w2
-    bps = problem.breakpoints()
-    d1 = phi1.reduced(k)
-    d2 = phi2.reduced(k)
-
-    def mass(r):
-        return (m - w1(r) + lam) * phi1(r) * np.conj(phi2(r)) * r * r
-
-    def grad(r):
-        return d1(r) * np.conj(d2(r)) / (m + w2(r) - lam) * r * r
-
-    value = _complex_quad(mass, bps) + _complex_quad(grad, bps)
-    for radius, a in problem.shell_terms():
-        value -= a * radius**2 * phi1(radius) * np.conj(phi2(radius))
-    return value
-
-
-def norm_equivalence_probe(problem: DiracChannelProblem, gallery) -> NormEquivalenceReport:
-    """Empirical bounds of the energy norm against the base Hilbert norm.
-
-    The base norm is int |f'-kf/r|^2/(1+w2) r^2 dr + int |f|^2 r^2 dr.
-    Ratios collapsing to zero (or a nonpositive energy norm) indicate a
-    regime violation.
-    """
-    if not gallery:
-        raise ValueError("gallery must be nonempty")
-    k = problem.channel.k
-    w2 = problem.w2
-    bps = problem.breakpoints()
-    ratios = []
-    for prof in gallery:
-        num = h_inner_product(prof, prof, problem).real
-        red = prof.reduced(k)
-
-        def base(r):
-            return (np.abs(red(r)) ** 2 / (1.0 + w2(r)) + np.abs(prof(r)) ** 2) * r * r
-
-        den = integrate_radial(base, breakpoints=bps).value
-        ratios.append(num / den)
-    c_low = min(ratios)
-    c_high = max(ratios)
-    suspicious = c_low <= 0.0 or (c_low > 0 and c_high / c_low > 1e8)
-    return NormEquivalenceReport(c_low, c_high, suspicious)
-
-
 # ---------------------------------------------------------------------------
 # weak solve
 # ---------------------------------------------------------------------------
 
-def _as_callable(profile):
-    if profile is None:
-        return (lambda r: np.zeros_like(np.asarray(r, dtype=float))), \
-               (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-    deriv = profile.reduced(0)
-    return (lambda r: np.real(profile(r))), (lambda r: np.real(deriv(r)))
+def _sampled(profile, r: np.ndarray) -> np.ndarray:
+    """Real part of a radial profile (None is zero) at the radii r."""
+    return np.zeros_like(r) if profile is None else np.real(profile(r))
 
 
 def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
@@ -402,6 +308,8 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
 
     F1 and F2 are radial profiles (closed form or grid samples; None is
     zero).  F2 is understood in the same lower-spinor convention as chi.
+    Only F2 is differentiated (g' in the strong form), so F1 need only be
+    square integrable: r^-0.5 e^-r is a valid F1, not a valid F2.
     Returns the two radial components with strong-form residuals measured
     in the weighted L2 norm.  When ``residual_tol`` is given, the grid is
     doubled up to twice until residual_upper <= residual_tol * (|F1|+|F2|);
@@ -430,9 +338,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     rq = fem.rq
     samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
     w2q = samples[1]
-    f1_fun, _ = _as_callable(F1)
-    f2_fun, f2_dfun = _as_callable(F2)
-    F1q, F2q = f1_fun(rq), f2_fun(rq)
+    F1q, F2q = _sampled(F1, rq), _sampled(F2, rq)
     b = fem.load(F1q * rq**3, F2q * rq**2 / (m + w2q - lam), k)
     b[0, [0, -1]] = 0.0                       # value dofs at both ends
     # the gap form at E = -lam, equilibrated (the Cholesky then stays healthy
@@ -453,7 +359,8 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
             "energy form is not positive definite "
             "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
 
-    f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, f2_dfun(rq))
+    F2dq = _sampled(None if F2 is None else F2.reduced(0), rq)
+    f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, F2dq)
     weight = rq**3
     residual_upper = fem.quad_norm(upper - F1q, weight)
     residual_lower = fem.quad_norm(lower - F2q, weight)
@@ -464,7 +371,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     h_norm = math.sqrt(max(float(coefs @ b), 0.0))       # coefs . A coefs, as A coefs = b
     nodes = problem.grid
     phi = GridProfile(nodes, fem.node_values(coefs, 0))
-    g_nodes = -(f2_fun(nodes.nodes)
+    g_nodes = -(_sampled(F2, nodes.nodes)
                 + fem.node_values(coefs, 1) - k * fem.node_values(coefs, 0) / nodes.nodes
                 ) / (m + problem.w2(nodes.nodes) - lam)
     chi = GridProfile(nodes, g_nodes)
@@ -483,35 +390,6 @@ def _data_norm(F1, F2) -> float:
         val = integrate_radial(lambda r: np.abs(F(r)) ** 2 * r * r).value
         total += math.sqrt(max(val, 0.0))
     return total if total > 0 else 1.0
-
-
-def apply_H(problem: DiracChannelProblem, phi, chi) -> ApplyHResult:
-    """Apply (H_V + lam) to a pair of radial profiles.
-
-    The density parts of the two output components are returned on the
-    problem grid; the singular shell parts of w1 phi are reported
-    separately as point charges a R^2 phi(R).
-    """
-    k = problem.channel.k
-    m, lam = problem.m, problem.lam
-    grid = problem.grid
-    r = grid.nodes
-    phi_v = np.asarray(phi(r)) if phi is not None else np.zeros(grid.n)
-    chi_v = np.asarray(chi(r)) if chi is not None else np.zeros(grid.n)
-    Dphi = np.asarray(phi.reduced(k)(r)) if phi is not None else np.zeros(grid.n)
-    if chi is not None:
-        chi_d = np.asarray(chi.reduced(0)(r))
-    else:
-        chi_d = np.zeros(grid.n)
-    upper = (m - problem.w1(r) + lam) * phi_v + chi_d + (k + 2) * chi_v / r
-    lower = -Dphi + (-m - problem.w2(r) + lam) * chi_v
-    charges = []
-    for radius, a in problem.shell_terms():
-        phi_at = complex(phi(radius)) if phi is not None else 0.0
-        charges.append((radius, a * radius**2 * phi_at))
-    return ApplyHResult(upper=GridProfile(grid, upper),
-                        lower=GridProfile(grid, lower),
-                        shell_charges=tuple(charges))
 
 
 def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,

@@ -41,7 +41,6 @@ __all__ = [
     "SumPotential",
     "ShellMeasure",
     "PotentialPair",
-    "HardyConstants",
     "NotInClassAError",
     "PotentialParseError",
     "parse_component",
@@ -51,7 +50,6 @@ __all__ = [
     "a_minus",
     "a_k",
     "tilde_constants",
-    "hardy_constants",
     "scale_pair",
     "bump",
 ]
@@ -449,15 +447,6 @@ def parse_pair(v1_text: str, v2_text: str, c1: float = 1.0, c2: float = 1.0) -> 
 # Hardy constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HardyConstants:
-    a_plus: float
-    a_minus: float
-    a_tilde_plus: float
-    a_tilde_minus: float
-    per_channel: dict = field(default_factory=dict)
-
-
 def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     """The cumulative Hardy integrand with a signed power, as a function of r.
 
@@ -565,14 +554,6 @@ def tilde_constants(pair: PotentialPair) -> tuple[float, float]:
     v1_minus = _sup_of_weight(pair.v1_regular, pair.v1_shells, -2).value
     v2_minus = _sup_of_weight(pair.v2, (), -2).value
     return v1_plus + v2_plus, v1_minus + v2_minus
-
-
-def hardy_constants(pair: PotentialPair, k_values=()) -> HardyConstants:
-    ap = a_plus(pair)
-    am = a_minus(pair)
-    tp, tm = tilde_constants(pair)
-    table = {int(k): a_k(pair, int(k)) for k in k_values}
-    return HardyConstants(ap, am, tp, tm, table)
 
 
 def scale_shell(shell: ShellMeasure, alpha: float) -> ShellMeasure:

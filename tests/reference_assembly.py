@@ -1,13 +1,19 @@
-"""Reference assembly of the channel form in LAPACK lower band storage.
+"""Reference forms of a channel problem, independent of the library's.
 
-An independent oracle for ``extension._gap_form`` and ``weak_solve``: element
-matrices by einsum, scattered with ``np.add.at`` into the band, the value dofs
-at both ends fixed by loops over the band, and diagonal equilibration entry by
-entry.  Only the shape tables and quadrature points of ``_HermiteFem`` are
-shared with the library.
+The band: an oracle for ``extension._gap_form`` and ``weak_solve``, with
+element matrices by einsum, scattered with ``np.add.at`` into LAPACK lower
+band storage, the value dofs at both ends fixed by loops over the band, and
+diagonal equilibration entry by entry.  Only the shape tables and quadrature
+points of ``_HermiteFem`` are shared with the library.
+
+The quadrature form: ``h_inner_product``, the energy inner product of two
+closed-form profiles by adaptive radial quadrature, with no elements at all;
+an oracle for ``weak_solve``'s ``h_norm_phi``.
 """
 
 import numpy as np
+
+from hardydirac.numerics import integrate_radial
 
 
 def einsum_band(fem, mass_vals, grad_vals, k, point_terms=()):
@@ -129,3 +135,35 @@ def band_blocks(ab):
     D = np.array([[ab[abs(a - c), i + min(a, c)] for c in range(3)] for a in range(3)])
     B = np.array([[ab[3 + c - a, i[:-1] + a] for c in range(3)] for a in range(3)])
     return D, B
+
+
+def _complex_quad(fn, breakpoints=()) -> complex:
+    re = integrate_radial(lambda r: fn(r).real, breakpoints=breakpoints).value
+    im = integrate_radial(lambda r: fn(r).imag, breakpoints=breakpoints).value
+    return complex(re, im)
+
+
+def h_inner_product(phi1, phi2, problem) -> complex:
+    """Energy inner product of two upper-component profiles,
+
+        int (m - w1 + lam) f u r^2 dr + int (f' - k f/r)(u' - k u/r) / (m + w2 - lam) r^2 dr
+
+    with u conjugated; sesquilinear and conjugate symmetric, and shells
+    contribute their point terms -a R^2 f(R) u(R)."""
+    k = problem.channel.k
+    m, lam = problem.m, problem.lam
+    w1, w2 = problem.w1, problem.w2
+    bps = problem.breakpoints()
+    d1 = phi1.reduced(k)
+    d2 = phi2.reduced(k)
+
+    def mass(r):
+        return (m - w1(r) + lam) * phi1(r) * np.conj(phi2(r)) * r * r
+
+    def grad(r):
+        return d1(r) * np.conj(d2(r)) / (m + w2(r) - lam) * r * r
+
+    value = _complex_quad(mass, bps) + _complex_quad(grad, bps)
+    for radius, a in problem.shell_terms():
+        value -= a * radius**2 * phi1(radius) * np.conj(phi2(radius))
+    return value

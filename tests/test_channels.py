@@ -8,7 +8,6 @@ from hardydirac.channels import (
     GridProfile,
     SpinorField,
     build_field,
-    channel_weights,
     evaluate_spinor,
     exp_profile,
     field_norm_weighted,
@@ -18,11 +17,10 @@ from hardydirac.channels import (
     log_derivative,
     parse_field_term,
     parse_profile,
-    radial_sigma_grad,
     sigma_grad_norm_weighted,
 )
 from hardydirac.numerics import RadialGrid, integrate_radial
-from hardydirac.potentials import ShellMeasure, a_k, parse_pair
+from hardydirac.potentials import ShellMeasure, _hardy_integrand, a_k, combine, parse_pair
 
 
 class TestChannel:
@@ -40,7 +38,7 @@ class TestChannel:
 
 class TestRadialReduction:
     def test_pure_derivative_at_k0(self):
-        red = radial_sigma_grad(exp_profile(0, 1.0), Channel(0))
+        red = exp_profile(0, 1.0).reduced(0)
         for r in (0.3, 1.0, 2.5):
             assert red(r) == pytest.approx(-math.exp(-r), rel=1e-14)
 
@@ -49,7 +47,7 @@ class TestRadialReduction:
         # r^k on channel k: the power term of f' - k f/r cancels exactly,
         # leaving only the decay factor's contribution
         prof = exp_profile(k, 1.0)
-        red = radial_sigma_grad(prof, Channel(k))
+        red = prof.reduced(k)
         for r in (0.5, 1.0, 4.0):
             assert red(r) == pytest.approx(-(r ** k) * math.exp(-r), rel=1e-13)
 
@@ -57,7 +55,7 @@ class TestRadialReduction:
     def test_kernel_on_grid(self, k):
         grid = RadialGrid.log_uniform(2048, 1e-2, 10.0)
         prof = GridProfile(grid, grid.nodes ** float(k))
-        red = radial_sigma_grad(prof, Channel(k))
+        red = prof.reduced(k)
         h = grid.t[1] - grid.t[0]
         w = grid.nodes ** 3 * h
         num = math.sqrt(float(np.sum(np.abs(red.values) ** 2 * w)))
@@ -65,20 +63,30 @@ class TestRadialReduction:
         assert num <= 1e-8 * den
 
     def test_gauss_zero_crossing(self):
-        red = radial_sigma_grad(gauss_profile(0, 1.0), Channel(-2))
+        red = gauss_profile(0, 1.0).reduced(-2)
         assert abs(red(1.0)) < 1e-15
 
     def test_matches_finite_differences(self):
         prof = gauss_profile(1, 0.8, coef=0.7)
-        red = radial_sigma_grad(prof, Channel(2))
+        red = prof.reduced(2)
         h = 1e-6
         for r in (0.4, 1.3, 2.2):
             fd = (prof(r + h) - prof(r - h)) / (2 * h) - 2 * prof(r) / r
             assert red(r) == pytest.approx(fd, rel=1e-8)
 
     def test_k_minus_one_rejected(self):
+        # no channel term can sit on k = -1, so no reduction ever sees it
         with pytest.raises(ValueError):
-            radial_sigma_grad(exp_profile(0, 1.0), -1)
+            SpinorField.single(-1, exp_profile(0, 1.0))
+        with pytest.raises(ValueError):
+            build_field(["k=-1:exp:0,1"])
+
+
+def channel_weight(pair, k):
+    """The solved channel weight g_k (k >= 0) or its tail analogue h_k
+    (k <= -2): the cumulative Hardy integrand of V1 + V2 with power 2(k+1),
+    shells entering with their indicator, whose supremum is a_k."""
+    return _hardy_integrand(combine([pair.v1_regular, pair.v2]), pair.v1_shells, 2 * (k + 1))
 
 
 class TestChannelWeights:
@@ -86,25 +94,21 @@ class TestChannelWeights:
 
     def test_coulomb_constant_profiles(self, coulomb_pair):
         for k in (0, 1, 2):
-            g, W = channel_weights(coulomb_pair, Channel(k))
+            g = channel_weight(coulomb_pair, k)
             np.testing.assert_allclose(g(self.RS), 1.0 / (k + 1), rtol=0.0, atol=1e-10)
-            np.testing.assert_allclose(W(self.RS), 2.0 / ((k + 1) * self.RS), rtol=1e-9)
 
     def test_coulomb_tail_channel(self, coulomb_pair):
-        h, W = channel_weights(coulomb_pair, Channel(-2))
+        h = channel_weight(coulomb_pair, -2)
         np.testing.assert_allclose(h(self.RS), 1.0, rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(W(self.RS), -2.0 / self.RS, rtol=1e-9)
 
     def test_zero_pair(self):
-        pair = parse_pair("zero", "zero")
-        g, W = channel_weights(pair, Channel(1))
+        g = channel_weight(parse_pair("zero", "zero"), 1)
         assert np.all(g(self.RS) == 0.0)
-        assert np.all(W(self.RS) == 0.0)
 
     @pytest.mark.parametrize("k", [0, 2, -2, -3])
     def test_sup_matches_channel_constant(self, k):
         pair = parse_pair("shell:0.5@1 + coulomb:0.3", "coulomb:0.7")
-        g, _ = channel_weights(pair, Channel(k))
+        g = channel_weight(pair, k)
         ak = a_k(pair, k)
         rs = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 400))
         samples = max(np.max(g(rs)), g(np.array([1.0]))[0])  # and the shell radius
@@ -118,8 +122,7 @@ class TestChannelWeights:
         pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:0.7")
         rs = np.array([30.0, 0.05, 2.2, 1.7, 2.2, 400.0])
         for k in (1, -3):
-            g_once, _ = channel_weights(pair, Channel(k))
-            g_steps, _ = channel_weights(pair, Channel(k))
+            g_once, g_steps = channel_weight(pair, k), channel_weight(pair, k)
             steps = np.concatenate([g_steps(rs[:1]), g_steps(rs[1:3]), g_steps(rs[3:])])
             np.testing.assert_allclose(steps, g_once(rs), rtol=1e-10)
 

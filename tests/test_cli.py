@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +165,28 @@ class TestSolveCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["best_ratio"] <= 1.0 + 1e-6
+
+
+def _readme_commands():
+    """The ``hardy-dirac ...`` lines of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hardy-dirac ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted(argv[0] for argv in README_COMMANDS) == sorted(
+        ["constants", "channel-constants", "verify", "extremize", "solve",
+         "spectrum", "experiment"])
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_command_runs(capsys, argv):
+    # the README's examples run as printed, so they cannot drift from the API
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out
+    assert out

@@ -28,7 +28,7 @@ below 1e-6 in the weighted norm for order-one fields.
 Gap eigenvalues come from eliminating g, which yields a symmetric problem
 whose weight depends on E; since that dependence is monotone, inertia
 counts of the shifted block-tridiagonal matrix (3x3 node blocks, reduced
-for 32 shifts at once by ``numerics.ldl_inertia``) locate every nonlinear
+for all shifts of a call by ``numerics.ldl_inertia``) locate every nonlinear
 eigenvalue by multisection, with no spectral pollution by construction.
 """
 
@@ -421,6 +421,7 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # ---------------------------------------------------------------------------
 
 _SHIFTS_PER_SWEEP = 32
+_SHIFTS_PER_BRACKET = 4
 
 
 def _node_blocks(em: np.ndarray):
@@ -473,19 +474,22 @@ def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
 
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
-    function (shifts to counts below them): each call of it spreads
-    ``_SHIFTS_PER_SWEEP`` shifts, first over [lo, hi], then over the level
-    brackets wider than ``tol``; values are bracket midpoints.
+    function (shifts to counts below them): its first call spreads
+    ``_SHIFTS_PER_SWEEP`` shifts over [lo, hi], each later one puts
+    ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at
+    most ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  A call
+    of S shifts costs about a + b S with a ~ 6 b, so closing L brackets,
+    about (a + b S) / ln(S/L + 1), is cheapest near S = 4 L.
 
     ``warm = (guesses, reach)`` replaces the first spread, for at most 7
-    guesses, by lo, hi and a geometric ladder g +- w rho^j around each guess
-    g, from w = 0.4 tol (so that an exact guess closes its bracket in one
-    call) out to g +- reach.  Later sweeps bracket from the counts as before,
-    so a level the ladder misses is still found."""
+    guesses, by lo, hi and a geometric ladder g +- w rho^j of at most 3
+    rungs around each guess g, from w = 0.4 tol (so that an exact guess
+    closes its bracket in one call) out to g +- reach.  Later sweeps bracket
+    from the counts as before, so a level the ladder misses is still found."""
     E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)
     if warm and 0 < len(warm[0]) <= (_SHIFTS_PER_SWEEP - 2) // 4:
         (guesses, reach), w = warm, 0.4 * tol
-        rungs = (_SHIFTS_PER_SWEEP - 2) // (2 * len(guesses))
+        rungs = min(3, (_SHIFTS_PER_SWEEP - 2) // (2 * len(guesses)))
         ladder = w * (reach / w) ** np.linspace(0.0, 1.0, rungs)
         E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
@@ -499,7 +503,8 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
         open_ = sorted({ab for ab in brackets if ab[1] - ab[0] > tol})[:_SHIFTS_PER_SWEEP]
         if not open_:
             return [(float(0.5 * (a + b)), float(b - a)) for a, b in brackets]
-        share, extra = divmod(_SHIFTS_PER_SWEEP, len(open_))
+        share, extra = divmod(min(_SHIFTS_PER_SWEEP, _SHIFTS_PER_BRACKET * len(open_)),
+                              len(open_))
         new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1]
                               for j, (a, b) in enumerate(open_)])
         E, C = np.append(E, new), np.append(C, counts(new))
@@ -510,13 +515,13 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
     """Lowest nonlinear eigenvalues of the channel operator inside (-m, m).
 
     The E-dependent reduced form is monotone in E, so inertia counts of its
-    block-tridiagonal matrix bracket each eigenvalue; multisection shrinks
-    the brackets to ``tol * m``.  A second solve on a doubled grid gives the
-    error estimate, the larger of the drift between grids and the final
-    bracket width; eigenvalues that move more than ``stability_tol * 2m``
-    between grids are dropped with a warning.  The doubled grid starts from
-    ladders around the coarse levels, which resolve the drift down to 0.4 tol
-    * m, so a level that did not move reports its bracket width, 0.8 tol * m.
+    block-tridiagonal matrix bracket each eigenvalue; multisection, 4 shifts
+    per open bracket and count, shrinks the brackets to ``tol * m``.  A solve
+    on a doubled grid gives the error estimate, the larger of the drift
+    between grids and the final bracket width; levels that move more than
+    ``stability_tol * 2m`` between grids are dropped with a warning.  The
+    doubled grid starts from 3-rung ladders around the coarse levels, down
+    to 0.4 tol * m, so a level that did not move reports 0.8 tol * m.
     """
     if count < 1:
         return []

@@ -424,24 +424,41 @@ class TestSpectrum:
     @pytest.mark.parametrize("n, r_min", [(700, 1e-6), (1500, 1e-7)])
     def test_doubled_grid_warm_started(self, monkeypatch, n, r_min):
         # criterion 8 and the README spectrum problem: the coarse levels'
-        # ladders bracket the doubled grid's levels in one or two count calls
+        # ladders bracket the doubled grid's levels in one or two count calls;
+        # every call after the first puts at most 4 shifts into each bracket
+        # open before it and at most 32 in all, and the coarse grid's sweeps
+        # stay under 160 shifts
         calls = {}
 
         def gap_counts(fem, problem, inner=_gap_counts):
             counts = inner(fem, problem)
 
-            def counted(shifts):
-                calls[fem.n_nodes] = calls.get(fem.n_nodes, 0) + 1
-                return counts(shifts)
-            return counted
+            def recorded(shifts):
+                C = counts(shifts)
+                calls.setdefault(fem.n_nodes, []).append((np.array(shifts), C))
+                return C
+            return recorded
 
         monkeypatch.setattr(extension, "_gap_counts", gap_counts)
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
                                    grid=RadialGrid.log_uniform(n, r_min, 50.0))
-        assert len(spectrum_in_gap(prob, 2)) == 2
+        tol, lo, hi = 1e-10, -1.0 + 1e-9, 1.0 - 1e-9
+        assert len(spectrum_in_gap(prob, 2, tol=tol)) == 2
         assert set(calls) == {n, 2 * n - 1}
-        assert calls[2 * n - 1] <= 2
+        for grid_calls in calls.values():
+            E, C = grid_calls[0]
+            assert E[0] == lo and E[-1] == hi
+            levels = range(C[0], C[0] + min(C[-1] - C[0], 2))
+            for new, new_counts in grid_calls[1:]:
+                open_ = [(a, b) for a, b in set(_brackets(E, C, levels)) if b - a > tol]
+                inside = [np.count_nonzero((a < new) & (new < b)) for a, b in open_]
+                assert max(inside) <= 4
+                assert sum(inside) == len(new) <= 32
+                E, C = np.append(E, new), np.append(C, new_counts)
+            assert lo <= E.min() and E.max() <= hi
+        assert sum(len(E) for E, _ in calls[n]) <= 160
+        assert len(calls[2 * n - 1]) <= 2
 
     def test_no_masked_arrays_imported(self):
         # numpy.ma costs about 0.7 MB of resident memory per process
@@ -547,7 +564,8 @@ class TestMultisectGap:
         assert [v for v, _ in got] == pytest.approx([v for v, _ in want], abs=tol)
         assert all(0.0 < w <= tol for _, w in got)
         # the count of the gap form is not defined outside the window
-        assert all(len(E) <= 32 and lo <= E.min() and E.max() <= hi for E in warm_calls)
+        assert all(len(E) <= extension._SHIFTS_PER_SWEEP and lo <= E.min() and E.max() <= hi
+                   for E in warm_calls)
         return len(cold_calls), len(warm_calls)
 
     def test_warm_exact_guesses_one_call(self):
@@ -580,6 +598,104 @@ class TestMultisectGap:
             cold_calls, warm_calls = self._warm_matches_cold(
                 a, 0.0, dense[-1] + 1.0, count, dense[:count])
             assert warm_calls == cold_calls
+
+
+def _multisect_gap_32(counts, lo, hi, how_many, tol, warm=None):
+    """The multisection as it was before per-bracket shares: every later call
+    spreads 32 shifts over the open brackets, and the warm ladder has
+    (32 - 2) // (2 guesses) rungs per side."""
+    E = np.linspace(lo, hi, 32)
+    if warm and 0 < len(warm[0]) <= 30 // 4:
+        (guesses, reach), w = warm, 0.4 * tol
+        ladder = w * (reach / w) ** np.linspace(0.0, 1.0, 30 // (2 * len(guesses)))
+        E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
+        E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
+    C = counts(E)
+    levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
+    while True:
+        brackets = _brackets(E, C, levels)
+        open_ = sorted({ab for ab in brackets if ab[1] - ab[0] > tol})[:32]
+        if not open_:
+            return [(float(0.5 * (a + b)), float(b - a)) for a, b in brackets]
+        share, extra = divmod(32, len(open_))
+        new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1]
+                              for j, (a, b) in enumerate(open_)])
+        E, C = np.append(E, new), np.append(C, counts(new))
+
+
+def _brackets(E, C, levels):
+    """Each level's tightest bracket (a, b] in the shifts E with counts C."""
+    out = []
+    for idx in levels:
+        b = E[C > idx].min()
+        out.append((E[(C <= idx) & (E < b)].max(), b))
+    return out
+
+
+class TestSweepRule:
+    """Per-bracket sweeps against the 32-shift shared sweeps they replaced."""
+
+    @staticmethod
+    def _both_rules(monkeypatch, run, tol=1e-10):
+        # (result, warnings) of run() under the new rule and under the old;
+        # every bracket either rule closes is at most tol wide
+        out = []
+        for rule in (_multisect_gap, _multisect_gap_32):
+            widths = []
+
+            def recorded(*args, rule=rule, **kwargs):
+                levels = rule(*args, **kwargs)
+                widths.extend(w for _, w in levels)
+                return levels
+
+            monkeypatch.setattr(extension, "_multisect_gap", recorded)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            assert all(0.0 < w <= tol for w in widths)
+            out.append((result, [str(w.message) for w in caught]))
+        return out
+
+    @staticmethod
+    def _assert_same(new, old, tol=1e-10):
+        assert [ev.index for ev in new] == [ev.index for ev in old]
+        assert all(abs(a.value - b.value) <= tol for a, b in zip(new, old))
+
+    @pytest.mark.parametrize("n", [200, 399])
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.8])
+    def test_coulomb_levels_match(self, monkeypatch, nu, k, n):
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=nu, c2=nu)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(n, 1e-6, 50.0))
+        (new, new_warn), (old, old_warn) = self._both_rules(
+            monkeypatch, lambda: spectrum_in_gap(prob, 3))
+        assert new_warn == old_warn
+        assert len(new) >= 2
+        self._assert_same(new, old)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_shell_demo_levels_match(self, monkeypatch, k):
+        (new, new_warn), (old, old_warn) = self._both_rules(
+            monkeypatch, lambda: shell_spectrum_demo([0.0, 0.5, 1.0], R=1.0, nu=0.5,
+                                                     k_set=(k,), count=2))
+        # only a = 0.5 and a = 1 bind, one level each, and only for k = 0:
+        # both rules must agree on the empty windows too
+        assert new_warn == old_warn
+        assert len(new) == (2 if k == 0 else 0)
+        assert [(r["a"], r["index"], r["flagged"]) for r in new] == [
+            (r["a"], r["index"], r["flagged"]) for r in old]
+        assert all(abs(a["E"] - b["E"]) <= 1e-10 for a, b in zip(new, old))
+
+    def test_readme_problem_matches(self, monkeypatch):
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(1500, 1e-7, 50.0))
+        (new, new_warn), (old, old_warn) = self._both_rules(
+            monkeypatch, lambda: spectrum_in_gap(prob, 2))
+        assert new_warn == old_warn == []
+        assert len(new) == 2
+        self._assert_same(new, old)
 
 
 class TestShellOutsideGrid:

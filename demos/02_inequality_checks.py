@@ -48,7 +48,7 @@ def main():
           f"lambda {rep.lam:.4f}, satisfied {rep.satisfied}")
 
     print("\nratio extremization over r^p e^{-a r} profiles:")
-    res = extremize_ratio(pair, gamma=0.0, k_set=(0, -2), restarts=4, seed=0)
+    res = extremize_ratio(pair, gamma=0.0, k_set=(0, -2))
     print(f"  best ratio {res.best_ratio:.6f} at k={res.best_k}, "
           f"p={res.best_p:.3f}, a={res.best_a:.3f} (bounded by 1)")
 

@@ -63,7 +63,6 @@ from .verify import (
     verify_theorem,
 )
 from .extension import (
-    ConvergenceError,
     DiracChannelProblem,
     GapEigenvalue,
     WeakSolveResult,

@@ -54,10 +54,6 @@ class Channel:
             raise ValueError("k = -1 is not in the spin-orbit spectrum")
 
     @property
-    def kappa(self) -> int:
-        return self.k + 1
-
-    @property
     def l(self) -> int:
         """Orbital index of the channel's angular spinor."""
         return self.k if self.k >= 0 else -self.k - 1
@@ -192,16 +188,6 @@ class SpinorField:
     @classmethod
     def single(cls, k: int, profile) -> "SpinorField":
         return cls(((Channel(k), profile),))
-
-    @property
-    def channels(self):
-        return tuple(ch for ch, _ in self.terms)
-
-    def profile(self, k: int):
-        for ch, prof in self.terms:
-            if ch.k == k:
-                return prof
-        raise KeyError(f"no channel k={k} in field")
 
     def sorted_terms(self):
         return sorted(self.terms, key=lambda item: item[0].k)

@@ -22,12 +22,7 @@ import tempfile
 
 from . import __version__
 from .channels import Channel, build_field, parse_profile
-from .extension import (
-    ConvergenceError,
-    DiracChannelProblem,
-    spectrum_in_gap,
-    weak_solve,
-)
+from .extension import DiracChannelProblem, spectrum_in_gap, weak_solve
 from .numerics import (
     NotPositiveDefiniteError,
     QuadratureError,
@@ -105,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--kset", default="0,-2", help="comma-separated channel list")
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="weak solve of (H_V + lambda) pair = (F1, F2)")
     _add_pair_flags(p)
@@ -183,9 +176,7 @@ def run_verify(args):
 def run_extremize(args):
     pair = parse_pair(args.v1, args.v2, args.c1, args.c2)
     k_set = tuple(int(tok) for tok in args.kset.split(",") if tok.strip())
-    res = extremize_ratio(pair, args.gamma, k_set=k_set,
-                          restarts=args.restarts, seed=args.seed)
-    return res.to_dict(), None
+    return extremize_ratio(pair, args.gamma, k_set=k_set).to_dict(), None
 
 
 def run_solve(args):
@@ -285,7 +276,7 @@ def main(argv=None) -> int:
             UnboundedError, PotentialParseError) as exc:
         _emit_error(args, exc, 2)
         return 2
-    except (QuadratureError, ConvergenceError) as exc:
+    except QuadratureError as exc:
         _emit_error(args, exc, 1)
         return 1
     except ValueError as exc:

@@ -46,7 +46,6 @@ from .numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
     _equilibrate,
-    integrate_radial,
     ldl_inertia,
 )
 from .potentials import PotentialPair
@@ -56,20 +55,11 @@ __all__ = [
     "DiracChannelProblem",
     "WeakSolveResult",
     "GapEigenvalue",
-    "ConvergenceError",
     "weak_solve",
     "pairing_defect",
     "spectrum_in_gap",
     "shell_spectrum_demo",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Residuals failed to converge under refinement; carries diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +221,6 @@ class DiracChannelProblem:
         """(radius, coupled mass) pairs for w1's singular part."""
         return tuple((s.R, self.pair.c1 * s.a) for s in self.pair.v1_shells)
 
-    def breakpoints(self):
-        return self.pair.breakpoints()
-
 
 @dataclass(frozen=True)
 class WeakSolveResult:
@@ -302,8 +289,7 @@ def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
     return f, g, upper, lower
 
 
-def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
-               residual_tol: float | None = None) -> WeakSolveResult:
+def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
     """Riesz solve of (H_V + lam)(phi, chi) = (F1, F2) on one channel.
 
     F1 and F2 are radial profiles (closed form or grid samples; None is
@@ -311,26 +297,8 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
     Only F2 is differentiated (g' in the strong form), so F1 need only be
     square integrable: r^-0.5 e^-r is a valid F1, not a valid F2.
     Returns the two radial components with strong-form residuals measured
-    in the weighted L2 norm.  When ``residual_tol`` is given, the grid is
-    doubled up to twice until residual_upper <= residual_tol * (|F1|+|F2|);
-    failure raises :class:`ConvergenceError` with the residual history.
+    in the weighted L2 norm.
     """
-    if residual_tol is not None:
-        history = []
-        prob = problem
-        scale = _data_norm(F1, F2)
-        for _ in range(3):
-            sol = weak_solve(prob, F1, F2)
-            history.append((prob.grid.n, sol.residual_upper))
-            if sol.residual_upper <= residual_tol * scale:
-                return sol
-            prob = DiracChannelProblem(
-                pair=prob.pair, channel=prob.channel, m=prob.m, lam=prob.lam,
-                grid=RadialGrid.log_uniform(2 * prob.grid.n - 1,
-                                            prob.grid.r_min, prob.grid.r_max))
-        raise ConvergenceError(
-            f"residual did not reach {residual_tol:g} relative after two "
-            f"refinements", diagnostics={"history": history})
     from scipy.linalg import LinAlgError, solveh_banded    # slow to import; only used here
 
     fem = _HermiteFem(problem.grid)
@@ -380,16 +348,6 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None,
                            residual_lower=residual_lower,
                            h_norm_phi=h_norm, problem=problem, coefs=coefs,
                            _pairing=(upper * weight, lower * weight, f, g, phi_at))
-
-
-def _data_norm(F1, F2) -> float:
-    total = 0.0
-    for F in (F1, F2):
-        if F is None:
-            continue
-        val = integrate_radial(lambda r: np.abs(F(r)) ** 2 * r * r).value
-        total += math.sqrt(max(val, 0.0))
-    return total if total > 0 else 1.0
 
 
 def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,

@@ -24,7 +24,7 @@ from .channels import (
     exp_profile,
     field_norm_weighted,
 )
-from .numerics import QuadratureError
+from .numerics import QuadratureError, integrate_segments
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 
 __all__ = [
@@ -262,77 +262,97 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
 # ratio extremization
 # ---------------------------------------------------------------------------
 
+# a first grid as fine as a 20 x 20 brute-force search of the box, then levels
+# of 9 x 9 grids spanning +-2 steps of the level before around its best point
+_FIRST_GRID, _ZOOM_LEVELS = 20, 20
+_ZOOM_OFFSETS = np.arange(-4.0, 5.0)
+
+
 @dataclass(frozen=True)
 class ExtremizeResult:
     best_ratio: float
     best_k: int
     best_p: float
     best_a: float
-    restart_history: tuple  # best-so-far ratio after each restart
 
     def to_dict(self) -> dict:
         return {"best_ratio": self.best_ratio, "best_k": self.best_k,
-                "best_p": self.best_p, "best_a": self.best_a,
-                "restart_history": list(self.restart_history)}
+                "best_p": self.best_p, "best_a": self.best_a}
+
+
+def _exp_ratios(pair: PotentialPair, gamma: float, maxsq: float, k: int,
+                p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """lhs/rhs of the master inequality for r^p e^{-a r} in channel k, per
+    candidate (p, a), from one quadrature call with lhs, gradient and
+    (gamma > 0) mass rows for all of them.  A ratio is 0 where lhs or rhs
+    vanishes, and where f' - k f/r is not square integrable (unintegrated)."""
+    out = np.zeros(p.size)
+    ok = 2.0 * (p - 1.0) + 2.0 > -1.0
+    p, a = p[ok], a[ok]
+    if not p.size:
+        return out
+    v1, weight = pair.v1_regular, _grad_weight(pair, gamma)
+    lhs_rows = [] if v1.is_zero() else [v1]
+    pc, ac = p[:, None], a[:, None]
+
+    def integrand(r):
+        dens = np.exp(2.0 * pc * np.log(r) - 2.0 * ac * r) * r * r  # |f|^2 r^2
+        grad = weight(r) * ((pc - k) / r - ac) ** 2 * dens  # weighted |f' - k f/r|^2 r^2
+        return np.concatenate([v(r) * dens for v in lhs_rows]
+                              + ([dens] if gamma > 0 else []) + [grad])
+
+    values, _ = integrate_segments(integrand, (0.0, math.inf),
+                                   v1.breakpoints() if lhs_rows else ())
+    rows = values[:, 0].reshape(-1, p.size)
+    lhs = rows[0] if lhs_rows else np.zeros(p.size)
+    for shell in pair.v1_shells:
+        lhs = lhs + shell.a * shell.R ** 2 * np.exp(2.0 * (p * math.log(shell.R) - a * shell.R))
+    rhs = maxsq * rows[-1] + (gamma * rows[-2] if gamma > 0 else 0.0)
+    live = (lhs != 0.0) & (rhs != 0.0) & np.isfinite(rhs)
+    out[np.flatnonzero(ok)[live]] = lhs[live] / rhs[live]
+    return out
 
 
 def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2),
-                    p_bounds=(0.0, 3.0), a_bounds=(0.2, 4.0),
-                    restarts: int = 5, seed: int = 0,
-                    maxiter: int = 120) -> ExtremizeResult:
+                    p_bounds=(0.0, 3.0), a_bounds=(0.2, 4.0)) -> ExtremizeResult:
     """Maximize lhs/rhs of the master inequality over a profile family.
 
     The family is r^p e^{-a r} per channel with (p, a) in a box.  Since a
     ratio of channel sums never exceeds the best single-channel ratio, each
-    channel is extremized independently with a restarted Nelder-Mead search
-    (deterministic seed) and the winning channel is reported.
+    channel is extremized independently and the winning channel is
+    reported.  The search is a deterministic zoom scan, one quadrature call
+    per level: a 20 x 20 grid over the box, then 20 levels of 9 x 9 grids
+    spanning +-2 steps of the level before around its best point (clipped
+    to the box).  Along each axis the step halves when the best point is
+    inside the grid and stays when it is on the grid's edge, so the grid
+    moves along a ridge.
     """
     if p_bounds[0] >= p_bounds[1] or a_bounds[0] >= a_bounds[1]:
         raise ValueError("degenerate parameter box")
     if not k_set:
         raise ValueError("empty channel set")
-    from scipy.optimize import minimize     # slow to import; only used here
 
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-    rng = np.random.default_rng(seed)
-    weight = _grad_weight(pair, gamma)
-
-    def ratio_for(k: int, p: float, a: float) -> float:
-        if 2.0 * (p - 1.0) + 2.0 <= -1.0 or 2.0 * p + 2.0 <= -1.0:
-            return 0.0
-        single = SpinorField.single(k, exp_profile(p, a))
-        # lhs, gradient and (gamma > 0) mass in one call
-        v1, *mass, grad = _channel_integrals(
-            single, [pair.v1_regular] + ([None] if gamma > 0 else []), [weight])[:, 0, 0].tolist()
-        (lhs,) = _with_shells(single, pair.v1_shells, [v1])
-        if lhs == 0.0:
-            return 0.0
-        rhs = maxsq * grad + (gamma * mass[0] if mass else 0.0)
-        if not math.isfinite(rhs) or rhs == 0.0:
-            return 0.0
-        return lhs / rhs
-
+    lo, hi = np.array([p_bounds, a_bounds], dtype=float).T
     best = (-math.inf, None, None, None)
-    history = []
-    bounds = [p_bounds, a_bounds]
     for k in sorted(k_set):
         if k == -1:
             raise ValueError("k = -1 is not in the spin-orbit spectrum")
-        starts = [np.array([0.5 * sum(p_bounds), 0.5 * sum(a_bounds)])]
-        for _ in range(max(restarts - 1, 0)):
-            starts.append(np.array([rng.uniform(*p_bounds), rng.uniform(*a_bounds)]))
-        for x0 in starts:
-            res = minimize(lambda x: -ratio_for(k, x[0], x[1]), x0,
-                           method="Nelder-Mead", bounds=bounds,
-                           options={"maxiter": maxiter, "xatol": 1e-6,
-                                    "fatol": 1e-10})
-            ratio = -res.fun
-            if ratio > best[0]:
-                best = (ratio, k, float(res.x[0]), float(res.x[1]))
-            history.append(best[0])
+        axes = np.linspace(lo, hi, _FIRST_GRID).T
+        step = (hi - lo) / (_FIRST_GRID - 1)
+        for level in range(_ZOOM_LEVELS + 1):
+            p, a = np.meshgrid(*axes, indexing="ij")
+            inside = (p >= lo[0]) & (p <= hi[0]) & (a >= lo[1]) & (a <= hi[1])
+            ratios = np.full(p.shape, -math.inf)
+            ratios[inside] = _exp_ratios(pair, gamma, maxsq, k, p[inside], a[inside])
+            i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+            if ratios[i, j] > best[0]:
+                best = (float(ratios[i, j]), k, float(p[i, j]), float(a[i, j]))
+            edge = np.isin([i, j], (0, _ZOOM_OFFSETS.size - 1))
+            step = np.where(edge & (level > 0), step, 0.5 * step)
+            axes = np.array([p[i, j], a[i, j]])[:, None] + step[:, None] * _ZOOM_OFFSETS
     return ExtremizeResult(best_ratio=best[0], best_k=best[1],
-                           best_p=best[2], best_a=best[3],
-                           restart_history=tuple(history))
+                           best_p=best[2], best_a=best[3])
 
 
 # ---------------------------------------------------------------------------

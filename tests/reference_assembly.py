@@ -153,7 +153,7 @@ def h_inner_product(phi1, phi2, problem) -> complex:
     k = problem.channel.k
     m, lam = problem.m, problem.lam
     w1, w2 = problem.w1, problem.w2
-    bps = problem.breakpoints()
+    bps = problem.pair.breakpoints()
     d1 = phi1.reduced(k)
     d2 = phi2.reduced(k)
 

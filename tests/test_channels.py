@@ -25,9 +25,7 @@ from hardydirac.potentials import ShellMeasure, _hardy_integrand, a_k, combine, 
 
 class TestChannel:
     def test_quantum_numbers(self):
-        assert Channel(0).kappa == 1
         assert Channel(0).l == 0
-        assert Channel(-2).kappa == -1
         assert Channel(-2).l == 1
         assert Channel(3).l == 3
 
@@ -244,7 +242,7 @@ class TestProfileGrammar:
 
     def test_build_field(self):
         field = build_field(["k=0:exp:0,1", "k=-2:gauss:1,1"])
-        assert {ch.k for ch in field.channels} == {0, -2}
+        assert {ch.k for ch, _ in field.terms} == {0, -2}
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):

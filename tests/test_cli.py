@@ -53,14 +53,17 @@ class TestConstantsCommand:
 
 
 def test_import_leaves_scipy_out():
-    # only weak_solve and extremize need scipy, which takes about a third of a
-    # second to import; every command imports the cli module
-    code = "import sys, hardydirac.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # only weak_solve needs scipy, which takes about a third of a second to
+    # import; every command imports the cli module, and extremize runs without it
     src = os.path.dirname(os.path.dirname(hardydirac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    for run in ("import hardydirac.cli",
+                "from hardydirac import extremize_ratio, parse_pair; "
+                "extremize_ratio(parse_pair('coulomb:1', 'coulomb:1'), 0.5, k_set=(0,))"):
+        code = f"import sys; {run}; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False", run
 
 
 class TestVerifyCommand:
@@ -161,7 +164,7 @@ class TestSolveCommand:
 
     def test_extremize_runs(self, capsys):
         code, out = run_cli(capsys, "extremize", "--v1", "coulomb:1", "--v2",
-                            "coulomb:1", "--kset", "0", "--restarts", "2")
+                            "coulomb:1", "--kset", "0")
         assert code == 0
         result = json.loads(out)["result"]
         assert result["best_ratio"] <= 1.0 + 1e-6

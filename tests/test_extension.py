@@ -10,7 +10,6 @@ import pytest
 from hardydirac import extension
 from hardydirac.channels import Channel, ClosedFormProfile, ProfileTerm, exp_profile, gauss_profile
 from hardydirac.extension import (
-    ConvergenceError,
     DiracChannelProblem,
     _HermiteFem,
     _gap_counts,
@@ -199,15 +198,6 @@ class TestWeakSolve:
         assert prob.regime == "nonpositive"
         sol = weak_solve(prob, exp_profile(0, 1.0), None)
         assert sol.residual_upper <= 1e-6
-
-    def test_refinement_contract(self):
-        sol = weak_solve(coulomb_problem(n=500), exp_profile(0, 1.0), None,
-                         residual_tol=1e-6)
-        assert sol.residual_upper <= 1e-6 * 0.5 * 1.01
-        with pytest.raises(ConvergenceError) as err:
-            weak_solve(coulomb_problem(n=50), exp_profile(0, 1.0), None,
-                       residual_tol=1e-300)
-        assert "history" in err.value.diagnostics
 
     def test_nonuniform_grid_rejected(self):
         # the elements assume one log step; a mixed grid used to solve

@@ -16,6 +16,7 @@ purely radially.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,40 +85,51 @@ class ClosedFormProfile:
     terms: tuple
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=complex)
-        lr = np.log(r)
-        for t in self.terms:
-            decay = r if t.kind == "exp" else r * r
-            out += t.coef * np.exp(t.p * lr - t.a * decay)
-        return out if out.ndim else out[()]
+        return _terms_at(self.terms, r)
 
     def reduced(self, k: int) -> "ClosedFormProfile":
         """The profile of f' - k f / r (k = 0 gives f')."""
-        new = []
-        for t in self.terms:
-            if t.p != k:
-                new.append(ProfileTerm(t.coef * (t.p - k), t.p - 1.0, t.a, t.kind))
-            if t.kind == "exp":
-                new.append(ProfileTerm(-t.coef * t.a, t.p, t.a, t.kind))
-            else:
-                new.append(ProfileTerm(-2.0 * t.coef * t.a, t.p + 1.0, t.a, t.kind))
-        return ClosedFormProfile(_merge_terms(new))
+        return ClosedFormProfile(tuple(ProfileTerm(*t) for t in _reduced_terms(self.terms, k)))
+
+    def reduced_at(self, k: int, r):
+        """f' - k f / r at radii r > 0.  It builds no profile, so unlike
+        ``reduced`` it also takes an f whose f' is not square integrable at
+        the origin (a load that is only sampled on a grid)."""
+        return _terms_at(_reduced_terms(self.terms, k), r)
 
     def scaled(self, coef: complex) -> "ClosedFormProfile":
         return ClosedFormProfile(tuple(
             ProfileTerm(t.coef * coef, t.p, t.a, t.kind) for t in self.terms))
 
 
-def _merge_terms(terms):
+# a profile term's fields without ProfileTerm's checks
+_Term = namedtuple("_Term", "coef p a kind")
+
+
+def _terms_at(terms, r):
+    """Sum of the terms (ProfileTerm or _Term) at the radii r."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(r.shape, dtype=complex)
+    lr = np.log(r)
+    for t in terms:
+        decay = r if t.kind == "exp" else r * r
+        out += t.coef * np.exp(t.p * lr - t.a * decay)
+    return out if out.ndim else out[()]
+
+
+def _reduced_terms(terms, k: int) -> tuple:
+    """The terms (_Term) of f' - k f / r for the profile terms of f, like
+    terms merged."""
     merged = {}
     for t in terms:
-        if t.coef == 0:
-            continue
-        key = (t.p, t.a, t.kind)
-        merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coef)
-    return tuple(ProfileTerm(c, p, a, kind)
-                 for (p, a, kind), c in merged.items() if c != 0)
+        new = [(-t.coef * t.a, t.p) if t.kind == "exp" else (-2.0 * t.coef * t.a, t.p + 1.0)]
+        if t.p != k:
+            new.insert(0, (t.coef * (t.p - k), t.p - 1.0))
+        for coef, p in new:
+            if coef != 0:
+                key = (p, t.a, t.kind)
+                merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
+    return tuple(_Term(c, p, a, kind) for (p, a, kind), c in merged.items() if c != 0)
 
 
 def exp_profile(p: float, a: float, coef: complex = 1.0) -> ClosedFormProfile:
@@ -157,6 +169,10 @@ class GridProfile:
         """f' - k f / r by fourth-order differences in the log variable."""
         dv = log_derivative(self.values, self.grid.log_step)
         return GridProfile(self.grid, (dv - k * self.values) / self.grid.nodes)
+
+    def reduced_at(self, k: int, r):
+        """f' - k f / r at the radii r."""
+        return self.reduced(k)(r)
 
 
 def log_derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -30,6 +30,9 @@ whose weight depends on E; since that dependence is monotone, inertia
 counts of the shifted block-tridiagonal matrix (3x3 node blocks, reduced
 for all shifts of a call by ``numerics.ldl_inertia``) locate every nonlinear
 eigenvalue by multisection, with no spectral pollution by construction.
+The same reduction gives log|det| of each shift, through which a
+three-point model places the multisection's shifts near each level; the
+counts alone certify the brackets.
 """
 
 from __future__ import annotations
@@ -294,8 +297,9 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
 
     F1 and F2 are radial profiles (closed form or grid samples; None is
     zero).  F2 is understood in the same lower-spinor convention as chi.
-    Only F2 is differentiated (g' in the strong form), so F1 need only be
-    square integrable: r^-0.5 e^-r is a valid F1, not a valid F2.
+    Only F2 is differentiated (g' in the strong form), and only at the
+    quadrature points, so neither F1 nor F2' need be square integrable at
+    the origin: r^-0.5 e^-r is a valid F1 and a valid F2.
     Returns the two radial components with strong-form residuals measured
     in the weighted L2 norm.
     """
@@ -327,7 +331,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
             "energy form is not positive definite "
             "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
 
-    F2dq = _sampled(None if F2 is None else F2.reduced(0), rq)
+    F2dq = np.zeros_like(rq) if F2 is None else np.real(F2.reduced_at(0, rq))
     f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, F2dq)
     weight = rq**3
     residual_upper = fem.quad_norm(upper - F1q, weight)
@@ -380,6 +384,7 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
+_RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
 
 
 def _node_blocks(em: np.ndarray):
@@ -420,24 +425,80 @@ def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
 
 
 def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
-    """Batched inertia count of the E-dependent form on one grid."""
+    """Batched inertia count and log|det| of the E-dependent form on one grid."""
     blocks = _gap_form(fem, problem)
 
-    def counts(shifts) -> np.ndarray:
+    def counts(shifts):
         E = np.asarray(shifts, dtype=float)
         return ldl_inertia(*blocks(E), E)
 
     return counts
 
 
+def _model_roots(a, b, o, La, Lb, Lo):
+    """Roots E* in (a, b) of the model ln|det A(E)| = ln|E - E*| + alpha + beta E
+    through (a, La), (b, Lb) and an outer point (o, Lo), o < a or o > b.
+
+    With E = a + (b - a) p, q = (o - a)/(b - a) and t = logit p, alpha and beta
+    drop out of H(t) = q (Lb - La) - (Lo - La) + ln(1 + e^-t) + q t + ln|q - p|,
+    which vanishes at the root; dH/dt = q (q - 1)/(q - p), so H is monotone and
+    convex in t with slopes q - 1 and q in its tails, and Newton's method
+    converges from t = 0 for every row at once.  Non-finite data give NaN."""
+    q = (o - a) / (b - a)
+    c, slope = q * (Lb - La) - (Lo - La), q * (q - 1.0)
+    t = np.zeros_like(c)
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            e = np.exp(-t)
+            q_p = (q - 1.0) + e / (1.0 + e)              # q - p, exact near p = 1
+            step = (c + np.log1p(e) + q * t + np.log(np.abs(q_p))) * q_p / slope
+            t, last = np.clip(t - step, -50.0, 50.0), t
+            if not (np.abs(t - last) > 1e-9).any():
+                break
+    return a + (b - a) / (1.0 + np.exp(-t))
+
+
+def _model_ladders(E, C, L, open_, tol):
+    """Per open bracket (a, b], its ``_SHIFTS_PER_BRACKET`` shifts placed from
+    log|det|, or None where the uniform split stays.
+
+    For a bracket that holds one level and has an evaluated shift beyond each
+    end, ``_model_roots`` of the neighbours on either side give two estimates;
+    the shifts go to their mean +- r1 and +- r2, with r1 = max(0.4 tol, c1 w),
+    r2 = max(3 r1, c2 w) and w the spread of the two, unless that ladder
+    leaves (a, b).  An estimate within r1 closes the bracket in one call (so
+    does one within r2 when w is below tol)."""
+    order = np.argsort(E)
+    E, C, L = E[order], C[order], L[order]
+    a, b = np.array(open_).T
+    ia, ib = E.searchsorted(a, "right") - 1, E.searchsorted(b)
+    il, ir = E.searchsorted(a) - 1, E.searchsorted(b, "right")
+    one_level = (C[ib] - C[ia] == 1) & (il >= 0) & (ir < E.size)
+    outer = np.array([np.maximum(il, 0), np.minimum(ir, E.size - 1)])
+    roots = _model_roots(a, b, E[outer], L[ia], L[ib], np.where(one_level, L[outer], np.nan))
+    centre, w = roots.mean(axis=0), np.abs(roots[0] - roots[1])
+    r1 = np.maximum(0.4 * tol, _RUNG_SPREADS[0] * w)
+    r2 = np.maximum(3.0 * r1, _RUNG_SPREADS[1] * w)
+    ladder = centre + np.array([-r2, -r1, r1, r2])
+    fit = (a < ladder[0]) & (ladder[-1] < b)
+    return [ladder[:, j] if fit[j] else None for j in range(len(open_))]
+
+
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
-    function (shifts to counts below them): its first call spreads
-    ``_SHIFTS_PER_SWEEP`` shifts over [lo, hi], each later one puts
+    function (shifts to counts below them and log|det|): its first call
+    spreads ``_SHIFTS_PER_SWEEP`` shifts over [lo, hi], each later one puts
     ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at
     most ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  A call
     of S shifts costs about a + b S with a ~ 6 b, so closing L brackets,
     about (a + b S) / ln(S/L + 1), is cheapest near S = 4 L.
+
+    Where a bracket holds one level, its shifts go to a ladder around where
+    a three-point model of log|det| puts the level (``_model_ladders``);
+    log|det| falls by about e^10 across a 0.065 bracket, which the model's
+    linear background absorbs.  Only the counts certify a bracket, so a poor
+    model costs calls, never a level.  Elsewhere the bracket is split
+    uniformly.
 
     ``warm = (guesses, reach)`` replaces the first spread, for at most 7
     guesses, by lo, hi and a geometric ladder g +- w rho^j of at most 3
@@ -451,7 +512,7 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
         ladder = w * (reach / w) ** np.linspace(0.0, 1.0, rungs)
         E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
-    C = counts(E)
+    C, L = counts(E)
     levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
     while True:
         brackets = []
@@ -463,9 +524,12 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
             return [(float(0.5 * (a + b)), float(b - a)) for a, b in brackets]
         share, extra = divmod(min(_SHIFTS_PER_SWEEP, _SHIFTS_PER_BRACKET * len(open_)),
                               len(open_))
-        new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1]
-                              for j, (a, b) in enumerate(open_)])
-        E, C = np.append(E, new), np.append(C, counts(new))
+        ladders = (_model_ladders(E, C, L, open_, tol) if share == _SHIFTS_PER_BRACKET
+                   else [None] * len(open_))
+        new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1] if r is None
+                              else r for j, ((a, b), r) in enumerate(zip(open_, ladders))])
+        new_counts, new_logdet = counts(new)
+        E, C, L = np.append(E, new), np.append(C, new_counts), np.append(L, new_logdet)
 
 
 def spectrum_in_gap(problem: DiracChannelProblem, count: int,
@@ -474,7 +538,8 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
 
     The E-dependent reduced form is monotone in E, so inertia counts of its
     block-tridiagonal matrix bracket each eigenvalue; multisection, 4 shifts
-    per open bracket and count, shrinks the brackets to ``tol * m``.  A solve
+    per open bracket and count (placed from log|det| where a bracket holds
+    one level), shrinks the brackets to ``tol * m``.  A solve
     on a doubled grid gives the error estimate, the larger of the drift
     between grids and the final bracket width; levels that move more than
     ``stability_tol * 2m`` between grids are dropped with a warning.  The

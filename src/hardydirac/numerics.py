@@ -3,9 +3,9 @@
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
 and inertia counts (numbers of negative eigenvalues) of equilibrated
-symmetric block-tridiagonal matrices in 3x3 node blocks, many shifts at once
-by block cyclic reduction in about log2(nodes) vectorized levels, on which
-``extension.spectrum_in_gap`` runs multisection.
+symmetric block-tridiagonal matrices in 3x3 node blocks, with their log|det|,
+many shifts at once by block cyclic reduction in about log2(nodes) vectorized
+levels, on which ``extension.spectrum_in_gap`` runs multisection.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -276,12 +276,14 @@ def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray
 
 def _masked_dot(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``a @ b`` where ``mask`` (integrands, panels) holds, else 0: per integrand
-    one product of its own rows, which BLAS rounds as in that integrand's call."""
+    one product of its own rows, which BLAS rounds as in that integrand's call;
+    integrands that accepted every panel are skipped."""
     if mask.all() and a.flags.c_contiguous:
         return a @ b    # BLAS takes a stack one matrix at a time
     out = np.zeros(mask.shape + b.shape[1:])
-    for j, on in enumerate(mask):
-        out[j, on] = a[j, on] @ b
+    for j, (on, live) in enumerate(zip(mask, mask.any(axis=1).tolist())):
+        if live:
+            out[j, on] = a[j, on] @ b
     return out
 
 
@@ -405,23 +407,26 @@ def _block_ldl(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                              [i10, q1 + m21 * m21 * q2, i21], [i20, i21, q2]])
 
 
-def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
-    """Negative-eigenvalue counts of S symmetric block-tridiagonal matrices.
+def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Negative-eigenvalue counts and log|det| of S symmetric block-tridiagonal matrices.
 
     ``D[:, :, j, i]`` is the 3x3 diagonal block of node i in matrix j and ``B[:, :, j, i]``
     its coupling to node i+1 (rows on node i); ``shifts`` name the matrices in errors.
     After ``_equilibrate`` of D and B in place, odd-even block cyclic reduction
     eliminates the even-numbered nodes of what remains (0, 2, 4, ...) at each level,
     vectorized over nodes and matrices, in about log2(n) levels; the negative pivots of
-    all eliminated blocks give the count (Haynsworth additivity, Sylvester's law).  A
-    zero pivot is nudged to -1e-300 (counts as negative); a non-finite one raises.
+    all eliminated blocks give the count (Haynsworth additivity, Sylvester's law), and
+    their log|pivot| less twice the log scales give log|det| (the sign of det is
+    (-1)^count).  A zero pivot is nudged to -1e-300 (counts as negative); a non-finite
+    one raises.
     """
     pivots = []
-    _equilibrate(D, B)
     with np.errstate(all="ignore"):
+        logdet = -2.0 * np.log(_equilibrate(D, B)).sum(axis=(0, 2))
         while D.shape[-1]:
             piv, inv = _block_ldl(D[..., ::2])
             pivots.append(piv)
+            logdet += np.log(np.abs(piv)).sum(axis=(0, 2))
             # odd node i couples to i-1 (rows on i-1) and i+1 (rows on i)
             left, right = B[..., ::2], B[..., 1::2]
             odd = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, np.einsum(
@@ -437,4 +442,4 @@ def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     if bad.any():
         E = float(shifts[np.argmax(bad)])
         raise ValueError(f"inertia count hit a non-finite pivot at shift E={E!r}")
-    return np.count_nonzero(piv < 0.0, axis=(0, 2))
+    return np.count_nonzero(piv < 0.0, axis=(0, 2)), logdet

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -151,6 +152,18 @@ class TestSolveCommand:
         assert result["residual_upper"] < 1e-6
         assert result["regime"] == "nonnegative"
         assert 0.0 < result["lambda"] < 1.0
+
+    def test_f2_with_singular_derivative(self, capsys):
+        # F2 = r^-0.5 e^-r is square integrable with weight r^2 but F2' is
+        # not; the strong form samples F2' on the grid only, so it solves
+        code, out = run_cli(capsys, "solve", "--v1", "coulomb:1", "--v2", "coulomb:1",
+                            "--c1", "0.5", "--c2", "0.5", "--k", "0",
+                            "--f1", "exp:0,1", "--f2", "exp:-0.5,1")
+        assert code == 0
+        result = json.loads(out)["result"]
+        for key in ("residual_upper", "residual_lower", "h_norm_phi"):
+            assert math.isfinite(result[key])
+        assert result["residual_upper"] < 1e-6 and result["residual_lower"] < 1e-6
 
     def test_solve_csv_table(self, capsys):
         code, out = run_cli(capsys, "solve", "--v1", "zero", "--v2", "zero",

@@ -169,6 +169,21 @@ class TestWeakSolve:
         sol = weak_solve(coulomb_problem(n=1500), exp_profile(-0.5, 1.0), None)
         assert sol.residual_upper <= 1e-9 * 0.5
 
+    def test_f2_reduced_at_matches_reduced(self):
+        # weak_solve samples F2' through reduced_at; for a profile whose F2'
+        # is square integrable it is bit for bit the reduced profile's values,
+        # and for one whose F2' is not only reduced() refuses
+        rq = _HermiteFem(coulomb_problem(n=200).grid).rq
+        two_terms = ClosedFormProfile((ProfileTerm(1.0, 1.0, 1.0, "exp"),
+                                       ProfileTerm(-0.5, 0.0, 2.0, "exp")))
+        for F2 in (two_terms, exp_profile(0, 1.0), gauss_profile(2, 0.7)):
+            for k in (0, 1, -2):
+                assert np.array_equal(F2.reduced_at(k, rq), F2.reduced(k)(rq))
+        singular = exp_profile(-0.5, 1.0)
+        with pytest.raises(ValueError, match="not square integrable"):
+            singular.reduced(0)
+        assert np.isfinite(singular.reduced_at(0, rq)).all()
+
     def test_deterministic(self):
         a = weak_solve(coulomb_problem(n=400), exp_profile(0, 1.0), None)
         b = weak_solve(coulomb_problem(n=400), exp_profile(0, 1.0), None)
@@ -416,17 +431,17 @@ class TestSpectrum:
         # criterion 8 and the README spectrum problem: the coarse levels'
         # ladders bracket the doubled grid's levels in one or two count calls;
         # every call after the first puts at most 4 shifts into each bracket
-        # open before it and at most 32 in all, and the coarse grid's sweeps
-        # stay under 160 shifts
+        # open before it and at most 32 in all, and the coarse grid, whose
+        # shifts log|det| places, takes at most 7 calls and 160 shifts
         calls = {}
 
         def gap_counts(fem, problem, inner=_gap_counts):
             counts = inner(fem, problem)
 
             def recorded(shifts):
-                C = counts(shifts)
+                C, logdet = counts(shifts)
                 calls.setdefault(fem.n_nodes, []).append((np.array(shifts), C))
-                return C
+                return C, logdet
             return recorded
 
         monkeypatch.setattr(extension, "_gap_counts", gap_counts)
@@ -437,16 +452,8 @@ class TestSpectrum:
         assert len(spectrum_in_gap(prob, 2, tol=tol)) == 2
         assert set(calls) == {n, 2 * n - 1}
         for grid_calls in calls.values():
-            E, C = grid_calls[0]
-            assert E[0] == lo and E[-1] == hi
-            levels = range(C[0], C[0] + min(C[-1] - C[0], 2))
-            for new, new_counts in grid_calls[1:]:
-                open_ = [(a, b) for a, b in set(_brackets(E, C, levels)) if b - a > tol]
-                inside = [np.count_nonzero((a < new) & (new < b)) for a, b in open_]
-                assert max(inside) <= 4
-                assert sum(inside) == len(new) <= 32
-                E, C = np.append(E, new), np.append(C, new_counts)
-            assert lo <= E.min() and E.max() <= hi
+            _assert_shift_budget(grid_calls, 2, lo, hi, tol)
+        assert len(calls[n]) <= 7
         assert sum(len(E) for E, _ in calls[n]) <= 160
         assert len(calls[2 * n - 1]) <= 2
 
@@ -475,9 +482,9 @@ class TestSpectrum:
         fine = RadialGrid.log_uniform(2 * prob.grid.n - 1, prob.grid.r_min,
                                       prob.grid.r_max)
         counts = _gap_counts(_HermiteFem(fine), prob)
-        c_lo = counts([-1.0 + 1e-9])[0]
+        c_lo = counts([-1.0 + 1e-9])[0][0]
         for ev in evs:
-            below, above = counts([ev.value - tol, ev.value + tol]) - c_lo
+            below, above = counts([ev.value - tol, ev.value + tol])[0] - c_lo
             assert below <= ev.index < above
 
     def test_refinement_drift_decreasing(self):
@@ -493,13 +500,30 @@ class TestSpectrum:
 
 
 def _dense_counts(a: np.ndarray, b: np.ndarray | None = None):
-    """Oracle count function of the pencil A - E B: eigvalsh of each shift."""
+    """Oracle count function of the pencil A - E B: eigvalsh and slogdet of
+    each shift."""
     b = np.eye(len(a)) if b is None else b
 
     def counts(shifts):
-        return np.array([int(np.sum(np.linalg.eigvalsh(a - E * b) < 0.0))
-                         for E in shifts])
+        return (np.array([int(np.sum(np.linalg.eigvalsh(a - E * b) < 0.0)) for E in shifts]),
+                np.array([np.linalg.slogdet(a - E * b)[1] for E in shifts]))
     return counts
+
+
+def _assert_shift_budget(calls, how_many, lo, hi, tol):
+    """Replay the (shifts, counts) of one multisection's count calls: the first
+    starts at lo and ends at hi, and every later one puts at most 4 shifts into
+    each level bracket open before it, none elsewhere, at most 32 in all."""
+    E, C = calls[0]
+    assert E[0] == lo and E[-1] == hi
+    levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
+    for new, new_counts in calls[1:]:
+        open_ = [(a, b) for a, b in set(_brackets(E, C, levels)) if b - a > tol]
+        inside = [np.count_nonzero((a < new) & (new < b)) for a, b in open_]
+        assert max(inside) <= 4
+        assert sum(inside) == len(new) <= 32
+        E, C = np.append(E, new), np.append(C, new_counts)
+    assert lo <= E.min() and E.max() <= hi
 
 
 class TestMultisectGap:
@@ -535,6 +559,33 @@ class TestMultisectGap:
         levels = _multisect_gap(_dense_counts(a, b), 0.0, 1.0, 3, 1e-13)
         assert [v for v, _ in levels] == pytest.approx(
             [0.3, 0.3 + 1e-7, 0.3 + 1e-7], abs=1e-13)
+
+    @pytest.mark.parametrize("fake", ["constant", "noise", "reversed", "huge"])
+    def test_wrong_log_det_only_costs_calls(self, fake):
+        # log|det| only places shifts and the counts certify every bracket, so
+        # a wrong one (here of -u'' on 30 nodes, levels near 1, 4, 9, 16, 25,
+        # 36) still gives every level within tol, in at most 4 shifts per open
+        # bracket and 32 per call
+        n = 30
+        h = math.pi / (n + 1)
+        a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) / h**2
+        dense = np.linalg.eigvalsh(a)
+        oracle, rng, calls = _dense_counts(a), np.random.default_rng(3), []
+
+        def counts(shifts):
+            C, logdet = oracle(shifts)
+            calls.append((np.array(shifts), C))
+            return C, {"constant": np.zeros_like(logdet),
+                       "noise": rng.normal(scale=10.0, size=logdet.size),
+                       "reversed": -logdet,
+                       "huge": rng.normal(scale=1e6, size=logdet.size)}[fake]
+
+        lo, hi, tol = 0.0, 40.0, 1e-12
+        levels = _multisect_gap(counts, lo, hi, 5, tol)
+        assert [v for v, _ in levels] == pytest.approx(dense[:5], abs=tol)
+        assert all(0.0 < w <= tol for _, w in levels)
+        _assert_shift_budget(calls, 5, lo, hi, tol)
 
     @staticmethod
     def _counted(counts):
@@ -600,7 +651,7 @@ def _multisect_gap_32(counts, lo, hi, how_many, tol, warm=None):
         ladder = w * (reach / w) ** np.linspace(0.0, 1.0, 30 // (2 * len(guesses)))
         E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
-    C = counts(E)
+    C = counts(E)[0]
     levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
     while True:
         brackets = _brackets(E, C, levels)
@@ -610,7 +661,7 @@ def _multisect_gap_32(counts, lo, hi, how_many, tol, warm=None):
         share, extra = divmod(32, len(open_))
         new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1]
                               for j, (a, b) in enumerate(open_)])
-        E, C = np.append(E, new), np.append(C, counts(new))
+        E, C = np.append(E, new), np.append(C, counts(new)[0])
 
 
 def _brackets(E, C, levels):
@@ -623,18 +674,26 @@ def _brackets(E, C, levels):
 
 
 class TestSweepRule:
-    """Per-bracket sweeps against the 32-shift shared sweeps they replaced."""
+    """Per-bracket sweeps with shifts placed from log|det| against the 32-shift
+    shared sweeps of uniform shifts they replaced."""
 
     @staticmethod
     def _both_rules(monkeypatch, run, tol=1e-10):
         # (result, warnings) of run() under the new rule and under the old;
-        # every bracket either rule closes is at most tol wide
-        out = []
+        # every bracket either rule closes is at most tol wide; the new rule
+        # closes a cold (coarse-grid) multisection in at most 7 count calls
+        # and takes no more calls in all than the old one
+        out, calls = [], []
         for rule in (_multisect_gap, _multisect_gap_32):
-            widths = []
+            widths, calls = [], calls + [[]]
 
-            def recorded(*args, rule=rule, **kwargs):
-                levels = rule(*args, **kwargs)
+            def recorded(counts, *args, rule=rule, **kwargs):
+                calls[-1].append([kwargs.get("warm") is None, 0])
+
+                def counted(shifts, tally=calls[-1][-1]):
+                    tally[1] += 1
+                    return counts(shifts)
+                levels = rule(counted, *args, **kwargs)
                 widths.extend(w for _, w in levels)
                 return levels
 
@@ -644,6 +703,9 @@ class TestSweepRule:
                 result = run()
             assert all(0.0 < w <= tol for w in widths)
             out.append((result, [str(w.message) for w in caught]))
+        new_calls, old_calls = calls
+        assert max(n for cold, n in new_calls if cold) <= 7
+        assert sum(n for _, n in new_calls) <= sum(n for _, n in old_calls)
         return out
 
     @staticmethod

@@ -356,16 +356,33 @@ def _stacked(mats):
     return np.stack(D, axis=2), np.stack(B, axis=2)
 
 
-def _dense_count(fem, prob, E) -> int:
-    """Negative eigenvalues of the equilibrated reference form at shift E."""
+def _dense_inertia(fem, prob, E) -> tuple[int, float]:
+    """Negative eigenvalues and log|det| of the reference form at shift E, both
+    taken of the equilibrated matrix S A S (log|det A| is its slogdet less
+    2 sum log s); the sign of det is (-1)^count."""
     scaled, s = loop_scaled_copy(reference_form(fem, prob, E))
     assert np.all(s > 0.0)
-    return int(np.sum(np.linalg.eigvalsh(banded_to_dense(scaled)) < 0.0))
+    dense = banded_to_dense(scaled)
+    count = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+    sign, logdet = np.linalg.slogdet(dense)
+    assert sign == (-1) ** count
+    return count, logdet - 2.0 * np.log(s).sum()
 
 
 def _equilibrated(a: np.ndarray) -> np.ndarray:
     s = 1.0 / np.sqrt(np.abs(np.diag(a)))
     return a * s[:, None] * s[None, :]
+
+
+def _assert_matches_slogdet(mats, counts, logdet):
+    """log|det| of ``ldl_inertia`` against np.linalg.slogdet of each dense
+    matrix, and the parity of its count against slogdet's sign; det itself to
+    1e-8 relative (the random matrices span 20 decades and are not all well
+    conditioned)."""
+    for a, count, value in zip(mats, counts, logdet):
+        sign, want = np.linalg.slogdet(a)
+        assert sign == (-1) ** count
+        assert value == pytest.approx(want, abs=1e-8)
 
 
 class TestInertia:
@@ -382,9 +399,11 @@ class TestInertia:
             prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
                                        grid=RadialGrid.log_uniform(n, 1e-6, 50.0))
             fem = _HermiteFem(prob.grid)
-            expected = [_dense_count(fem, prob, E) for E in shifts]
-            assert list(_gap_counts(fem, prob)(shifts)) == expected
-            assert expected == sorted(expected) and expected[-1] >= 3
+            expected, logdet = zip(*(_dense_inertia(fem, prob, E) for E in shifts))
+            counts, got = _gap_counts(fem, prob)(shifts)
+            assert list(counts) == list(expected)
+            assert got == pytest.approx(logdet, rel=1e-12)
+            assert list(expected) == sorted(expected) and expected[-1] >= 3
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_shell_gap_counts_match_dense_oracle(self, k):
@@ -398,9 +417,11 @@ class TestInertia:
         assert fem._element_shapes(49.9)[0] == prob.grid.n - 2
         shifts = np.concatenate([np.linspace(-0.99, 0.8, 8),
                                  1.0 - np.geomspace(0.2, 1e-4, 24)])
-        expected = [_dense_count(fem, prob, E) for E in shifts]
-        assert list(_gap_counts(fem, prob)(shifts)) == expected
-        assert expected == sorted(expected) and expected[-1] >= 3
+        expected, logdet = zip(*(_dense_inertia(fem, prob, E) for E in shifts))
+        counts, got = _gap_counts(fem, prob)(shifts)
+        assert list(counts) == list(expected)
+        assert got == pytest.approx(logdet, rel=1e-12)
+        assert list(expected) == sorted(expected) and expected[-1] >= 3
 
     @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 33, 64])
     def test_random_block_tridiagonal(self, n_nodes):
@@ -416,9 +437,10 @@ class TestInertia:
             a = a + a.T
             scale = np.exp(rng.uniform(-23.0, 23.0, 3 * n_nodes))
             mats.append(a * scale[:, None] * scale[None, :])
-        got = ldl_inertia(*_stacked(mats), np.arange(16.0))
+        got, logdet = ldl_inertia(*_stacked(mats), np.arange(16.0))
         expected = [int(np.sum(np.linalg.eigvalsh(_equilibrated(a)) < 0.0)) for a in mats]
         assert list(got) == expected
+        _assert_matches_slogdet(mats, got, logdet)
         assert 0 < min(expected) < max(expected)
         if n_nodes > 1:     # a lone node may be negative definite
             assert max(expected) < 3 * n_nodes
@@ -427,8 +449,14 @@ class TestInertia:
         # shifts landing exactly on eigenvalues of the diagonal pencil
         # diag(1..6) - E I: the eigenvalue at the shift is counted below it
         shifts = np.array([0.5, 1.0, 2.0, 3.5, 6.0, 7.0])
-        D, B = _stacked([np.diag(np.arange(1.0, 7.0)) - E * np.eye(6) for E in shifts])
-        assert list(ldl_inertia(D, B, shifts)) == [0, 1, 2, 3, 6, 6]
+        mats = [np.diag(np.arange(1.0, 7.0)) - E * np.eye(6) for E in shifts]
+        counts, logdet = ldl_inertia(*_stacked(mats), shifts)
+        assert list(counts) == [0, 1, 2, 3, 6, 6]
+        # a nudged zero pivot gives a finite log|det| near log(1e-300)
+        singular = np.isin(shifts, np.arange(1.0, 7.0))
+        _assert_matches_slogdet([a for a, z in zip(mats, singular) if not z],
+                                counts[~singular], logdet[~singular])
+        assert (logdet[singular] < math.log(1e-300) + 10.0).all()
 
     def test_zero_pivot_at_later_level(self):
         # diag(1..15) - E I on 5 nodes: nodes 0, 2, 4 are eliminated at level
@@ -437,7 +465,7 @@ class TestInertia:
         # determinant would turn the zero couplings into NaN
         shifts = np.array([2.0, 5.0, 11.0, 14.0])
         D, B = _stacked([np.diag(np.arange(1.0, 16.0)) - E * np.eye(15) for E in shifts])
-        assert list(ldl_inertia(D, B, shifts)) == [2, 5, 11, 14]
+        assert list(ldl_inertia(D, B, shifts)[0]) == [2, 5, 11, 14]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pivot_raises(self, bad):

@@ -303,6 +303,13 @@ class TestBatchedChecks:
                 self._close(eq.lhs, eq.epsilon * c * lhs)
                 self._close(eq.rhs, sum(s[2] for s in eps_sides) + (m + eq.lam) * mass - c * lhs)
 
+    def test_gradient_not_square_integrable_is_vacuous(self, coulomb_pair):
+        # f = r^-0.5 e^-r has finite lhs but f' is not square integrable at
+        # the origin: the gradient profile is refused, the rhs is infinite
+        rep = verify_theorem(coulomb_pair, SpinorField.single(0, exp_profile(-0.5, 1.0)), 0.3)
+        assert rep.vacuous and rep.satisfied and math.isinf(rep.rhs)
+        assert math.isfinite(rep.lhs) and rep.lhs > 0.0
+
     def test_failing_gradient_integral_is_vacuous(self):
         # V1 = 0 needs no lhs quadrature; the profile is NaN beyond r = 2, so
         # the gradient integral raises inside the check

@@ -54,7 +54,6 @@ from .verify import (
     InequalityReport,
     MollifiedRow,
     extremize_ratio,
-    hardy_lhs,
     mollified_delta_experiment,
     random_field_gallery,
     select_lambda,

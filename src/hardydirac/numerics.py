@@ -14,8 +14,9 @@ and return an array of values, or m rows for m integrals: the adaptive rule
 evaluates them once per sweep on the Gauss-Legendre nodes of every open
 panel in log r, over consecutive segments at once (``integrate_radial``
 takes one), so cumulative integrals at many radii are the prefix sums of
-one call.  A supremum is a log-uniform scan in one call, refined (unless
-flat to round-off) by 32-point sub-scans of the best bracket, one call each.
+one call.  A supremum is a log-uniform scan merged with its jump candidates
+in one call; its best interior peak, unless flat to round-off, is refined by
+Newton-bisection on the stationarity condition, one radius per call.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 _ZERO = np.zeros(1)
 
 # supremum scan
-_SCAN_LO, _SCAN_HI, _SCAN_POINTS = 1e-6, 1e6, 433
+_SCAN = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
 _GROWTH_TOL = 1e-8
-# each refinement level narrows the bracket 15.5-fold: 7 levels hold a peak
-# of width 1e-2 in log r to 1e-16 relative (6 would lose up to 5e-14)
-_REFINE_LEVELS, _REFINE_POINTS = 7, 32
+# bisection alone takes a 0.064-wide bracket in log r to adjacent floats in < 50
+_NEWTON_STEPS, _EPS = 64, float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -218,7 +218,8 @@ def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray
     count = np.concatenate([_ZERO, np.ceil((cuts[1:] - cuts[:-1]) / _MAX_START_WIDTH).cumsum()])
     ends = np.interp(np.arange(count[-1] + 1.0), count, cuts)
     mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-    seg = t.searchsorted(mid) - 1
+    # by the left end: the mid of a panel one float wide may round to an edge
+    seg = t.searchsorted(ends[:-1], side="right") - 1
     if not mid.size:
         return done, err    # every segment lies beyond the clipped window
 
@@ -287,50 +288,64 @@ def _masked_dot(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_over_r(g, candidates=()) -> SupResult:
+def sup_over_r(g, slope, candidates=()) -> SupResult:
     """Supremum of ``g`` over r > 0.
 
-    ``g`` maps a 1-D array of radii to an array of values.  Its first call
-    is the whole log-uniform scan over [1e-6, 1e6], in increasing order, so
-    a cumulative ``g`` can integrate it as consecutive segments; the
-    ``candidates`` (radii that must be probed exactly: jump points of the
-    integrand) follow in one call.  An interior scan peak above both its
-    neighbours by more than ``_ROUNDOFF`` relative is refined in 7 levels,
-    each one call of 32 log-uniform radii on the bracket between the best
-    point's neighbours.  Both endpoints are probed over many further decades:
-    monotone growth that does not level off raises :class:`UnboundedError`,
-    growth that saturates is reported with a limit tag.
+    ``g`` maps a 1-D array of radii to an array of values.  Its first call,
+    in increasing order so that a cumulative ``g`` integrates it as
+    consecutive segments, is the log-uniform scan over [1e-6, 1e6] and the
+    ``candidates`` (radii where g or its slope may jump) with their float
+    neighbours, whose values are g's one-sided limits there.  ``slope(r, v)``
+    gives p = dg/dt and dp/dt (t = ln r) from the values v = g(r).  Between
+    the highest neighbouring samples with no candidate among them where p
+    goes from + to -, a safeguarded Newton-bisection on p (Brent 1973)
+    starts from the samples and evaluates one radius per call until the
+    predicted gain p^2 / 2|dp| is below g's round-off; a bracket flat to
+    round-off (Coulomb weights) is not refined.  Both endpoints are probed
+    over many further decades: monotone growth that does not level off
+    raises :class:`UnboundedError`, growth that saturates is reported with
+    a limit tag.
     """
-    rs = np.exp(np.linspace(math.log(_SCAN_LO), math.log(_SCAN_HI), _SCAN_POINTS))
-    vals = _checked_eval(g, rs)
-
-    i_best = int(np.argmax(vals))
-    best = float(vals[i_best])
-    arg = float(rs[i_best])
-
+    rs = _SCAN
     cand = np.array([r for r in candidates if r > 0.0], dtype=float)
-    if cand.size:
-        cvals = _checked_eval(g, cand)
-        j = int(np.argmax(cvals))
-        if cvals[j] > best:
-            best, arg = float(cvals[j]), float(cand[j])
+    x = np.sort(np.concatenate([rs, np.nextafter(cand, 0.0), cand, np.nextafter(cand, math.inf)])
+                ) if cand.size else rs
+    v = _checked_eval(g, x)
+    vals = v[x.searchsorted(rs)] if cand.size else v
+    i_best = int(np.argmax(vals))
+    i = int(np.argmax(v))
+    best, arg = float(v[i]), float(x[i])
 
-    # a scan flat to round-off (Coulomb weights) would only refine noise
-    if 0 < i_best < _SCAN_POINTS - 1 and (
-            vals[i_best] - max(vals[i_best - 1], vals[i_best + 1]) > _ROUNDOFF * abs(vals[i_best])):
-        lo, hi = math.log(rs[i_best - 1]), math.log(rs[i_best + 1])
-        for _ in range(_REFINE_LEVELS):
-            r = np.exp(np.linspace(lo, hi, _REFINE_POINTS))
-            v = _checked_eval(g, r)
-            j = int(np.argmax(v))
-            if v[j] > best:
-                best, arg = float(v[j]), float(r[j])
-            lo, hi = math.log(r[max(j - 1, 0)]), math.log(r[min(j + 1, _REFINE_POINTS - 1)])
+    # g is smooth between neighbours that are not candidates; the nearest such
+    # pair on either side of the best sample lies within three places of it
+    x, v = x[max(i - 3, 0):i + 4], v[max(i - 3, 0):i + 4]
+    p, dp = slope(x, v)
+    smooth = (x[:, None] != cand).all(axis=1)
+    up = (p[:-1] > 0.0) & (p[1:] < 0.0) & smooth[:-1] & smooth[1:]
+    if up.any():
+        j = int(np.flatnonzero(up)[np.argmax(np.maximum(v[:-1], v[1:])[up])])
+        k = j if v[j] >= v[j + 1] else j + 1
+        lo, hi, t, pt, dpt = math.log(x[j]), math.log(x[j + 1]), math.log(x[k]), p[k], dp[k]
+        # if p falls monotonically through the bracket, g gains at most this in it
+        flat = min(p[j], -p[j + 1]) * (hi - lo) <= _ROUNDOFF * abs(best)
+        for _ in range(0 if flat else _NEWTON_STEPS):
+            if dpt < 0.0 and pt * pt <= -2.0 * dpt * _EPS * abs(best):
+                break   # predicted gain below round-off
+            step = t - pt / dpt if dpt < 0.0 else lo    # bisect where g is not concave
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break   # bracket down to adjacent floats
+            r = np.array([math.exp(t)])
+            val = _checked_eval(g, r)
+            pt, dpt = (float(a[0]) for a in slope(r, val))
+            if val[0] > best:
+                best, arg = float(val[0]), float(r[0])
+            lo, hi = (t, hi) if pt > 0.0 else (lo, t)
 
     # when the scan maximum sits on an edge, probe 24 further decades:
     # saturating growth yields a limit tag, persistent growth is unbounded
     tag = None
-    for edge, direction, label in ((0, -1.0, "r->0"), (_SCAN_POINTS - 1, 1.0, "r->inf")):
+    for edge, direction, label in ((0, -1.0, "r->0"), (rs.size - 1, 1.0, "r->inf")):
         if i_best != edge:
             continue
         v_prev = vals[edge]

@@ -198,9 +198,11 @@ class TablePotential(PotentialComponent):
                          left=0.0, right=0.0)
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        eps = 1e-7 * np.maximum(r, 1e-30)
-        return (self(r + eps) - self(r - eps)) / (2.0 * eps)
+        """Slope of the interpolant's segment, the right-hand one at a sample; 0 outside."""
+        rs = np.asarray(self.rs)
+        i = rs.searchsorted(np.asarray(r, dtype=float), side="right") - 1
+        slopes = np.append(np.diff(self.values) / np.diff(rs), 0.0)
+        return np.where(i >= 0, slopes[i], 0.0)
 
     def scaled(self, alpha):
         rs = tuple(ri / alpha for ri in self.rs)
@@ -234,9 +236,9 @@ class MollifiedShell(PotentialComponent):
         return (self.c / self.eps) * bump((r - self.R) / self.eps)
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        eps = 1e-8 * self.eps
-        return (self(r + eps) - self(r - eps)) / (2.0 * eps)
+        u = (np.asarray(r, dtype=float) - self.R) / self.eps
+        w = np.maximum(1.0 - u * u, 1e-3)   # the bump is 0 where w < 1/745: no 0 * inf
+        return self(r) * (-2.0 * u / (w * w * self.eps))
 
     def scaled(self, alpha):
         return MollifiedShell(self.c, self.eps / alpha, self.R / alpha)
@@ -460,7 +462,9 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     consecutive segments from 0 (to infinity, for the tail) in one
     ``integrate_segments`` call and keeps the prefix sums as anchors; later
     calls integrate from the nearest anchor.  So a supremum costs one
-    segmented quadrature over its scan plus a short segment per probe.
+    segmented quadrature over its scan and candidates (shell radii,
+    breakpoints) plus a short segment per Newton step or endpoint probe;
+    ``_hardy_slope`` gives the steps' derivatives from the values.
     """
     bps = regular.breakpoints()
     zero = regular.is_zero()
@@ -501,13 +505,26 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     return integrand
 
 
+def _hardy_slope(regular: PotentialComponent, exponent: int):
+    """p = r g' = +-r V - e g of the Hardy integrand g (+ forward, - tail; shell
+    terms are in g) and dp/d(ln r) = +-(r V + r^2 V') - e p, from g's values."""
+    sign = 1.0 if exponent > 0 else -1.0
+
+    def slope(r, g):
+        rv = sign * r * regular(r)
+        p = rv - exponent * g
+        return p, rv + sign * r * r * regular.derivative(r) - exponent * p
+
+    return slope
+
+
 def _sup_of_weight(regular: PotentialComponent, shells, exponent: int) -> SupResult:
     """sup over r of the cumulative Hardy integrand (``_hardy_integrand``)."""
     bps = regular.breakpoints()
     candidates = [s.R for s in shells] + [b for b in bps if b > 0]
     try:
         return sup_over_r(_hardy_integrand(regular, shells, exponent),
-                          candidates=tuple(candidates))
+                          _hardy_slope(regular, exponent), candidates=tuple(candidates))
     except UnboundedError as exc:
         raise NotInClassAError(f"not in class A: {exc}") from exc
 

@@ -32,7 +32,6 @@ __all__ = [
     "InequalityReport",
     "NormEquivalenceCheck",
     "HypothesisViolationError",
-    "hardy_lhs",
     "verify_theorem",
     "select_lambda",
     "verify_corollary",
@@ -119,11 +118,6 @@ def _lhs_cached(pair: PotentialPair, field_: SpinorField) -> tuple:
     """The lhs entry of every channel (ascending k), from one quadrature call."""
     (values,) = _channel_integrals(field_, [pair.v1_regular])
     return tuple(_with_shells(field_, pair.v1_shells, values[:, 0].tolist()))
-
-
-def hardy_lhs(pair: PotentialPair, field_: SpinorField) -> float:
-    """int V1 |phi|^2 with shell terms (couplings not applied), summed over channels."""
-    return sum(_lhs_cached(pair, field_), 0.0)
 
 
 def _v2_state(pair: PotentialPair) -> str:

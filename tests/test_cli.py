@@ -43,7 +43,7 @@ class TestConstantsCommand:
         assert json.loads(out)["error"]["type"] == "NotInClassAError"
 
     def test_quadrature_failure_exits_1(self, capsys, monkeypatch):
-        def fail(g, candidates=()):
+        def fail(g, slope, candidates=()):
             raise QuadratureError("did not converge", 0.0, 1.0)
 
         monkeypatch.setattr(potentials, "sup_over_r", fail)

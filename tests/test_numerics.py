@@ -16,7 +16,16 @@ from hardydirac.numerics import (
     ldl_inertia,
     sup_over_r,
 )
-from hardydirac.potentials import CoulombPotential, _hardy_integrand, parse_pair
+from hardydirac.potentials import (
+    CoulombPotential,
+    MollifiedShell,
+    ShellMeasure,
+    SumPotential,
+    TablePotential,
+    _hardy_integrand,
+    _hardy_slope,
+    parse_pair,
+)
 from hardydirac.verify import random_field_gallery
 from reference_assembly import banded_to_dense, loop_scaled_copy, reference_form
 
@@ -163,6 +172,16 @@ class TestIntegrateSegments:
         one = [integrate_radial(f, a, b, bps).value for a, b in zip(edges[:-1], edges[1:])]
         assert values == pytest.approx(one, rel=1e-14, abs=0.0)
 
+    def test_edges_one_float_apart(self):
+        # a segment or piece one float wide, as between a jump candidate and
+        # its float neighbours: the mid of its one panel may round onto an edge
+        below = np.nextafter(3.0, 0.0)
+        q = integrate_radial(lambda s: np.exp(-s), below, math.inf, breakpoints=(3.0,))
+        assert q.value == pytest.approx(math.exp(-3.0), rel=1e-14)
+        values, _ = integrate_segments(lambda s: np.exp(-s), [below, 3.0, np.nextafter(3.0, 4.0), 5.0])
+        assert values[:2].tolist() == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert values.sum() == pytest.approx(math.exp(-3.0) - math.exp(-5.0), rel=1e-14)
+
     def test_edge_order(self):
         # a repeated edge is a segment of width 0; a decreasing one is an error
         values, estimates = integrate_segments(lambda s: s, [0.0, 1.0, 1.0, 2.0])
@@ -240,87 +259,167 @@ class TestVectorIntegrand:
         assert values.shape == estimates.shape == (1, 2)
 
 
+_SCAN = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
+
+
+# a slope for ``sup_over_r`` maps radii r and values v = g(r) to dg/dt and
+# its t-derivative, t = ln r
+
+
+def _r_slope(d1, d2):
+    """The slope from g' and g'' in r: r g' and r g' + r^2 g''."""
+    return lambda r, v: (r * d1(r), r * d1(r) + r * r * d2(r))
+
+
+_GAMMA = (lambda r: r * r * np.exp(-r), lambda r, v: ((2.0 - r) * v, ((2.0 - r) ** 2 - r) * v))
+# a constant 1/2 computed with round-off, differentiated as a Hardy integrand
+# with e = 2 and r V = 1 is: p = 1 - 2 g, dp = -2 p
+_FLAT_SLOPE = lambda r, v: (1.0 - 2.0 * v, -2.0 * (1.0 - 2.0 * v))
+_ZERO_SLOPE = lambda r, v: (np.zeros_like(r), np.zeros_like(r))
+
+
+def _rational_slope(r, v):
+    """The slope of r^3 / (1 + r^5) = e^3t / (1 + e^5t)."""
+    q = r ** 5 / (1.0 + r ** 5)
+    return v * (3.0 - 5.0 * q), v * ((3.0 - 5.0 * q) ** 2 - 25.0 * q * (1.0 - q))
+
+
+def _gauss(c, w):
+    """A Gaussian of width w in log r, centred at log r = c, with its slope."""
+    s = lambda r: -2.0 * (np.log(r) - c) / w ** 2
+    return (lambda r: np.exp(-((np.log(r) - c) / w) ** 2),
+            lambda r, v: (s(r) * v, (s(r) ** 2 - 2.0 / w ** 2) * v))
+
+
+def _counted(g, sizes):
+    def counted(r):
+        sizes.append(r.size)
+        return g(r)
+    return counted
+
+
 class TestSupOverR:
     def test_unimodal(self):
-        res = sup_over_r(lambda r: r * r * np.exp(-r))
+        res = sup_over_r(*_GAMMA)
         assert res.value == pytest.approx(4.0 * math.exp(-2.0), rel=1e-10)
         assert res.argmax == pytest.approx(2.0, abs=1e-5)
 
     def test_never_below_samples(self):
-        g = lambda r: r * r * np.exp(-r)
-        res = sup_over_r(g)
+        g, slope = _GAMMA
+        res = sup_over_r(g, slope)
         rs = np.exp(np.linspace(math.log(1e-5), math.log(1e5), 5001))
         assert res.value >= np.max(g(rs)) - 1e-12
 
     def test_zero_function(self):
-        res = sup_over_r(np.zeros_like)
+        res = sup_over_r(np.zeros_like, _ZERO_SLOPE)
         assert res.value == 0.0
 
     def test_unbounded(self):
         with pytest.raises(UnboundedError):
-            sup_over_r(lambda r: 1.0 / r)
+            sup_over_r(lambda r: 1.0 / r, _r_slope(lambda r: -1.0 / r ** 2, lambda r: 2.0 / r ** 3))
 
     def test_limit_tag_at_infinity(self):
-        res = sup_over_r(lambda r: r / (1.0 + r))
+        res = sup_over_r(lambda r: r / (1.0 + r),
+                         _r_slope(lambda r: 1.0 / (1.0 + r) ** 2, lambda r: -2.0 / (1.0 + r) ** 3))
         assert res.value == pytest.approx(1.0, abs=1e-6)
         assert res.tag == "r->inf"
 
     def test_explicit_candidate_jump(self):
         g = lambda r: np.where(r >= 3.0, 1.0, 0.0)
-        res = sup_over_r(g, candidates=(3.0,))
+        res = sup_over_r(g, _ZERO_SLOPE, candidates=(3.0,))
         assert res.value == 1.0
 
     def test_scan_is_one_call(self):
-        sizes = []
+        # the first call holds the scan and the candidates with their float
+        # neighbours; then a smooth peak takes a few one-point Newton calls
+        radii = []
 
         def g(r):
-            sizes.append(r.size)
-            return r * r * np.exp(-r)
+            radii.append(r)
+            return _GAMMA[0](r)
 
-        sup_over_r(g)
-        assert sizes[0] == 433
-        assert 1 <= len(sizes[1:]) <= 7 and all(n <= 32 for n in sizes[1:])
+        sup_over_r(g, _GAMMA[1], candidates=(0.5, 7.0))
+        first = radii[0]
+        assert first.size == 433 + 3 * 2 and (np.diff(first) > 0.0).all()
+        assert np.isin(np.append(_SCAN, [0.5, 7.0]), first).all()
+        assert 1 <= len(radii[1:]) <= 4 and all(r.size == 1 for r in radii[1:])
 
-    @pytest.mark.parametrize("g", [
-        lambda r: 0.5 * (1.0 + 1e-15 * np.sin(1e3 * np.log(r))),
-        _hardy_integrand(CoulombPotential(1.0), (), 2),
+    @pytest.mark.parametrize("g, slope", [
+        (lambda r: 0.5 * (1.0 + 1e-15 * np.sin(1e3 * np.log(r))), _FLAT_SLOPE),
+        (_hardy_integrand(CoulombPotential(1.0), (), 2), _hardy_slope(CoulombPotential(1.0), 2)),
     ], ids=["noise", "coulomb"])
-    def test_flat_to_roundoff_is_not_refined(self, g):
+    def test_flat_to_roundoff_is_not_refined(self, g, slope):
         # an interior peak within round-off of its neighbours is noise
         sizes = []
-
-        def counted(r):
-            sizes.append(r.size)
-            return g(r)
-
-        sup_over_r(counted)
+        sup_over_r(_counted(g, sizes), slope)
         assert sizes == [433]
 
-    @pytest.mark.parametrize("g", [
-        pytest.param(lambda r: r * r * np.exp(-r), id="gamma"),
-        pytest.param(lambda r: np.log1p(r) / (1.0 + r), id="log"),
-        pytest.param(lambda r: r ** 3 / (1.0 + r ** 5), id="rational"),
+    @pytest.mark.parametrize("g, slope", [
+        pytest.param(*_GAMMA, id="gamma"),
+        pytest.param(lambda r: np.log1p(r) / (1.0 + r),
+                     _r_slope(lambda r: (1.0 - np.log1p(r)) / (1.0 + r) ** 2,
+                              lambda r: (2.0 * np.log1p(r) - 3.0) / (1.0 + r) ** 3), id="log"),
+        pytest.param(lambda r: r ** 3 / (1.0 + r ** 5), _rational_slope, id="rational"),
     ] + [
         # log-r Gaussians of width w at seeded random centres
-        pytest.param(lambda r, c=c, w=w: np.exp(-((np.log(r) - c) / w) ** 2), id=f"w{w:g}-{i}")
+        pytest.param(*_gauss(c, w), id=f"w{w:g}-{i}")
         for w in (1e-2, 1e-1, 1.0, 10.0)
         for i, c in enumerate(np.random.default_rng(7).uniform(-10.0, 10.0, 8))
     ])
-    def test_matches_golden_section(self, g):
-        # the refined scan against the golden-section search it replaced
-        value, golden = sup_over_r(g).value, _golden_sup(g)
+    def test_matches_golden_section(self, g, slope):
+        # the Newton refinement against a golden-section search
+        value, golden = sup_over_r(g, slope).value, _golden_sup(g)
         assert abs(value - golden) <= 2e-15 * golden
         assert value >= golden * (1.0 - 1e-15)
 
+    # (weight, shells, relative tolerance against golden section, most
+    # refinement calls); tables and narrow mollified shells hold g to their
+    # quadrature's 1e-10 share only, and a narrow bump needs bisection steps
+    HARDY_WEIGHTS = {
+        "mollified": (SumPotential((MollifiedShell(0.5, 0.5, 2.0), CoulombPotential(0.5))), (), 1e-12, 4),
+        "sum": (SumPotential((CoulombPotential(0.3), MollifiedShell(1.0, 0.3, 1.0),
+                              CoulombPotential(1.0))), (), 1e-12, 4),
+        "narrow": (SumPotential((MollifiedShell(1.0, 0.01, 1.0), CoulombPotential(0.3))), (), 1e-11, 8),
+        "narrower": (MollifiedShell(1.0, 1e-3, 3.0), (), 1e-11, 10),
+        "table": (SumPotential((TablePotential((0.5, 0.8, 1.3, 2.0, 3.1), (0.2, 1.1, 0.7, 0.9, 0.1)),
+                                CoulombPotential(0.3))), (), 1e-11, 4),
+        "shell": (CoulombPotential(0.7), (ShellMeasure(R=1.7, a=0.9),), 1e-12, 0),
+    }
+
+    @pytest.mark.parametrize("e", [2, -2, 4, -6])
+    @pytest.mark.parametrize("name", list(HARDY_WEIGHTS))
+    def test_hardy_integrand_matches_golden_section(self, name, e):
+        weight, shells, rtol, calls = self.HARDY_WEIGHTS[name]
+        candidates = tuple(weight.breakpoints()) + tuple(s.R for s in shells)
+        sizes = []
+        g = _counted(_hardy_integrand(weight, shells, e), sizes)
+        value = sup_over_r(g, _hardy_slope(weight, e), candidates).value
+        golden = _golden_sup(_hardy_integrand(weight, shells, e), candidates)
+        assert value == pytest.approx(golden, rel=rtol, abs=0.0)
+        assert sizes[1:] == [1] * len(sizes[1:]) and len(sizes) <= 1 + calls
+        assert value >= _hardy_integrand(weight, shells, e)(_SCAN).max()
+
+    @pytest.mark.parametrize("e", [2, -2, 4, -6])
+    def test_shell_pair_takes_one_call(self, e):
+        # the maximum sits at the shell radius, a candidate probed in the scan
+        shell = ShellMeasure(R=1.7, a=0.9)
+        sizes = []
+        res = sup_over_r(_counted(_hardy_integrand(CoulombPotential(0.7), (shell,), e), sizes),
+                         _hardy_slope(CoulombPotential(0.7), e), candidates=(shell.R,))
+        assert sizes == [433 + 3]
+        assert res.value == pytest.approx(0.9 + 0.7 / abs(e), rel=1e-14)
+        assert res.argmax == shell.R
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            sup_over_r(lambda r: np.where(r > 2.0, np.nan, r))
+            sup_over_r(lambda r: np.where(r > 2.0, np.nan, r), _r_slope(np.ones_like, np.zeros_like))
 
 
-def _golden_sup(g) -> float:
+def _golden_sup(g, candidates=()) -> float:
     """Scan maximum polished by golden section on its bracket, one radius per
-    call, as ``sup_over_r`` did before its batched refinement."""
-    rs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
+    call, and the candidates probed, as ``sup_over_r`` did before its batched
+    refinement."""
+    rs = _SCAN
     vals = g(rs)
     i = int(np.argmax(vals))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -339,7 +438,7 @@ def _golden_sup(g) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = g1(d)
-    return max(float(vals[i]), fc, fd)
+    return max([float(vals[i]), fc, fd] + [g1(math.log(r)) for r in candidates if r > 0.0])
 
 
 def _blocks(dense: np.ndarray):

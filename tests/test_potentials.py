@@ -88,6 +88,32 @@ class TestBump:
         assert bump(0.0) > 0.0
 
 
+def _richardson(f, r, h):
+    """f'(r) from central differences at steps h and h/2, error O(h^4)."""
+    d = lambda h: (f(r + h) - f(r - h)) / (2.0 * h)
+    return (4.0 * d(h / 2.0) - d(h)) / 3.0
+
+
+class TestDerivatives:
+    def test_mollified_closed_form(self):
+        comp = MollifiedShell(0.7, 0.4, 1.5)
+        r = 1.5 + 0.4 * np.linspace(-0.9, 0.9, 19)
+        np.testing.assert_allclose(comp.derivative(r), _richardson(comp, r, 1e-4),
+                                   rtol=1e-9, atol=1e-10)
+        # zero outside the support, and finite up to its edges
+        assert (comp.derivative(np.array([0.5, 1.1, 1.9, 3.0])) == 0.0).all()
+        assert np.isfinite(comp.derivative(1.5 + 0.4 * np.linspace(-1.0, 1.0, 10001))).all()
+
+    def test_table_segment_slopes(self):
+        tab = TablePotential((0.5, 1.0, 2.0, 4.0), (2.0, 1.0, 0.5, 0.25))
+        inside = np.array([0.6, 0.9, 1.3, 1.9, 2.5, 3.9])
+        np.testing.assert_allclose(tab.derivative(inside), _richardson(tab, inside, 1e-3),
+                                   rtol=1e-10)
+        # one-sided at a sample: the slope of the segment to its right
+        assert tab.derivative(np.array([0.5, 1.0, 2.0])).tolist() == [-2.0, -0.5, -0.125]
+        assert tab.derivative(np.array([0.1, 4.0, 5.0])).tolist() == [0.0, 0.0, 0.0]
+
+
 class TestHardyConstants:
     def test_coulomb_pair(self, coulomb_pair):
         assert a_plus(coulomb_pair) == pytest.approx(1.0, abs=1e-9)
@@ -134,7 +160,7 @@ class TestHardyConstants:
     def test_quadrature_failure_is_not_class_a_verdict(self, monkeypatch):
         # only unbounded growth means "not in class A"; a quadrature that
         # does not converge says nothing about the pair and must surface
-        def fail(g, candidates=()):
+        def fail(g, slope, candidates=()):
             raise QuadratureError("did not converge", 0.0, 1.0)
 
         monkeypatch.setattr(potentials, "sup_over_r", fail)

@@ -21,7 +21,6 @@ from hardydirac.potentials import PotentialPair, a_k, a_minus, a_plus, parse_pai
 from hardydirac.verify import (
     HypothesisViolationError,
     extremize_ratio,
-    hardy_lhs,
     mollified_delta_experiment,
     random_field_gallery,
     select_lambda,
@@ -35,16 +34,16 @@ F_EXP = SpinorField.single(0, exp_profile(0, 1.0))
 class TestLhs:
     def test_coulomb(self, coulomb_pair):
         # 1/r weight: int e^{-2r} r dr = 1/4
-        assert hardy_lhs(coulomb_pair, F_EXP) == pytest.approx(0.25, rel=1e-10)
+        assert sum(verify._lhs_cached(coulomb_pair, F_EXP)) == pytest.approx(0.25, rel=1e-10)
 
     def test_shell(self, shell_coulomb_pair):
         # the pair's regular first weight is zero: only the shell contributes
-        assert hardy_lhs(shell_coulomb_pair, F_EXP) == pytest.approx(
+        assert sum(verify._lhs_cached(shell_coulomb_pair, F_EXP)) == pytest.approx(
             math.exp(-2.0), rel=1e-10)
 
     def test_zero_weight(self):
         pair = parse_pair("zero", "coulomb:1")
-        assert hardy_lhs(pair, F_EXP) == 0.0
+        assert sum(verify._lhs_cached(pair, F_EXP)) == 0.0
 
 
 class TestRhs:
@@ -338,7 +337,7 @@ class TestBatchedChecks:
             want = 0.0
             for ch, prof in field.sorted_terms():
                 want += 0.0 + shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
-            assert hardy_lhs(shell_coulomb_pair, field) == want
+            assert sum(verify._lhs_cached(shell_coulomb_pair, field)) == want
 
 
 class TestExtremize:
@@ -386,7 +385,7 @@ class TestExtremize:
             for p in np.linspace(0.0, 3.0, 20):
                 for a in np.linspace(0.2, 4.0, 20):
                     f = SpinorField.single(k, exp_profile(float(p), float(a)))
-                    lhs = hardy_lhs(coulomb_pair, f)
+                    lhs = sum(verify._lhs_cached(coulomb_pair, f))
                     rhs = sigma_grad_norm_weighted(f, weight=lambda r: r)
                     best = max(best, lhs / rhs)
         assert res.best_ratio >= best - 1e-6

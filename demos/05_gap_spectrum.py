@@ -15,7 +15,6 @@ from hardydirac import (
     DiracChannelProblem,
     RadialGrid,
     parse_pair,
-    shell_spectrum_demo,
     spectrum_in_gap,
 )
 
@@ -52,15 +51,16 @@ def main():
         print(f"  m={m}: E0 = {ev.value:.9f}  E0/m = {ev.value/m:.9f}")
 
     print("\nshell-mass sweep (unit shell at R=1, second weight 0.5/r):")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = shell_spectrum_demo([0.3, 0.5, 0.6, 0.7, 0.8], R=1.0, nu=0.5,
-                                   m=1.0, k_set=(0,), count=1,
-                                   grid=RadialGrid.log_uniform(400, 1e-6, 60.0))
-    bound = {row["a"]: row["E"] for row in rows if row["index"] == 0}
+    grid = RadialGrid.log_uniform(400, 1e-6, 60.0)
     for a in (0.3, 0.5, 0.6, 0.7, 0.8):
-        if a in bound:
-            print(f"  a={a}: E0 = {bound[a]:.8f}")
+        shell = parse_pair("shell:1@1", "coulomb:1", c1=a, c2=0.5)
+        shell_prob = DiracChannelProblem(pair=shell, channel=Channel(0), m=1.0, lam=0.0,
+                                         grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            levels = spectrum_in_gap(shell_prob, 1)
+        if levels:
+            print(f"  a={a}: E0 = {levels[0].value:.8f}")
         else:
             print(f"  a={a}: no bound state yet (shell too weak)")
 

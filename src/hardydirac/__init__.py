@@ -66,7 +66,6 @@ from .extension import (
     GapEigenvalue,
     WeakSolveResult,
     pairing_defect,
-    shell_spectrum_demo,
     spectrum_in_gap,
     weak_solve,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RadialGrid, integrate_segments
-from .potentials import PotentialComponent, ZeroPotential
+from .potentials import PotentialComponent
 
 __all__ = [
     "Channel",
@@ -157,12 +157,7 @@ class GridProfile:
 
     def __call__(self, r):
         t = np.log(np.asarray(r, dtype=float))
-        tg = self.grid.t
-        if np.iscomplexobj(self.values):
-            out = (np.interp(t, tg, self.values.real, left=0.0, right=0.0)
-                   + 1j * np.interp(t, tg, self.values.imag, left=0.0, right=0.0))
-        else:
-            out = np.interp(t, tg, self.values, left=0.0, right=0.0)
+        out = np.interp(t, self.grid.t, self.values, left=0.0, right=0.0)
         return out if out.ndim else out[()]
 
     def reduced(self, k: int) -> "GridProfile":
@@ -238,18 +233,15 @@ def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),
     return out
 
 
-def field_norm_weighted(field: SpinorField, weight=None, shells=()) -> float:
-    """sum_k int W |f_k|^2 r^2 dr plus shell terms a R^2 |f_k(R)|^2.
+def field_norm_weighted(field: SpinorField, weight=None) -> float:
+    """sum_k int W |f_k|^2 r^2 dr.
 
-    ``weight`` may be a callable of r or a potential component; ``shells``
-    are delta-shell measures.  With no weight given the density part uses
-    the unit weight, except that a pure shell list means shell terms only.
-    Additive over channels by construction; terms are summed in ascending k.
+    ``weight`` may be a callable of r, a potential component or None (the
+    unit weight).  Additive over channels by construction; terms are summed
+    in ascending k.
     """
-    if weight is None and shells:
-        weight = ZeroPotential()
     (values,) = _channel_integrals(field, [weight])
-    return sum(_with_shells(field, shells, values[:, 0].tolist()), 0.0)
+    return sum(values[:, 0].tolist(), 0.0)
 
 
 def _with_shells(field: SpinorField, shells, values) -> list:

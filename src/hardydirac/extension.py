@@ -61,7 +61,6 @@ __all__ = [
     "weak_solve",
     "pairing_defect",
     "spectrum_in_gap",
-    "shell_spectrum_demo",
 ]
 
 
@@ -382,6 +381,9 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # gap spectrum
 # ---------------------------------------------------------------------------
 
+# brackets close at _TOL * m; a level that moves more than _STABILITY_TOL * 2m
+# between the grids is dropped as spectral pollution
+_TOL, _STABILITY_TOL = 1e-10, 1e-3
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
@@ -532,19 +534,18 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
         E, C, L = np.append(E, new), np.append(C, new_counts), np.append(L, new_logdet)
 
 
-def spectrum_in_gap(problem: DiracChannelProblem, count: int,
-                    tol: float = 1e-10, stability_tol: float = 1e-3):
+def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     """Lowest nonlinear eigenvalues of the channel operator inside (-m, m).
 
     The E-dependent reduced form is monotone in E, so inertia counts of its
     block-tridiagonal matrix bracket each eigenvalue; multisection, 4 shifts
     per open bracket and count (placed from log|det| where a bracket holds
-    one level), shrinks the brackets to ``tol * m``.  A solve
-    on a doubled grid gives the error estimate, the larger of the drift
-    between grids and the final bracket width; levels that move more than
-    ``stability_tol * 2m`` between grids are dropped with a warning.  The
-    doubled grid starts from 3-rung ladders around the coarse levels, down
-    to 0.4 tol * m, so a level that did not move reports 0.8 tol * m.
+    one level), shrinks the brackets to 1e-10 m.  A solve on a doubled grid
+    gives the error estimate, the larger of the drift between grids and the
+    final bracket width; levels that move more than 2e-3 m between grids
+    are dropped with a warning.  The doubled grid starts from 3-rung ladders
+    around the coarse levels, down to 4e-11 m, so a level that did not move
+    reports 8e-11 m.
     """
     if count < 1:
         return []
@@ -554,15 +555,15 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
     fine_grid = RadialGrid.log_uniform(2 * problem.grid.n - 1,
                                        problem.grid.r_min, problem.grid.r_max)
     coarse = _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
-                            lo, hi, count, tol * m)
+                            lo, hi, count, _TOL * m)
     fine = _multisect_gap(_gap_counts(_HermiteFem(fine_grid), problem), lo, hi, count,
-                          tol * m, warm=([v for v, _ in coarse], stability_tol * 2.0 * m))
+                          _TOL * m, warm=([v for v, _ in coarse], _STABILITY_TOL * 2.0 * m))
 
     out = []
     for idx in range(min(len(coarse), len(fine))):
         value, width = fine[idx]
         drift = abs(value - coarse[idx][0])
-        if drift > stability_tol * 2.0 * m:
+        if drift > _STABILITY_TOL * 2.0 * m:
             warnings.warn(
                 f"eigenvalue {value:.6g} unstable under refinement "
                 f"(drift {drift:.2e}); dropped as spectral pollution")
@@ -572,40 +573,3 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int,
     for idx in range(len(fine), len(coarse)):
         warnings.warn("eigenvalue found only on the coarse grid; dropped")
     return out
-
-
-def shell_spectrum_demo(a_values, R: float, nu: float, m: float = 1.0,
-                        k_set=(0,), count: int = 2,
-                        grid: RadialGrid | None = None):
-    """Gap eigenvalues of the shell-plus-Coulomb operator versus shell mass.
-
-    w1 = a * delta_{r=R}, w2 = nu / r.  Values with a*nu >= 4/9 are outside
-    the guaranteed self-adjointness regime and are flagged (computed
-    anyway).  Returns rows (a, k, index, E, error_estimate, flagged).
-    """
-    from .potentials import CoulombPotential, ShellMeasure, ZeroPotential
-
-    if grid is None:
-        grid = RadialGrid.log_uniform(700, 1e-7, 60.0)
-    rows = []
-    for a in a_values:
-        if a < 0:
-            raise ValueError("shell mass must be nonnegative")
-        flagged = a * nu >= 4.0 / 9.0
-        if flagged:
-            warnings.warn(f"a*nu = {a * nu:g} >= 4/9: outside the guaranteed regime")
-        if a > 0:
-            pair = PotentialPair(v1_regular=ZeroPotential(),
-                                 v1_shells=(ShellMeasure(R=R, a=1.0),),
-                                 v2=CoulombPotential(1.0), c1=a, c2=nu)
-        else:
-            pair = PotentialPair(v1_regular=ZeroPotential(),
-                                 v2=CoulombPotential(1.0), c1=0.0, c2=nu)
-        for k in k_set:
-            problem = DiracChannelProblem(pair=pair, channel=Channel(k), m=m,
-                                          lam=0.0, grid=grid)
-            for ev in spectrum_in_gap(problem, count):
-                rows.append({"a": float(a), "k": int(k), "index": ev.index,
-                             "E": ev.value, "error_estimate": ev.error_estimate,
-                             "flagged": flagged})
-    return rows

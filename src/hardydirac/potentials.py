@@ -26,7 +26,6 @@ import numpy as np
 from .numerics import (
     SupResult,
     UnboundedError,
-    integrate_radial,
     integrate_segments,
     sup_over_r,
 )
@@ -65,16 +64,13 @@ class PotentialParseError(ValueError):
         self.position = position
 
 
-@functools.cache
-def _bump_norm() -> float:
-    return integrate_radial(lambda r: _raw_bump(r - 2.0), a=1.0, b=3.0).value
+# int_{-1}^{1} _raw_bump(u) du (integrate_radial of _raw_bump(r - 2) on [1, 3])
+_BUMP_NORM = 0.4439938161680794
 
 
 def bump(u) -> np.ndarray:
     """Smooth even bump supported on [-1, 1] with unit integral."""
-    norm = _bump_norm()
-    u = np.asarray(u, dtype=float)
-    return _raw_bump(u) / norm
+    return _raw_bump(u) / _BUMP_NORM
 
 
 def _raw_bump(u):
@@ -103,9 +99,6 @@ class PotentialComponent:
         """Radii where the weight is not smooth."""
         return ()
 
-    def spec_str(self) -> str:
-        raise NotImplementedError
-
     def is_zero(self) -> bool:
         return False
 
@@ -120,9 +113,6 @@ class ZeroPotential(PotentialComponent):
 
     def scaled(self, alpha):
         return self
-
-    def spec_str(self):
-        return "zero"
 
     def is_zero(self):
         return True
@@ -142,9 +132,6 @@ class CoulombPotential(PotentialComponent):
 
     def scaled(self, alpha):
         return self  # alpha * nu/(alpha r) = nu/r
-
-    def spec_str(self):
-        return f"coulomb:{self.nu!r}"
 
     def is_zero(self):
         return self.nu == 0.0
@@ -166,9 +153,6 @@ class PowerPotential(PotentialComponent):
     def scaled(self, alpha):
         return PowerPotential(alpha ** (1.0 + self.p) * self.a, self.p)
 
-    def spec_str(self):
-        return f"power:{self.a!r},{self.p!r}"
-
     def is_zero(self):
         return self.a == 0.0
 
@@ -179,7 +163,6 @@ class TablePotential(PotentialComponent):
 
     rs: tuple
     values: tuple
-    path: str | None = None
 
     def __post_init__(self):
         rs = np.asarray(self.rs, dtype=float)
@@ -191,7 +174,7 @@ class TablePotential(PotentialComponent):
         data = np.loadtxt(path, delimiter=",", dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"{path}: expected two CSV columns (r, value)")
-        return cls(tuple(data[:, 0]), tuple(data[:, 1]), path=path)
+        return cls(tuple(data[:, 0]), tuple(data[:, 1]))
 
     def __call__(self, r):
         return np.interp(np.asarray(r, dtype=float), self.rs, self.values,
@@ -207,16 +190,11 @@ class TablePotential(PotentialComponent):
     def scaled(self, alpha):
         rs = tuple(ri / alpha for ri in self.rs)
         vals = tuple(alpha * v for v in self.values)
-        return TablePotential(rs, vals, path=None)
+        return TablePotential(rs, vals)
 
     def breakpoints(self):
         # every sample is a kink of the interpolant
         return tuple(self.rs)
-
-    def spec_str(self):
-        if self.path is None:
-            raise ValueError("scaled or in-memory tables have no spec string")
-        return f"table:{self.path}"
 
 
 @dataclass(frozen=True)
@@ -245,9 +223,6 @@ class MollifiedShell(PotentialComponent):
 
     def breakpoints(self):
         return (max(self.R - self.eps, 0.0), self.R, self.R + self.eps)
-
-    def spec_str(self):
-        return f"mshell:{self.c!r},{self.eps!r}@{self.R!r}"
 
     def is_zero(self):
         return self.c == 0.0
@@ -278,9 +253,6 @@ class SumPotential(PotentialComponent):
             pts.extend(part.breakpoints())
         return tuple(sorted(set(pts)))
 
-    def spec_str(self):
-        return " + ".join(p.spec_str() for p in self.parts)
-
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)
 
@@ -304,9 +276,6 @@ class ShellMeasure:
     def __post_init__(self):
         if self.R <= 0 or self.a <= 0:
             raise ValueError("shell needs R > 0 and a > 0")
-
-    def spec_str(self) -> str:
-        return f"shell:{self.a!r}@{self.R!r}"
 
 
 @dataclass(frozen=True)
@@ -337,16 +306,6 @@ class PotentialPair:
                 raise ValueError(
                     f"v2 is unbounded near the shell radius R={shell.R:g}")
 
-    def breakpoints(self) -> tuple[float, ...]:
-        pts = set(self.v1_regular.breakpoints()) | set(self.v2.breakpoints())
-        pts |= {s.R for s in self.v1_shells}
-        return tuple(sorted(pts))
-
-    def spec_str(self) -> str:
-        v1 = " + ".join([self.v1_regular.spec_str()]
-                        + [s.spec_str() for s in self.v1_shells])
-        return f"--v1 {v1} --v2 {self.v2.spec_str()} --c1 {self.c1!r} --c2 {self.c2!r}"
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -359,14 +318,14 @@ def _parse_float(text: str, pos: int) -> float:
         raise PotentialParseError(f"not a number: {text!r}", pos) from None
 
 
-def parse_component(text: str, pos: int = 0, weight_slot: bool = True) -> PotentialComponent:
+def parse_component(text: str, pos: int = 0) -> PotentialComponent:
     """Parse one component term (see the grammar in the docs)."""
     text = text.strip()
     if text == "zero":
         return ZeroPotential()
     if text.startswith("coulomb:"):
         nu = _parse_float(text[len("coulomb:"):], pos)
-        if weight_slot and nu < 0:
+        if nu < 0:
             raise PotentialParseError("coulomb strength must be nonnegative in a weight slot", pos)
         return CoulombPotential(nu)
     if text.startswith("power:"):
@@ -376,7 +335,7 @@ def parse_component(text: str, pos: int = 0, weight_slot: bool = True) -> Potent
             raise PotentialParseError("power needs two parameters a,p", pos)
         a = _parse_float(parts[0], pos)
         p = _parse_float(parts[1], pos)
-        if weight_slot and a < 0:
+        if a < 0:
             raise PotentialParseError("power amplitude must be nonnegative in a weight slot", pos)
         return PowerPotential(a, p)
     if text.startswith("table:"):
@@ -392,7 +351,7 @@ def parse_component(text: str, pos: int = 0, weight_slot: bool = True) -> Potent
         c = _parse_float(parts[0], pos)
         eps = _parse_float(parts[1], pos)
         R = _parse_float(rtext, pos)
-        if weight_slot and c < 0:
+        if c < 0:
             raise PotentialParseError("mshell mass must be nonnegative in a weight slot", pos)
         return MollifiedShell(c, eps, R)
     raise PotentialParseError(f"unknown component {text!r}", pos)
@@ -406,34 +365,35 @@ def _parse_shell(text: str, pos: int) -> ShellMeasure:
     return ShellMeasure(R=_parse_float(rtext, pos), a=_parse_float(atext, pos))
 
 
-def parse_v1_slot(text: str):
-    """Parse a v1 slot: components and shells joined by '+'."""
-    components = []
-    shells = []
+def _slot_terms(text: str):
+    """(term, position) of each term of a slot joined by '+', in order."""
     pos = 0
     for chunk in text.split("+"):
         term = chunk.strip()
         if not term:
             raise PotentialParseError("empty term", pos)
+        yield term, pos
+        pos += len(chunk) + 1
+
+
+def parse_v1_slot(text: str):
+    """Parse a v1 slot: components and shells joined by '+'."""
+    components = []
+    shells = []
+    for term, pos in _slot_terms(text):
         if term.startswith("shell:"):
             shells.append(_parse_shell(term, pos))
         else:
             components.append(parse_component(term, pos))
-        pos += len(chunk) + 1
     return combine(components), tuple(shells)
 
 
 def parse_v2_slot(text: str) -> PotentialComponent:
     components = []
-    pos = 0
-    for chunk in text.split("+"):
-        term = chunk.strip()
-        if not term:
-            raise PotentialParseError("empty term", pos)
+    for term, pos in _slot_terms(text):
         if term.startswith("shell:"):
             raise PotentialParseError("shells are only allowed in the v1 slot", pos)
         components.append(parse_component(term, pos))
-        pos += len(chunk) + 1
     return combine(components)
 
 
@@ -545,12 +505,6 @@ def a_minus(pair: PotentialPair) -> float:
     return _a_exponent_cached(pair.v1_regular, pair.v1_shells, pair.v2, -2)
 
 
-def _a_k_cached(v1_regular, v1_shells, v2, k: int) -> float:
-    if k == -1:
-        raise ValueError("k = -1 is not a spin-orbit channel")
-    return _a_exponent_cached(v1_regular, v1_shells, v2, 2 * (k + 1))
-
-
 def a_k(pair: PotentialPair, k: int) -> float:
     """Per-channel Hardy constant.
 
@@ -558,7 +512,10 @@ def a_k(pair: PotentialPair, k: int) -> float:
     tail integral with the same power, the form consistent with
     ``a_k(pair, 0) == a_plus`` and ``a_k(pair, -2) == a_minus``.
     """
-    return _a_k_cached(pair.v1_regular, pair.v1_shells, pair.v2, int(k))
+    k = int(k)
+    if k == -1:
+        raise ValueError("k = -1 is not a spin-orbit channel")
+    return _a_exponent_cached(pair.v1_regular, pair.v1_shells, pair.v2, 2 * (k + 1))
 
 
 def tilde_constants(pair: PotentialPair) -> tuple[float, float]:
@@ -573,18 +530,14 @@ def tilde_constants(pair: PotentialPair) -> tuple[float, float]:
     return v1_plus + v2_plus, v1_minus + v2_minus
 
 
-def scale_shell(shell: ShellMeasure, alpha: float) -> ShellMeasure:
-    # mass is preserved under the radial a*f(R) convention
-    return ShellMeasure(R=shell.R / alpha, a=shell.a)
-
-
 def scale_pair(pair: PotentialPair, alpha: float) -> PotentialPair:
     """The rescaled pair V^alpha(r) = alpha V(alpha r); A+/A- are invariant."""
     if alpha <= 0:
         raise ValueError("scaling parameter must be positive")
     return PotentialPair(
         v1_regular=pair.v1_regular.scaled(alpha),
-        v1_shells=tuple(scale_shell(s, alpha) for s in pair.v1_shells),
+        # mass is preserved under the radial a*f(R) convention
+        v1_shells=tuple(ShellMeasure(R=s.R / alpha, a=s.a) for s in pair.v1_shells),
         v2=pair.v2.scaled(alpha),
         c1=pair.c1,
         c2=pair.c2,

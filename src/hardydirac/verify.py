@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# relative slack of "satisfied": ratio <= 1 + _TOL
+_TOL = 1e-8
+
+
 class HypothesisViolationError(ValueError):
     """The coupling product exceeds the admissible threshold."""
 
@@ -139,8 +143,7 @@ def _grad_weight(pair: PotentialPair, gamma: float):
     return lambda r: 1.0 / (v2(r) + gamma)
 
 
-def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,
-                   tol: float = 1e-8) -> InequalityReport:
+def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> InequalityReport:
     """Check the master inequality and its per-channel sharpenings.
 
     The global sides are assembled from the per-channel pieces, so the
@@ -178,7 +181,7 @@ def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float,
     rhs = maxsq * sum(grad, 0.0) + gamma * sum(mass, 0.0)
     ratio = _ratio(lhs, rhs)
     return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio,
-                            satisfied=ratio <= 1.0 + tol, constant=maxsq,
+                            satisfied=ratio <= 1.0 + _TOL, constant=maxsq,
                             gamma=gamma, per_channel=per_channel)
 
 
@@ -196,7 +199,7 @@ def select_lambda(c1: float, c2: float, m: float) -> float:
 
 
 def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
-                     lam: float | None = None, tol: float = 1e-8) -> InequalityReport:
+                     lam: float | None = None) -> InequalityReport:
     """Check the coupled inequality at the selected lambda.
 
     Requires c1 c2 <= 1/max{A+^2, A-^2}; a violated hypothesis raises
@@ -243,11 +246,11 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
         rhs_w = sum(grad_eps[0], 0.0) + (m + lam_eps) * sum(mass, 0.0) - c1 * lhs_base
         norm_eq = NormEquivalenceCheck(
             epsilon=eps, lam=lam_eps, lhs=lhs_w, rhs=rhs_w,
-            satisfied=lhs_w <= rhs_w * (1.0 + tol) + 1e-300)
+            satisfied=lhs_w <= rhs_w * (1.0 + _TOL) + 1e-300)
 
     ratio = _ratio(lhs, rhs)
     return InequalityReport(lhs=lhs, rhs=rhs, ratio=ratio,
-                            satisfied=ratio <= 1.0 + tol, constant=maxsq,
+                            satisfied=ratio <= 1.0 + _TOL, constant=maxsq,
                             lam=lam, per_channel=per_channel,
                             norm_equivalence=norm_eq)
 
@@ -256,6 +259,8 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
 # ratio extremization
 # ---------------------------------------------------------------------------
 
+# the (p, a) box of the profile family: its lower and upper corners
+_BOX = np.array([[0.0, 0.2], [3.0, 4.0]])
 # a first grid as fine as a 20 x 20 brute-force search of the box, then levels
 # of 9 x 9 grids spanning +-2 steps of the level before around its best point
 _FIRST_GRID, _ZOOM_LEVELS = 20, 20
@@ -307,27 +312,24 @@ def _exp_ratios(pair: PotentialPair, gamma: float, maxsq: float, k: int,
     return out
 
 
-def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2),
-                    p_bounds=(0.0, 3.0), a_bounds=(0.2, 4.0)) -> ExtremizeResult:
+def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> ExtremizeResult:
     """Maximize lhs/rhs of the master inequality over a profile family.
 
-    The family is r^p e^{-a r} per channel with (p, a) in a box.  Since a
-    ratio of channel sums never exceeds the best single-channel ratio, each
-    channel is extremized independently and the winning channel is
-    reported.  The search is a deterministic zoom scan, one quadrature call
-    per level: a 20 x 20 grid over the box, then 20 levels of 9 x 9 grids
-    spanning +-2 steps of the level before around its best point (clipped
-    to the box).  Along each axis the step halves when the best point is
-    inside the grid and stays when it is on the grid's edge, so the grid
-    moves along a ridge.
+    The family is r^p e^{-a r} per channel over the fixed box p in [0, 3],
+    a in [0.2, 4].  Since a ratio of channel sums never exceeds the best
+    single-channel ratio, each channel is extremized independently and the
+    winning channel is reported.  The search is a deterministic zoom scan,
+    one quadrature call per level: a 20 x 20 grid over the box, then 20
+    levels of 9 x 9 grids spanning +-2 steps of the level before around its
+    best point (clipped to the box).  Along each axis the step halves when
+    the best point is inside the grid and stays when it is on the grid's
+    edge, so the grid moves along a ridge.
     """
-    if p_bounds[0] >= p_bounds[1] or a_bounds[0] >= a_bounds[1]:
-        raise ValueError("degenerate parameter box")
     if not k_set:
         raise ValueError("empty channel set")
 
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-    lo, hi = np.array([p_bounds, a_bounds], dtype=float).T
+    lo, hi = _BOX
     best = (-math.inf, None, None, None)
     for k in sorted(k_set):
         if k == -1:
@@ -411,19 +413,18 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
 # ---------------------------------------------------------------------------
 
 def random_field_gallery(count: int, seed: int = 0,
-                         k_choices=(-4, -3, -2, 0, 1, 2, 3),
-                         max_channels: int = 2):
+                         k_choices=(-4, -3, -2, 0, 1, 2, 3)):
     """Deterministic gallery of admissible random fields.
 
-    Per channel the profile is c r^p e^{-a r} with p in {l, l+1} (keeping
-    the 3D regularity of higher channels), a in [0.3, 3], and a random
-    complex amplitude.
+    Each field has one or two channels from ``k_choices``.  Per channel the
+    profile is c r^p e^{-a r} with p in {l, l+1} (keeping the 3D regularity
+    of higher channels), a in [0.3, 3], and a random complex amplitude.
     """
     rng = np.random.default_rng(seed)
     k_choices = np.asarray(k_choices, dtype=int)
     fields = []
     for _ in range(count):
-        n_ch = int(rng.integers(1, max_channels + 1))
+        n_ch = int(rng.integers(1, 3))
         ks = rng.choice(k_choices, size=n_ch, replace=False)
         terms = []
         for k in sorted(int(k) for k in ks):

@@ -153,7 +153,9 @@ def h_inner_product(phi1, phi2, problem) -> complex:
     k = problem.channel.k
     m, lam = problem.m, problem.lam
     w1, w2 = problem.w1, problem.w2
-    bps = problem.pair.breakpoints()
+    pair = problem.pair
+    bps = sorted({*pair.v1_regular.breakpoints(), *pair.v2.breakpoints(),
+                  *(s.R for s in pair.v1_shells)})
     d1 = phi1.reduced(k)
     d2 = phi2.reduced(k)
 

@@ -130,7 +130,7 @@ def test_criterion_6_inequality_suite():
             for gamma in (0.0, 0.1, 1.0):
                 rep = verify_theorem(pair, field, gamma)
                 assert rep.satisfied, (
-                    f"theorem violated: ratio={rep.ratio} pair={pair.spec_str()} "
+                    f"theorem violated: ratio={rep.ratio} pair={pair!r} "
                     f"gamma={gamma}")
                 checked += 1
 
@@ -144,7 +144,7 @@ def test_criterion_6_inequality_suite():
     for pair in configs:
         for field in corollary_fields:
             rep = verify_corollary(pair, field, m=1.0)
-            assert rep.satisfied, f"coupled inequality violated for {pair.spec_str()}"
+            assert rep.satisfied, f"coupled inequality violated for {pair!r}"
     _report(6, f"{checked} theorem checks and {4 * 20} coupled checks, no violation")
 
 

@@ -20,7 +20,15 @@ from hardydirac.channels import (
     sigma_grad_norm_weighted,
 )
 from hardydirac.numerics import RadialGrid, integrate_radial
-from hardydirac.potentials import ShellMeasure, _hardy_integrand, a_k, combine, parse_pair
+from hardydirac.potentials import (
+    PotentialPair,
+    ShellMeasure,
+    _hardy_integrand,
+    a_k,
+    combine,
+    parse_pair,
+)
+from hardydirac.verify import _lhs_cached
 
 
 class TestChannel:
@@ -48,6 +56,16 @@ class TestRadialReduction:
         red = prof.reduced(k)
         for r in (0.5, 1.0, 4.0):
             assert red(r) == pytest.approx(-(r ** k) * math.exp(-r), rel=1e-13)
+
+    def test_complex_grid_profile(self):
+        # one complex interpolation against the real and imaginary parts apart
+        grid = RadialGrid.log_uniform(50, 1e-2, 10.0)
+        values = np.exp(-grid.nodes) * np.exp(1j * grid.t)
+        prof = GridProfile(grid, values)
+        r = np.geomspace(5e-3, 20.0, 301)
+        want = GridProfile(grid, values.real)(r) + 1j * GridProfile(grid, values.imag)(r)
+        np.testing.assert_allclose(prof(r), want, rtol=1e-15, atol=1e-300)
+        assert prof(r[150]) == prof(r)[150]         # a scalar radius gives a scalar
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_kernel_on_grid(self, k):
@@ -131,8 +149,9 @@ class TestNorms:
         assert field_norm_weighted(f) == pytest.approx(0.25, rel=1e-12)
 
     def test_shell_only(self):
+        # a pure shell pair's lhs entry is the shell term a R^2 |f(R)|^2 alone
         f = SpinorField.single(0, exp_profile(0, 1.0))
-        val = field_norm_weighted(f, shells=(ShellMeasure(R=1.0, a=1.0),))
+        (val,) = _lhs_cached(PotentialPair(v1_shells=(ShellMeasure(R=1.0, a=1.0),)), f)
         assert val == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_channel_additivity_exact(self):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,38 +8,53 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_hardy_constants_demo():
+def _run_demo(name: str) -> str:
+    """Stdout of one demo script run in a fresh interpreter on this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_hardy_constants.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_hardy_constants_demo():
+    out = _run_demo("01_hardy_constants.py")
     # the Coulomb pair V1 = V2 = 1/r has A+ = A- = 1 (printed to 12 digits)
-    match = re.search(r"Coulomb pair.*\n\s*A\+ = (\S+)\s+A- = (\S+)", proc.stdout)
-    assert match, proc.stdout
+    match = re.search(r"Coulomb pair.*\n\s*A\+ = (\S+)\s+A- = (\S+)", out)
+    assert match, out
     assert match.groups() == ("1.000000000000", "1.000000000000")
 
 
+def test_inequality_checks_demo():
+    out = _run_demo("02_inequality_checks.py")
+    # for the Coulomb pair r^p e^{-a r} in k = 0 or -2 has the ratio
+    # 1/(1 + (p+1)/2) for every a, so the best over p in [0, 3] is 2/3
+    match = re.search(r"best ratio (\S+) at k=\S+, p=(\S+),", out)
+    assert match, out
+    assert match.groups() == (f"{2.0 / 3.0:.6f}", "0.000")
+
+
 def test_weak_solve_demo():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_weak_solve.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    out = _run_demo("04_weak_solve.py")
     # the only demo that checks the symmetry of the discrete pairing
-    match = re.search(r"worst scaled defect (\S+)", proc.stdout)
-    assert match, proc.stdout
+    match = re.search(r"worst scaled defect (\S+)", out)
+    assert match, out
     assert float(match.group(1)) <= 1e-8
 
 
 def test_gap_spectrum_demo():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_gap_spectrum.py")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    out = _run_demo("05_gap_spectrum.py")
     # the Coulomb ground level against its printed closed form (10 decimals)
-    match = re.search(r"E_0 = (\S+)\s+closed form (\S+)", proc.stdout)
-    assert match, proc.stdout
+    match = re.search(r"E_0 = (\S+)\s+closed form (\S+)", out)
+    assert match, out
     value, exact = map(float, match.groups())
     assert abs(value - exact) <= 1e-9
+
+
+def test_mollified_delta_demo():
+    out = _run_demo("06_mollified_delta.py")
+    # the shell lhs c1 R^2 |f(R)|^2 = 4 e^-4 for f = e^-r, c1 = 1, R = 2, at every eps
+    lhs = re.findall(r"^\s*\d\.\d\d\s+(\S+)", out, flags=re.M)
+    assert len(lhs) == 5, out
+    assert set(lhs) == {f"{4.0 * math.exp(-4.0):.6f}"}

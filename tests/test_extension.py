@@ -17,7 +17,6 @@ from hardydirac.extension import (
     _multisect_gap,
     _strong_form,
     pairing_defect,
-    shell_spectrum_demo,
     spectrum_in_gap,
     weak_solve,
 )
@@ -448,8 +447,8 @@ class TestSpectrum:
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
                                    grid=RadialGrid.log_uniform(n, r_min, 50.0))
-        tol, lo, hi = 1e-10, -1.0 + 1e-9, 1.0 - 1e-9
-        assert len(spectrum_in_gap(prob, 2, tol=tol)) == 2
+        tol, lo, hi = extension._TOL, -1.0 + 1e-9, 1.0 - 1e-9
+        assert len(spectrum_in_gap(prob, 2)) == 2
         assert set(calls) == {n, 2 * n - 1}
         for grid_calls in calls.values():
             _assert_shift_budget(grid_calls, 2, lo, hi, tol)
@@ -477,8 +476,8 @@ class TestSpectrum:
         # every level E_i satisfies count(E_i - tol) <= i < count(E_i + tol)
         # on the grid it was reported from
         prob = coulomb_problem(nu=0.6, n=150, lam=0.0, k=k)
-        tol = 1e-10
-        evs = spectrum_in_gap(prob, 2, tol=tol)
+        tol = extension._TOL
+        evs = spectrum_in_gap(prob, 2)
         fine = RadialGrid.log_uniform(2 * prob.grid.n - 1, prob.grid.r_min,
                                       prob.grid.r_max)
         counts = _gap_counts(_HermiteFem(fine), prob)
@@ -728,16 +727,21 @@ class TestSweepRule:
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_shell_demo_levels_match(self, monkeypatch, k):
+        # the shell-mass sweep of demo 05: unit shell at R = 1 with mass
+        # a in {0, 0.5, 1}, second weight 0.5/r
+        grid = RadialGrid.log_uniform(700, 1e-7, 60.0)
+        pairs = [parse_pair("zero", "coulomb:1", c1=0.0, c2=0.5)] + [
+            parse_pair("shell:1@1", "coulomb:1", c1=a, c2=0.5) for a in (0.5, 1.0)]
+        problems = [DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0,
+                                        grid=grid) for pair in pairs]
         (new, new_warn), (old, old_warn) = self._both_rules(
-            monkeypatch, lambda: shell_spectrum_demo([0.0, 0.5, 1.0], R=1.0, nu=0.5,
-                                                     k_set=(k,), count=2))
+            monkeypatch, lambda: [spectrum_in_gap(prob, 2) for prob in problems])
         # only a = 0.5 and a = 1 bind, one level each, and only for k = 0:
         # both rules must agree on the empty windows too
         assert new_warn == old_warn
-        assert len(new) == (2 if k == 0 else 0)
-        assert [(r["a"], r["index"], r["flagged"]) for r in new] == [
-            (r["a"], r["index"], r["flagged"]) for r in old]
-        assert all(abs(a["E"] - b["E"]) <= 1e-10 for a, b in zip(new, old))
+        assert [len(levels) for levels in new] == ([0, 1, 1] if k == 0 else [0, 0, 0])
+        for levels_new, levels_old in zip(new, old):
+            self._assert_same(levels_new, levels_old)
 
     def test_readme_problem_matches(self, monkeypatch):
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
@@ -775,27 +779,13 @@ class TestShellOutsideGrid:
 
 
 class TestShellDemo:
-    def test_zero_mass_matches_w2_only(self):
-        grid = RadialGrid.log_uniform(300, 1e-6, 60.0)
-        rows = shell_spectrum_demo([0.0], R=1.0, nu=0.5, k_set=(0,), count=2, grid=grid)
-        pair = parse_pair("zero", "coulomb:1", c1=0.0, c2=0.5)
-        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
-                                   grid=grid)
-        direct = spectrum_in_gap(prob, 2)
-        assert [r["E"] for r in rows] == [ev.value for ev in direct]
-
     def test_monotone_trend_in_mass(self):
         grid = RadialGrid.log_uniform(400, 1e-6, 60.0)
-        rows = shell_spectrum_demo([0.5, 0.6, 0.7, 0.8], R=1.0, nu=0.5,
-                                   k_set=(0,), count=1, grid=grid)
-        ground = [r["E"] for r in rows if r["index"] == 0]
+        ground = []
+        for a in (0.5, 0.6, 0.7, 0.8):
+            pair = parse_pair("shell:1@1", "coulomb:1", c1=a, c2=0.5)
+            prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
+                                       grid=grid)
+            ground += [ev.value for ev in spectrum_in_gap(prob, 1)]
         assert len(ground) == 4
         assert all(b < a for a, b in zip(ground, ground[1:]))
-        assert all(not r["flagged"] for r in rows)
-
-    def test_outside_regime_flagged(self):
-        grid = RadialGrid.log_uniform(200, 1e-6, 60.0)
-        with pytest.warns(UserWarning, match="outside the guaranteed regime"):
-            rows = shell_spectrum_demo([1.0], R=1.0, nu=0.5, k_set=(0,), count=1,
-                                       grid=grid)
-        assert all(r["flagged"] for r in rows)

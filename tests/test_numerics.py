@@ -165,7 +165,8 @@ class TestIntegrateSegments:
     def test_matches_one_segment_calls(self, e):
         # mollified shell plus Coulomb, with the shell edges as breakpoints
         pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:1")
-        v, bps = pair.v1_regular, pair.breakpoints()
+        v = pair.v1_regular
+        bps = v.breakpoints()        # v2 = 1/r has none
         f = lambda s: (v(s) + pair.v2(s)) * s ** e
         edges = np.append(self.SCAN[1:], math.inf) if e < 0 else self.SCAN
         values, _ = integrate_segments(f, edges, bps)
@@ -200,7 +201,8 @@ class TestVectorIntegrand:
     # an (m, n) integrand: m integrals under one shared subdivision
     def test_components_match_their_scalar_calls(self):
         pair = parse_pair("mshell:0.5,0.5@2 + coulomb:0.3", "coulomb:1")
-        v, bps = pair.v1_regular, pair.breakpoints()
+        v = pair.v1_regular
+        bps = v.breakpoints()        # v2 = 1/r has none
         fs = [lambda s: v(s) * s ** 2, lambda s: np.exp(-s) * s,
               lambda s: s ** -0.5 * np.exp(-s * s), lambda s: 1e-9 * np.exp(-3.0 * s) * s ** 4]
         edges = [0.0, 0.5, 2.0, 2.0, 7.0, math.inf]

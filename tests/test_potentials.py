@@ -62,19 +62,19 @@ class TestParsing:
     @settings(max_examples=25, deadline=None)
     def test_mshell_round_trip(self, c, eps, R):
         comp = MollifiedShell(c, eps, R)
-        assert parse_component(comp.spec_str()) == comp
+        assert parse_component(f"mshell:{c!r},{eps!r}@{R!r}") == comp
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=25, deadline=None)
     def test_coulomb_round_trip(self, nu):
         comp = CoulombPotential(nu)
-        assert parse_component(comp.spec_str()) == comp
+        assert parse_component(f"coulomb:{nu!r}") == comp
 
     @given(st.floats(0.0, 10.0), st.floats(-2.0, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_power_round_trip(self, a, p):
         comp = PowerPotential(a, p)
-        assert parse_component(comp.spec_str()) == comp
+        assert parse_component(f"power:{a!r},{p!r}") == comp
 
 
 class TestBump:
@@ -86,6 +86,10 @@ class TestBump:
         assert bump(1.0) == 0.0
         assert bump(-2.0) == 0.0
         assert bump(0.0) > 0.0
+
+    def test_norm_literal_matches_quadrature(self):
+        norm = integrate_radial(lambda r: potentials._raw_bump(r - 2.0), a=1.0, b=3.0).value
+        assert potentials._BUMP_NORM == pytest.approx(norm, rel=1e-15, abs=0.0)
 
 
 def _richardson(f, r, h):
@@ -289,7 +293,8 @@ class TestTablePotential:
         assert comp(1.5) == pytest.approx(0.75)   # linear between samples
         assert comp(0.1) == 0.0                   # clamped to zero outside
         assert comp(10.0) == 0.0
-        assert comp.spec_str() == f"table:{path}"
+        # equality (and so the constants' cache key) depends on the data alone
+        assert comp == TablePotential((0.5, 1.0, 2.0, 4.0), (2.0, 1.0, 0.5, 0.25))
 
     def test_table_pair_constants_finite(self, tmp_path):
         path = tmp_path / "weight.csv"

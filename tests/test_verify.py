@@ -350,12 +350,12 @@ class TestExtremize:
     def test_coulomb_closed_form(self, nu1, nu2):
         # V1 = nu1/r, V2 = nu2/r, gamma = 0: r^p e^{-a r} in channel k has the
         # ratio nu1 nu2 / maxsq / ((k+1)^2 + (p+1)/2) for every a, with
-        # maxsq = ((nu1+nu2)/2)^2, so the box's best is p = 0.5 in k = 0 or -2
+        # maxsq = ((nu1+nu2)/2)^2, so the box's best is p = 0 in k = 0 or -2
         res = extremize_ratio(parse_pair(f"coulomb:{nu1}", f"coulomb:{nu2}"), 0.0,
-                              k_set=(0, -2, 1), p_bounds=(0.5, 3.0))
-        want = nu1 * nu2 / ((nu1 + nu2) / 2) ** 2 / (1.0 + 1.5 / 2)
+                              k_set=(0, -2, 1))
+        want = nu1 * nu2 / ((nu1 + nu2) / 2) ** 2 / (1.0 + 1.0 / 2)
         assert res.best_ratio == pytest.approx(want, rel=1e-12)
-        assert (res.best_k, res.best_p) in ((0, 0.5), (-2, 0.5))
+        assert (res.best_k, res.best_p) in ((0, 0.0), (-2, 0.0))
 
     def test_batched_ratios_match_single_profiles(self, pair_gallery):
         # every candidate of one batched call against its own field's ratio,
@@ -397,10 +397,6 @@ class TestExtremize:
         extremize_ratio(coulomb_pair, 0.5, k_set=(0,))
         after = verify._lhs_cached.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-
-    def test_degenerate_box(self, coulomb_pair):
-        with pytest.raises(ValueError):
-            extremize_ratio(coulomb_pair, 0.0, p_bounds=(1.0, 1.0))
 
 
 class TestMollified:

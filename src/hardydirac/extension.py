@@ -16,7 +16,10 @@ with delta shells in w1 entering as point terms -w a R^2 f(R) u(R); the
 weak solve is a Riesz representation in this space, after which the lower
 component is recovered pointwise as g = -(F2 + f' - k f/r) / (m + w2 - lam).
 This form is the E-dependent gap form below at E = -lam, so one routine
-(``_gap_form``) makes it for the solve and for the inertia counts.
+(``_gap_form``) makes it for the solve and for the inertia counts.  The
+form depends on the problem alone: the first solve on a problem object
+factors it (banded Cholesky) and keeps the factor on that object, so each
+later solve there is a load and a back-substitution.
 
 Discretization: quintic Hermite elements (value, first and second
 log-derivative per node) on a log-uniform radial grid, so profiles that are
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -99,6 +103,9 @@ def _hermite_tables(xi: np.ndarray):
     return H, D, D2
 
 
+_GQ_H, _GQ_D, _GQ_D2 = _hermite_tables(_GQ_X)    # grid-free; each grid scales them by h
+
+
 class _HermiteFem:
     """Element matrices, loads and evaluation on one log-uniform grid; dofs
     are node-major (value and two log-derivatives per node), so forms are
@@ -111,10 +118,9 @@ class _HermiteFem:
         self.n_nodes = grid.n
         h = self.h
         scale = np.array([1.0, h, h * h, 1.0, h, h * h])
-        H, D, D2 = _hermite_tables(_GQ_X)
-        self.N = H * scale[:, None]
-        self.Nd = D * scale[:, None] / h
-        self.Ndd = D2 * scale[:, None] / (h * h)
+        self.N = _GQ_H * scale[:, None]
+        self.Nd = _GQ_D * scale[:, None] / h
+        self.Ndd = _GQ_D2 * scale[:, None] / (h * h)
         self.wq = _GQ_W * h
         self.tq = self.t[:-1, None] + h * _GQ_X[None, :]      # (nel, nq)
         self.rq = np.exp(self.tq)
@@ -181,6 +187,12 @@ class DiracChannelProblem:
     c1 c2 <= 1/max(A+^2, A-^2)).  The coupling condition is not checked
     here: ``weak_solve`` raises :class:`NotPositiveDefiniteError` when the
     assembled form is not positive definite.
+
+    The first ``weak_solve`` factors the energy form and keeps the factor
+    on this object (about 0.9 MB at 2000 nodes), so later solves on it are
+    a load and a back-substitution; the factor is freed with the object.
+    The fields are frozen: a different lam or grid is a new problem
+    (``dataclasses.replace``), with its own factor.
     """
 
     pair: PotentialPair
@@ -222,6 +234,10 @@ class DiracChannelProblem:
     def shell_terms(self):
         """(radius, coupled mass) pairs for w1's singular part."""
         return tuple((s.R, self.pair.c1 * s.a) for s in self.pair.v1_shells)
+
+    @cached_property
+    def _factored(self) -> _FactoredForm:
+        return _FactoredForm(self)
 
 
 @dataclass(frozen=True)
@@ -291,6 +307,38 @@ def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
     return f, g, upper, lower
 
 
+class _FactoredForm:
+    """The part of a weak solve that depends on the problem alone: the
+    elements, w1, w2 and w2' at the quadrature points and w2 at the nodes,
+    the shells' element rows, and the banded Cholesky factor of the
+    equilibrated form.  It keeps no reference to the problem, which holds it."""
+
+    def __init__(self, problem: DiracChannelProblem):
+        from scipy.linalg import LinAlgError, cholesky_banded    # slow to import; only used here
+
+        self.fem = fem = _HermiteFem(problem.grid)
+        rq = fem.rq
+        self.samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
+        self.w2_nodes = problem.w2(problem.grid.nodes)
+        self.shells = tuple(fem._element_shapes(radius) for radius, _ in problem.shell_terms())
+        # the gap form at E = -lam, equilibrated (the Cholesky then stays healthy
+        # across 20 decades) and packed in lower band storage, dofs node-major
+        D, B = _gap_form(fem, problem)(np.array([-problem.lam]))
+        self.scales = _equilibrate(D, B)[:, 0].T.ravel()
+        ab = np.zeros((6, self.scales.size))
+        for a in range(3):
+            for c in range(a, 3):
+                ab[c - a, a::3] = D[a, c, 0]
+            for c in range(3):
+                ab[3 + c - a, a:-3:3] = B[a, c, 0]
+        try:
+            self.factor = cholesky_banded(ab, lower=True)
+        except LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                "energy form is not positive definite "
+                "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
+
+
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
     """Riesz solve of (H_V + lam)(phi, chi) = (F1, F2) on one channel.
 
@@ -301,34 +349,26 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     the origin: r^-0.5 e^-r is a valid F1 and a valid F2.
     Returns the two radial components with strong-form residuals measured
     in the weighted L2 norm.
-    """
-    from scipy.linalg import LinAlgError, solveh_banded    # slow to import; only used here
 
-    fem = _HermiteFem(problem.grid)
+    The first solve on ``problem`` factors its energy form (LAPACK pbtrf)
+    and keeps the factor on the problem object, so it is freed with the
+    problem (about 0.9 MB at 2000 nodes); each solve then samples the data,
+    builds the load and back-substitutes (pbtrs), bit for bit what one
+    banded solve (pbsv) gives.  Another lam or grid is another problem
+    (``dataclasses.replace``).  A form that is not positive definite raises
+    :class:`NotPositiveDefiniteError` on every call.
+    """
+    from scipy.linalg import cho_solve_banded    # slow to import; only used here
+
+    form = problem._factored
+    fem, samples = form.fem, form.samples
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
-    samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
-    w2q = samples[1]
     F1q, F2q = _sampled(F1, rq), _sampled(F2, rq)
-    b = fem.load(F1q * rq**3, F2q * rq**2 / (m + w2q - lam), k)
+    b = fem.load(F1q * rq**3, F2q * rq**2 / (m + samples[1] - lam), k)
     b[0, [0, -1]] = 0.0                       # value dofs at both ends
-    # the gap form at E = -lam, equilibrated (the Cholesky then stays healthy
-    # across 20 decades) and packed in lower band storage, dofs node-major
-    D, B = _gap_form(fem, problem)(np.array([-lam]))
-    s = _equilibrate(D, B)[:, 0].T.ravel()
-    ab = np.zeros((6, s.size))
-    for a in range(3):
-        for c in range(a, 3):
-            ab[c - a, a::3] = D[a, c, 0]
-        for c in range(3):
-            ab[3 + c - a, a:-3:3] = B[a, c, 0]
     b = b.T.ravel()
-    try:
-        coefs = solveh_banded(ab, b * s, lower=True) * s
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "energy form is not positive definite "
-            "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
+    coefs = cho_solve_banded((form.factor, True), b * form.scales) * form.scales
 
     F2dq = np.zeros_like(rq) if F2 is None else np.real(F2.reduced_at(0, rq))
     f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, F2dq)
@@ -336,15 +376,14 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     residual_upper = fem.quad_norm(upper - F1q, weight)
     residual_lower = fem.quad_norm(lower - F2q, weight)
     weight *= fem.wq
-    shells = (fem._element_shapes(radius) for radius, _ in problem.shell_terms())
-    phi_at = tuple(float(shapes @ coefs[3 * el: 3 * el + 6]) for el, shapes in shells)
+    phi_at = tuple(float(shapes @ coefs[3 * el: 3 * el + 6]) for el, shapes in form.shells)
 
     h_norm = math.sqrt(max(float(coefs @ b), 0.0))       # coefs . A coefs, as A coefs = b
     nodes = problem.grid
     phi = GridProfile(nodes, fem.node_values(coefs, 0))
     g_nodes = -(_sampled(F2, nodes.nodes)
                 + fem.node_values(coefs, 1) - k * fem.node_values(coefs, 0) / nodes.nodes
-                ) / (m + problem.w2(nodes.nodes) - lam)
+                ) / (m + form.w2_nodes - lam)
     chi = GridProfile(nodes, g_nodes)
     return WeakSolveResult(phi=phi, chi=chi,
                            residual_upper=residual_upper,

@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,10 +13,12 @@ import pytest
 from hardydirac import extension
 from hardydirac.channels import Channel, ClosedFormProfile, ProfileTerm, exp_profile, gauss_profile
 from hardydirac.extension import (
+    _GQ_X,
     DiracChannelProblem,
     _HermiteFem,
     _gap_counts,
     _gap_form,
+    _hermite_tables,
     _multisect_gap,
     _strong_form,
     pairing_defect,
@@ -201,8 +206,11 @@ class TestWeakSolve:
         pair = parse_pair("coulomb:1", "coulomb:1", c1=2.0, c2=1.0)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0,
                                    grid=RadialGrid.log_uniform(800, 1e-7, 50.0))
-        with pytest.raises(NotPositiveDefiniteError):
-            weak_solve(prob, exp_profile(0, 1.0), None)
+        # a failed factorization is not kept, so each solve raises again
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                weak_solve(prob, exp_profile(0, 1.0), None)
+        assert "_factored" not in vars(prob)
 
     def test_nonpositive_regime_always_solvable(self):
         pair = PotentialPair(v1_regular=CoulombPotential(1.0),
@@ -355,6 +363,57 @@ class TestPairingDefect:
             with pytest.raises(ValueError, match="weak solutions of the problem"):
                 pairing_defect(prob, u, v)
         assert pairing_defect(probs[0], u, u) == 0.0
+
+
+class TestFactoredForm:
+    DATA = ((exp_profile(0, 1.0, coef=0.5), None),
+            (exp_profile(1, 1.2, coef=0.7), gauss_profile(2, 0.9, coef=-0.4)),
+            (gauss_profile(0, 1.1, coef=0.8), gauss_profile(1, 1.3, coef=0.6)))
+
+    def test_later_solves_match_a_fresh_problem(self):
+        # the first solve factors the form and keeps it on the problem; later
+        # solves on that object only back-substitute, and give bit for bit
+        # what a solve on a freshly built equal problem gives
+        for prob in _solve_problems().values():
+            weak_solve(prob, *self.DATA[0])
+            form = vars(prob)["_factored"]
+            kept = [weak_solve(prob, *data) for data in self.DATA]
+            assert vars(prob)["_factored"] is form
+            fresh = []
+            for data in self.DATA:
+                other = dataclasses.replace(prob)
+                assert other == prob and "_factored" not in vars(other)
+                fresh.append(weak_solve(other, *data))
+            for a, b in zip(kept, fresh):
+                assert np.array_equal(a.coefs, b.coefs)
+                assert np.array_equal(a.phi.values, b.phi.values)
+                assert np.array_equal(a.chi.values, b.chi.values)
+                assert a.residual_upper == b.residual_upper
+                assert a.residual_lower == b.residual_lower
+                assert a.h_norm_phi == b.h_norm_phi
+            for i in range(len(kept)):
+                for j in range(i + 1, len(kept)):
+                    assert (pairing_defect(prob, kept[i], kept[j])
+                            == pairing_defect(prob, fresh[i], fresh[j]))
+
+    def test_factor_freed_with_the_problem(self):
+        # the factor lives on the problem object and nowhere else
+        prob = coulomb_problem(n=300)
+        sols = [weak_solve(prob, *data) for data in self.DATA]
+        refs = weakref.ref(prob), weakref.ref(vars(prob)["_factored"])
+        del prob, sols
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_shape_tables_scale_the_grid_free_tables(self):
+        # the Gauss-point tables are computed once; each grid only scales them
+        fem = _HermiteFem(RadialGrid.log_uniform(300, 1e-7, 50.0))
+        h = fem.h
+        scale = np.array([1.0, h, h * h, 1.0, h, h * h])[:, None]
+        H, D, D2 = _hermite_tables(_GQ_X)
+        assert np.array_equal(fem.N, H * scale)
+        assert np.array_equal(fem.Nd, D * scale / h)
+        assert np.array_equal(fem.Ndd, D2 * scale / (h * h))
 
 
 class TestSpectrum:

@@ -4,7 +4,6 @@ diagonal (including delta-shell) potentials."""
 
 from .numerics import (
     NotPositiveDefiniteError,
-    Quadrant,
     QuadratureError,
     RadialGrid,
     SupResult,

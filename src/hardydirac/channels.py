@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RadialGrid, integrate_segments
+from .numerics import RadialGrid, integrate_radial
 from .potentials import PotentialComponent
 
 __all__ = [
@@ -72,9 +72,9 @@ class ProfileTerm:
     def __post_init__(self):
         if self.kind not in ("exp", "gauss"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.a <= 0:
-            raise ValueError("decay rate must be positive")
-        if 2.0 * self.p + 2.0 <= -1.0:
+        if not self.a > 0:      # NaN fails too
+            raise ValueError(f"decay rate must be positive, got {self.a!r}")
+        if not 2.0 * self.p + 2.0 > -1.0:
             raise ValueError(f"r^{self.p} is not square integrable with weight r^2")
 
 
@@ -228,7 +228,7 @@ def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),
         return np.concatenate([(dens[kind] if w is None else w(r) * dens[kind]) * r * r
                                for w, kind in sides])
 
-    values, _ = integrate_segments(integrand, edges, bps)
+    values, _ = integrate_radial(integrand, edges, bps)
     out[live] = values.reshape(len(live), len(terms), -1)
     return out
 

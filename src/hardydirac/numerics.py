@@ -12,11 +12,11 @@ r = e^t, which turns 1/r singularities at the origin and decaying tails
 into smooth integrands on the line.  Integrands take a 1-D array of radii
 and return an array of values, or m rows for m integrals: the adaptive rule
 evaluates them once per sweep on the Gauss-Legendre nodes of every open
-panel in log r, over consecutive segments at once (``integrate_radial``
-takes one), so cumulative integrals at many radii are the prefix sums of
-one call.  A supremum is a log-uniform scan merged with its jump candidates
-in one call; its best interior peak, unless flat to round-off, is refined by
-Newton-bisection on the stationarity condition, one radius per call.
+panel in log r, over consecutive segments at once, so cumulative integrals
+at many radii are the prefix sums of one call.  A supremum is a log-uniform
+scan merged with its jump candidates in one call; its best interior peak,
+unless flat to round-off, is refined by Newton-bisection on the stationarity
+condition, one radius per call.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ import numpy as np
 
 __all__ = [
     "RadialGrid",
-    "Quadrant",
     "SupResult",
     "QuadratureError",
     "UnboundedError",
     "NotPositiveDefiniteError",
     "integrate_radial",
-    "integrate_segments",
     "sup_over_r",
 ]
 
@@ -141,20 +139,6 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class Quadrant:
-    """A quadrature result: value plus an absolute error estimate."""
-
-    value: float
-    abs_error_estimate: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("quadrature value must be finite")
-        if self.abs_error_estimate < 0.0:
-            raise ValueError("error estimate must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SupResult:
     """Result of a supremum search over r > 0.
 
@@ -167,35 +151,23 @@ class SupResult:
     tag: str | None = None
 
 
-def integrate_radial(f, a: float = 0.0, b: float = math.inf,
-                     breakpoints=()) -> Quadrant:
-    """Integrate ``f(r) dr`` over (a, b) with 0 <= a < b <= inf.
-
-    ``f`` maps a 1-D array of radii to an array of values.  This is the
-    one-segment case of :func:`integrate_segments`.
-    """
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    value, estimate = integrate_segments(f, np.array([a, b], dtype=float), breakpoints)
-    return Quadrant(float(value[0]), float(estimate[0]))
-
-
-def integrate_segments(f, edges, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
+def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of ``f(r) dr`` over the segments [edges[i], edges[i+1]].
 
     ``edges`` do not decrease from ``edges[0] >= 0`` to ``edges[-1] <= inf``
-    (a repeated edge makes a segment with integral 0); returns the segment
-    integrals and their absolute error estimates.  The log substitution
-    neutralizes inverse-power singularities at the origin and decaying
-    tails alike.  The start panels in log r are cut at every edge, at r = 1
-    and at ``breakpoints`` (radii where the integrand is not smooth: shell
-    edges, table samples), none wider than 2, so the rule cannot step over
-    a narrow feature.  Each sweep evaluates ``f`` once on the nodes of every
-    open panel; a panel is accepted when its |G16 - G8| is within its share
-    (width over the width of all segments) of ``_REL_TOL`` times its
-    segment's |total| or at its round-off level, and otherwise split in four
-    (a panel that fails usually needs two halvings).  So a sum of segments
-    from either end is held at least as tightly as one integral over it.
+    (a repeated edge makes a segment with integral 0); the default is the
+    one segment (0, inf).  Returns the segment integrals and their absolute
+    error estimates.  The log substitution neutralizes inverse-power
+    singularities at the origin and decaying tails alike.  The start panels
+    in log r are cut at every edge, at r = 1 and at ``breakpoints`` (radii
+    where the integrand is not smooth: shell edges, table samples), none
+    wider than 2, so the rule cannot step over a narrow feature.  Each sweep
+    evaluates ``f`` once on the nodes of every open panel; a panel is
+    accepted when its |G16 - G8| is within its share (width over the width
+    of all segments) of ``_REL_TOL`` times its segment's |total| or at its
+    round-off level, and otherwise split in four (a panel that fails usually
+    needs two halvings).  So a sum of segments from either end is held at
+    least as tightly as one integral over it.
 
     ``f`` may return m integrands, (m, n) for n radii; the results are then
     (m, segments).  Each runs this rule on the panels it has not accepted,

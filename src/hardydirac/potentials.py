@@ -26,7 +26,7 @@ import numpy as np
 from .numerics import (
     SupResult,
     UnboundedError,
-    integrate_segments,
+    integrate_radial,
     sup_over_r,
 )
 
@@ -206,8 +206,9 @@ class MollifiedShell(PotentialComponent):
     R: float
 
     def __post_init__(self):
-        if self.eps <= 0 or self.R <= 0:
-            raise ValueError("mollified shell needs eps > 0 and R > 0")
+        if not (self.eps > 0 and self.R > 0):     # NaN fails too
+            raise ValueError(f"mollified shell needs eps > 0 and R > 0, got eps={self.eps!r}, "
+                             f"R={self.R!r}")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -274,8 +275,8 @@ class ShellMeasure:
     a: float
 
     def __post_init__(self):
-        if self.R <= 0 or self.a <= 0:
-            raise ValueError("shell needs R > 0 and a > 0")
+        if not (self.R > 0 and self.a > 0):       # NaN fails too
+            raise ValueError(f"shell needs R > 0 and a > 0, got R={self.R!r}, a={self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -420,7 +421,7 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
 
     It takes an array of radii.  The first call integrates them as
     consecutive segments from 0 (to infinity, for the tail) in one
-    ``integrate_segments`` call and keeps the prefix sums as anchors; later
+    ``integrate_radial`` call and keeps the prefix sums as anchors; later
     calls integrate from the nearest anchor.  So a supremum costs one
     segmented quadrature over its scan and candidates (shell radii,
     breakpoints) plus a short segment per Newton step or endpoint probe;
@@ -442,13 +443,13 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
             raise ValueError("radii must be positive and finite")
         if forward:
             i = anchor_r.searchsorted(q[0]) - 1
-            parts, _ = integrate_segments(weighted, np.concatenate([anchor_r[i:i + 1], q]), bps)
+            parts, _ = integrate_radial(weighted, np.concatenate([anchor_r[i:i + 1], q]), bps)
             acc = anchor_int[i] + parts.cumsum()
             if anchor_r.size == 1:
                 anchor_r, anchor_int = np.append(0.0, q), np.append(0.0, acc)
         else:
             i = anchor_r.searchsorted(q[-1], side="right")
-            parts, _ = integrate_segments(weighted, np.concatenate([q, anchor_r[i:i + 1]]), bps)
+            parts, _ = integrate_radial(weighted, np.concatenate([q, anchor_r[i:i + 1]]), bps)
             acc = anchor_int[i] + parts[::-1].cumsum()[::-1]
             if anchor_r.size == 1:
                 anchor_r, anchor_int = np.append(q, math.inf), np.append(acc, 0.0)

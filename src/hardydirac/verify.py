@@ -24,7 +24,7 @@ from .channels import (
     exp_profile,
     field_norm_weighted,
 )
-from .numerics import QuadratureError, integrate_segments
+from .numerics import QuadratureError, integrate_radial
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 
 __all__ = [
@@ -138,6 +138,11 @@ def _v2_state(pair: PotentialPair) -> str:
     return "mixed"
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma >= 0.0:    # NaN fails too
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+
+
 def _grad_weight(pair: PotentialPair, gamma: float):
     v2 = pair.v2
     return lambda r: 1.0 / (v2(r) + gamma)
@@ -149,7 +154,9 @@ def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> In
     The global sides are assembled from the per-channel pieces, so the
     reported lhs equals the sum of the channel lhs entries exactly; the
     global rhs uses max{A+^2, A-^2} where the channel entries use A_k^2.
+    ``gamma`` must be >= 0.
     """
+    _check_gamma(gamma)
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
     lhs_k = _lhs_cached(pair, field_)
     lhs = sum(lhs_k, 0.0)
@@ -222,8 +229,7 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
     weights = [lambda r: 1.0 / (m + c2 * v2(r) - lam)]
     if maxsq > 0.0 and c1 * c2 * maxsq < 1.0:
         eps = min(1.0 / (c1 * c2 * maxsq) - 1.0, 1e3)
-        lam_min = max(0.0, m * ((1.0 + eps) * c1 - c2) / ((1.0 + eps) * c1 + c2))
-        lam_eps = 0.5 * (lam_min + m)
+        lam_eps = select_lambda((1.0 + eps) * c1, c2, m)
         weights.append(lambda r: 1.0 / (m + c2 * v2(r) - lam_eps))
     lhs_k = _lhs_cached(pair, field_)
     lhs_base = sum(lhs_k, 0.0)
@@ -300,8 +306,7 @@ def _exp_ratios(pair: PotentialPair, gamma: float, maxsq: float, k: int,
         return np.concatenate([v(r) * dens for v in lhs_rows]
                               + ([dens] if gamma > 0 else []) + [grad])
 
-    values, _ = integrate_segments(integrand, (0.0, math.inf),
-                                   v1.breakpoints() if lhs_rows else ())
+    values, _ = integrate_radial(integrand, breakpoints=v1.breakpoints() if lhs_rows else ())
     rows = values[:, 0].reshape(-1, p.size)
     lhs = rows[0] if lhs_rows else np.zeros(p.size)
     for shell in pair.v1_shells:
@@ -327,6 +332,7 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> Extremi
     """
     if not k_set:
         raise ValueError("empty channel set")
+    _check_gamma(gamma)
 
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
     lo, hi = _BOX
@@ -383,6 +389,8 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
     vanishes with eps, which is why the limit does not produce a delta in
     the second slot.
     """
+    if not R > 0.0:     # NaN fails too
+        raise ValueError(f"shell radius R must be positive, got {R!r}")
     if lam is None:
         lam = select_lambda(c1, c2, m) if c1 > 0 and c2 > 0 else 0.0
     if not (-m < lam < m):

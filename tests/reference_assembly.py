@@ -138,8 +138,8 @@ def band_blocks(ab):
 
 
 def _complex_quad(fn, breakpoints=()) -> complex:
-    re = integrate_radial(lambda r: fn(r).real, breakpoints=breakpoints).value
-    im = integrate_radial(lambda r: fn(r).imag, breakpoints=breakpoints).value
+    (re,), _ = integrate_radial(lambda r: fn(r).real, breakpoints=breakpoints)
+    (im,), _ = integrate_radial(lambda r: fn(r).imag, breakpoints=breakpoints)
     return complex(re, im)
 
 

@@ -178,7 +178,7 @@ class TestNorms:
         f = SpinorField.single(0, exp_profile(0, 1.0))
         w = lambda r: 1.0 / (1.0 / r + 1.0)
         got = sigma_grad_norm_weighted(f, weight=w)
-        oracle = integrate_radial(lambda r: np.exp(-2 * r) * r ** 3 / (r + 1)).value
+        (oracle,), _ = integrate_radial(lambda r: np.exp(-2 * r) * r ** 3 / (r + 1))
         assert got == pytest.approx(oracle, rel=1e-10)
 
 
@@ -268,6 +268,11 @@ class TestProfileGrammar:
             parse_profile("spline:1,2")
         with pytest.raises(ValueError):
             parse_field_term("0:exp:0,1")
+
+    @pytest.mark.parametrize("spec", ["exp:nan,1", "exp:0,nan", "gauss:nan,1", "gauss:0,nan"])
+    def test_nan_parameter_rejected(self, spec):
+        with pytest.raises(ValueError, match="nan"):
+            parse_profile(spec)
 
     def test_duplicate_channel_rejected(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,24 @@ class TestVerifyCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, needle", [
+    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma -0.5", "gamma must be >= 0, got -0.5"),
+    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma nan", "gamma must be >= 0, got nan"),
+    ("extremize --v1 coulomb:1 --v2 coulomb:1 --kset 0 --gamma -0.5", "gamma must be >= 0"),
+    ("constants --v1 mshell:1,0.5@nan --v2 coulomb:1", "R=nan"),
+    ("constants --v1 shell:1@nan --v2 coulomb:1", "R=nan, a=1.0"),
+    ("experiment --R 0", "shell radius R must be positive, got 0.0"),
+    ("experiment --R -1", "shell radius R must be positive, got -1.0"),
+], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
+        "experiment-R-0", "experiment-R-negative"])
+def test_invalid_input_exits_2_naming_it(capsys, argv, needle):
+    # each of these once exited 0, or failed later with a message about something else
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and needle in error["message"]
+
+
 class TestIdempotence:
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--v1", "coulomb:1", "--v2", "coulomb:1",

@@ -108,8 +108,8 @@ class TestInnerProduct:
             f = exp_profile(p, a)
             red = f.reduced(0)
             from hardydirac.numerics import integrate_radial
-            num = integrate_radial(
-                lambda r: abs(red(r)) ** 2 / (m + prob.w2(r) - lam) ** 2 * r * r).value
+            (num,), _ = integrate_radial(
+                lambda r: abs(red(r)) ** 2 / (m + prob.w2(r) - lam) ** 2 * r * r)
             hn = h_inner_product(f, f, prob).real
             assert num <= hn / (m - lam) * (1.0 + 1e-10)
 

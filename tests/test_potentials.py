@@ -88,7 +88,7 @@ class TestBump:
         assert bump(0.0) > 0.0
 
     def test_norm_literal_matches_quadrature(self):
-        norm = integrate_radial(lambda r: potentials._raw_bump(r - 2.0), a=1.0, b=3.0).value
+        (norm,), _ = integrate_radial(lambda r: potentials._raw_bump(r - 2.0), (1.0, 3.0))
         assert potentials._BUMP_NORM == pytest.approx(norm, rel=1e-15, abs=0.0)
 
 
@@ -325,8 +325,8 @@ class TestTablePotential:
             return math.fsum(pieces)
 
         for r in (1.0, 3.3333, 8.0, 20.0):
-            q = integrate_radial(lambda s: tab(s) * s ** 2, 0.0, r, tab.breakpoints())
-            assert q.value == pytest.approx(exact(r), rel=1e-13)
+            (value,), _ = integrate_radial(lambda s: tab(s) * s ** 2, (0.0, r), tab.breakpoints())
+            assert value == pytest.approx(exact(r), rel=1e-13)
 
     def test_long_table_a_minus_dominates_exact_tail(self):
         rs = self.LONG
@@ -362,3 +362,14 @@ class TestPairValidation:
             ShellMeasure(R=1.0, a=0.0)
         with pytest.raises(ValueError):
             ShellMeasure(R=0.0, a=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda x: ShellMeasure(R=x, a=1.0),
+        lambda x: ShellMeasure(R=1.0, a=x),
+        lambda x: MollifiedShell(c=1.0, eps=x, R=1.0),
+        lambda x: MollifiedShell(c=1.0, eps=0.5, R=x),
+    ], ids=["shell-R", "shell-a", "mshell-eps", "mshell-R"])
+    def test_nan_shell_parameter_rejected(self, make):
+        # a NaN radius once made the mollified shell vanish without a word
+        with pytest.raises(ValueError, match="=nan"):
+            make(math.nan)

@@ -135,6 +135,15 @@ class TestVerifyTheorem:
             assert rep.ratio == pytest.approx(base.ratio, abs=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, math.nan])
+def test_gamma_must_be_nonnegative(coulomb_pair, gamma):
+    # a negative gamma puts a pole in 1/(V2 + gamma); a NaN one read as vacuous
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        verify_theorem(coulomb_pair, F_EXP, gamma)
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        extremize_ratio(coulomb_pair, gamma, k_set=(0,))
+
+
 class TestGridProfileField:
     def test_weak_solve_output_verifies(self):
         # a GridProfile is piecewise linear in log r with a kink at every node
@@ -214,8 +223,8 @@ class TestVerifyCorollary:
                              (Channel(-2), gauss_profile(1, 0.7))))
         verify_corollary(pair, field, m=1.0)       # constants cached
         calls = []
-        inner = channels.integrate_segments
-        monkeypatch.setattr(channels, "integrate_segments",
+        inner = channels.integrate_radial
+        monkeypatch.setattr(channels, "integrate_radial",
                             lambda f, *a: calls.append(f(np.ones(1)).shape[0]) or inner(f, *a))
         verify._lhs_cached.cache_clear()
         rep = verify_corollary(pair, field, m=1.0)
@@ -246,11 +255,11 @@ def _per_integral_sides(pair, field, weight):
         red = prof.reduced(ch.k)
         lhs = 0.0
         lhs += integrate_radial(lambda r: v1(r) * np.abs(prof(r)) ** 2 * r * r,
-                                breakpoints=v1.breakpoints()).value
+                                breakpoints=v1.breakpoints())[0][0]
         for shell in pair.v1_shells:
             lhs += shell.a * shell.R ** 2 * abs(prof(shell.R)) ** 2
-        grad = integrate_radial(lambda r: weight(r) * np.abs(red(r)) ** 2 * r * r).value
-        mass = integrate_radial(lambda r: np.abs(prof(r)) ** 2 * r * r).value
+        (grad,), _ = integrate_radial(lambda r: weight(r) * np.abs(red(r)) ** 2 * r * r)
+        (mass,), _ = integrate_radial(lambda r: np.abs(prof(r)) ** 2 * r * r)
         sides.append((ch.k, lhs, grad, mass))
     return sides
 
@@ -330,7 +339,7 @@ class TestBatchedChecks:
     def test_zero_weight_lhs_skips_quadrature(self, shell_coulomb_pair, monkeypatch):
         # the shell pair's regular V1 is zero: only the shell terms remain,
         # bit for bit, and no integrand is evaluated
-        monkeypatch.setattr(channels, "integrate_segments",
+        monkeypatch.setattr(channels, "integrate_radial",
                             lambda *a, **kw: pytest.fail("quadrature called"))
         (shell,) = shell_coulomb_pair.v1_shells
         for field in self.FIELDS[:10]:
@@ -427,6 +436,12 @@ class TestMollified:
         with pytest.raises(ValueError):
             mollified_delta_experiment(1.0, 0.25, 2.0, [0.0], F_EXP)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    def test_bad_radius(self, R):
+        # R = 0 once printed a NaN lhs, which is not valid JSON
+        with pytest.raises(ValueError, match="shell radius R"):
+            mollified_delta_experiment(1.0, 0.25, R, [0.8], F_EXP)
+
     @pytest.mark.parametrize("field", [F_EXP, SpinorField((
         (Channel(0), exp_profile(0, 1.0)), (Channel(-2), gauss_profile(1, 0.7))))])
     def test_rows_match_per_integral_calls(self, field):
@@ -441,9 +456,9 @@ class TestMollified:
                 red = prof.reduced(ch.k)
                 dens = lambda r: np.abs(red(r)) ** 2 * r * r
                 if inner > 0.0:
-                    bulk += integrate_radial(dens, a=0.0, b=inner).value
-                bulk += integrate_radial(dens, a=outer).value
-                annulus += integrate_radial(dens, a=inner, b=outer).value
+                    bulk += integrate_radial(dens, (0.0, inner))[0][0]
+                bulk += integrate_radial(dens, (outer, math.inf))[0][0]
+                annulus += integrate_radial(dens, (inner, outer))[0][0]
             assert row.bulk_term == pytest.approx(bulk, rel=1e-10)
             assert row.annulus_term == pytest.approx(annulus / (1.0 + 1.0 / eps), rel=1e-10)
             assert row.rhs == pytest.approx(bulk + row.annulus_term + row.mass_term, rel=1e-10)

@@ -16,10 +16,11 @@ with delta shells in w1 entering as point terms -w a R^2 f(R) u(R); the
 weak solve is a Riesz representation in this space, after which the lower
 component is recovered pointwise as g = -(F2 + f' - k f/r) / (m + w2 - lam).
 This form is the E-dependent gap form below at E = -lam, so one routine
-(``_gap_form``) makes it for the solve and for the inertia counts.  The
-form depends on the problem alone: the first solve on a problem object
-factors it (banded Cholesky) and keeps the factor on that object, so each
-later solve there is a load and a back-substitution.
+(``_gap_form``) makes it for the solve and for the inertia counts, and
+block cyclic reduction (``numerics``) factors it for the solve and counts
+its inertia for the spectrum.  The form depends on the problem alone: the
+first solve on a problem object factors it and keeps the factor on that
+object, so each later solve there is a load and a back-substitution.
 
 Discretization: quintic Hermite elements (value, first and second
 log-derivative per node) on a log-uniform radial grid, so profiles that are
@@ -49,12 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, GridProfile
-from .numerics import (
-    NotPositiveDefiniteError,
-    RadialGrid,
-    _equilibrate,
-    ldl_inertia,
-)
+from .numerics import RadialGrid, ldl_inertia, spd_factor, spd_solve
 from .potentials import PotentialPair
 from .verify import select_lambda
 
@@ -189,7 +185,7 @@ class DiracChannelProblem:
     assembled form is not positive definite.
 
     The first ``weak_solve`` factors the energy form and keeps the factor
-    on this object (about 0.9 MB at 2000 nodes), so later solves on it are
+    on this object (about 1.6 MB at 2000 nodes), so later solves on it are
     a load and a back-substitution; the factor is freed with the object.
     The fields are frozen: a different lam or grid is a new problem
     (``dataclasses.replace``), with its own factor.
@@ -309,34 +305,23 @@ def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
 
 class _FactoredForm:
     """The part of a weak solve that depends on the problem alone: the
-    elements, w1, w2 and w2' at the quadrature points and w2 at the nodes,
-    the shells' element rows, and the banded Cholesky factor of the
-    equilibrated form.  It keeps no reference to the problem, which holds it."""
+    elements, w1, w2 and w2' at the quadrature points with the load weights
+    r^3 and r^2/(m + w2 - lam) there, w2 at the nodes, the shells' element
+    rows, and the factor of the form by block cyclic reduction.  It keeps no
+    reference to the problem, which holds it."""
 
     def __init__(self, problem: DiracChannelProblem):
-        from scipy.linalg import LinAlgError, cholesky_banded    # slow to import; only used here
-
         self.fem = fem = _HermiteFem(problem.grid)
         rq = fem.rq
         self.samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
+        self.r3 = rq**3
+        self.f2_weight = rq**2 / (problem.m + self.samples[1] - problem.lam)
         self.w2_nodes = problem.w2(problem.grid.nodes)
         self.shells = tuple(fem._element_shapes(radius) for radius, _ in problem.shell_terms())
-        # the gap form at E = -lam, equilibrated (the Cholesky then stays healthy
-        # across 20 decades) and packed in lower band storage, dofs node-major
+        # the gap form at E = -lam, equilibrated by the factorization, which
+        # then stays healthy across 20 decades
         D, B = _gap_form(fem, problem)(np.array([-problem.lam]))
-        self.scales = _equilibrate(D, B)[:, 0].T.ravel()
-        ab = np.zeros((6, self.scales.size))
-        for a in range(3):
-            for c in range(a, 3):
-                ab[c - a, a::3] = D[a, c, 0]
-            for c in range(3):
-                ab[3 + c - a, a:-3:3] = B[a, c, 0]
-        try:
-            self.factor = cholesky_banded(ab, lower=True)
-        except LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "energy form is not positive definite "
-                "(regime hypothesis violated, e.g. c1*c2 too large)") from exc
+        self.factor = spd_factor(D[:, :, 0], B[:, :, 0])
 
 
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
@@ -350,35 +335,32 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     Returns the two radial components with strong-form residuals measured
     in the weighted L2 norm.
 
-    The first solve on ``problem`` factors its energy form (LAPACK pbtrf)
-    and keeps the factor on the problem object, so it is freed with the
-    problem (about 0.9 MB at 2000 nodes); each solve then samples the data,
-    builds the load and back-substitutes (pbtrs), bit for bit what one
-    banded solve (pbsv) gives.  Another lam or grid is another problem
-    (``dataclasses.replace``).  A form that is not positive definite raises
-    :class:`NotPositiveDefiniteError` on every call.
+    The first solve on ``problem`` factors its equilibrated energy form by
+    block cyclic reduction (``numerics.spd_factor``) and keeps the factor on
+    the problem object, so it is freed with the problem (about 1.6 MB at
+    2000 nodes); each solve then samples the data, builds the load and
+    back-substitutes (``numerics.spd_solve``).  Another lam or grid is
+    another problem (``dataclasses.replace``).  A form that is not positive
+    definite raises :class:`NotPositiveDefiniteError` on every call.
     """
-    from scipy.linalg import cho_solve_banded    # slow to import; only used here
-
     form = problem._factored
     fem, samples = form.fem, form.samples
     m, lam, k = problem.m, problem.lam, problem.channel.k
     rq = fem.rq
     F1q, F2q = _sampled(F1, rq), _sampled(F2, rq)
-    b = fem.load(F1q * rq**3, F2q * rq**2 / (m + samples[1] - lam), k)
+    b = fem.load(F1q * form.r3, F2q * form.f2_weight, k)
     b[0, [0, -1]] = 0.0                       # value dofs at both ends
-    b = b.T.ravel()
-    coefs = cho_solve_banded((form.factor, True), b * form.scales) * form.scales
+    x = spd_solve(form.factor, b)
+    coefs = x.T.ravel()
 
     F2dq = np.zeros_like(rq) if F2 is None else np.real(F2.reduced_at(0, rq))
     f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, F2dq)
-    weight = rq**3
-    residual_upper = fem.quad_norm(upper - F1q, weight)
-    residual_lower = fem.quad_norm(lower - F2q, weight)
-    weight *= fem.wq
+    residual_upper = fem.quad_norm(upper - F1q, form.r3)
+    residual_lower = fem.quad_norm(lower - F2q, form.r3)
+    weight = form.r3 * fem.wq
     phi_at = tuple(float(shapes @ coefs[3 * el: 3 * el + 6]) for el, shapes in form.shells)
 
-    h_norm = math.sqrt(max(float(coefs @ b), 0.0))       # coefs . A coefs, as A coefs = b
+    h_norm = math.sqrt(max(float(np.vdot(x, b)), 0.0))     # x . A x, as A x = b
     nodes = problem.grid
     phi = GridProfile(nodes, fem.node_values(coefs, 0))
     g_nodes = -(_sampled(F2, nodes.nodes)

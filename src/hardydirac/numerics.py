@@ -2,10 +2,12 @@
 
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
-and inertia counts (numbers of negative eigenvalues) of equilibrated
-symmetric block-tridiagonal matrices in 3x3 node blocks, with their log|det|,
-many shifts at once by block cyclic reduction in about log2(nodes) vectorized
-levels, on which ``extension.spectrum_in_gap`` runs multisection.
+and block cyclic reduction, in about log2(nodes) vectorized levels, of
+equilibrated symmetric block-tridiagonal matrices in 3x3 node blocks.  It
+gives their inertia counts (numbers of negative eigenvalues) with log|det|,
+many shifts at once, on which ``extension.spectrum_in_gap`` runs
+multisection; and it factors one positive definite matrix and solves with
+it, one product per level and direction, for ``extension.weak_solve``.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -87,9 +89,9 @@ class UnboundedError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """An energy form that must be positive definite is not: the Cholesky
-    factorization of the weak solve broke down, or a coupling condition
-    that guarantees definiteness fails."""
+    """An energy form that must be positive definite is not: the weak
+    solve's factorization met a pivot that is not positive, or a coupling
+    condition that guarantees definiteness fails."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,3 +432,73 @@ def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> tuple[np.ndarray, np.nd
         E = float(shifts[np.argmax(bad)])
         raise ValueError(f"inertia count hit a non-finite pivot at shift E={E!r}")
     return np.count_nonzero(piv < 0.0, axis=(0, 2)), logdet
+
+
+def spd_factor(D: np.ndarray, B: np.ndarray):
+    """Factor of one symmetric positive definite block-tridiagonal matrix, node
+    blocks D (3, 3, n) and couplings B (3, 3, n-1) with rows on node i, for
+    ``spd_solve``; D and B are equilibrated in place.
+
+    The reduction is ``ldl_inertia``'s, with the odd nodes' new couplings
+    -z_j B_2j+2 of exact sign; a pivot that is not positive raises
+    :class:`NotPositiveDefiniteError`.  Per level it keeps a forward table
+    [left_j^T inv_j | right_j inv_j+1] (3, 6, odd nodes), which moves the even
+    nodes' load onto the odd ones, and a backward table
+    [inv_j | -inv_j left_j | -inv_j right_j-1^T] (3, 9, even nodes), which
+    gives an even node's solution from its load and its odd neighbours'
+    solutions; a missing neighbour has a zero block.  Returns the scales and
+    those tables.
+    """
+    levels = []
+    with np.errstate(all="ignore"):
+        s = _equilibrate(D, B)
+        while D.shape[-1]:
+            piv, inv = _block_ldl(D[..., ::2])
+            if not (piv > 0.0).all():     # NaN fails too
+                raise NotPositiveDefiniteError(
+                    "energy form is not positive definite "
+                    "(regime hypothesis violated, e.g. c1*c2 too large)")
+            # odd node 2j+1 couples to 2j by left_j (rows on 2j), to 2j+2 by right_j
+            left, right = B[..., ::2], B[..., 1::2]
+            w = np.einsum("ij...,jk...->ik...", inv[..., :left.shape[-1]], left)
+            z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])
+            fwd = np.zeros((3, 6, w.shape[-1]))
+            fwd[:, :3] = w.transpose(1, 0, 2)
+            fwd[:, 3:, :z.shape[-1]] = z
+            bwd = np.zeros((3, 9, inv.shape[-1]))
+            bwd[:, :3] = inv
+            bwd[:, 3:6, :w.shape[-1]] = -w
+            bwd[:, 6:, 1:z.shape[-1] + 1] = -z.transpose(1, 0, 2)
+            levels.append((fwd, bwd))
+            D = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, w)
+            D[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
+            B = -np.einsum("ij...,jk...->ik...", z[..., :D.shape[-1] - 1], left[..., 1:])
+    return s, levels
+
+
+def spd_solve(factor, b: np.ndarray) -> np.ndarray:
+    """Solution x (3, n) of A x = b, node i's dofs in column i of b (3, n), from
+    ``spd_factor`` of A: the forward tables reduce the load level by level, then
+    the backward tables recover each level's even nodes in reverse order, one
+    product per level and direction."""
+    s, levels = factor
+    b = b * s
+    evens = []
+    for fwd, _ in levels:
+        even, b = b[:, ::2], b[:, 1::2]
+        near = np.zeros((6, b.shape[1]))       # even neighbours j and j+1 of odd node j
+        near[:3] = even[:, :b.shape[1]]
+        near[3:, :even.shape[1] - 1] = even[:, 1:]
+        b = b - np.einsum("ijk,jk->ik", fwd, near)
+        evens.append(even)
+    x = b
+    for (_, bwd), even in zip(reversed(levels), reversed(evens)):
+        near = np.zeros((9, even.shape[1]))    # even node j's load, odd neighbours j and j-1
+        near[:3] = even
+        near[3:6, :x.shape[1]] = x
+        near[6:, 1:] = x[:, :even.shape[1] - 1]
+        out = np.empty((3, even.shape[1] + x.shape[1]))
+        out[:, ::2] = np.einsum("ijk,jk->ik", bwd, near)
+        out[:, 1::2] = x
+        x = out
+    return x * s

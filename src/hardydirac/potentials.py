@@ -298,8 +298,10 @@ class PotentialPair:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.c2 < 0:
-            raise ValueError("c2 must be nonnegative")
+        if not self.c2 >= 0:     # NaN fails too
+            raise ValueError(f"c2 must be nonnegative, got {self.c2!r}")
+        if math.isnan(self.c1):
+            raise ValueError("c1 must be a number, got nan")
         for shell in self.v1_shells:
             # v2 must stay bounded near every shell radius
             probes = shell.R * (1.0 + 1e-2 * np.linspace(-1.0, 1.0, 11))
@@ -326,8 +328,9 @@ def parse_component(text: str, pos: int = 0) -> PotentialComponent:
         return ZeroPotential()
     if text.startswith("coulomb:"):
         nu = _parse_float(text[len("coulomb:"):], pos)
-        if nu < 0:
-            raise PotentialParseError("coulomb strength must be nonnegative in a weight slot", pos)
+        if not nu >= 0:     # NaN fails too
+            raise PotentialParseError(
+                f"coulomb strength must be nonnegative in a weight slot, got {nu!r}", pos)
         return CoulombPotential(nu)
     if text.startswith("power:"):
         body = text[len("power:"):]
@@ -336,8 +339,11 @@ def parse_component(text: str, pos: int = 0) -> PotentialComponent:
             raise PotentialParseError("power needs two parameters a,p", pos)
         a = _parse_float(parts[0], pos)
         p = _parse_float(parts[1], pos)
-        if a < 0:
-            raise PotentialParseError("power amplitude must be nonnegative in a weight slot", pos)
+        if not a >= 0:
+            raise PotentialParseError(
+                f"power amplitude must be nonnegative in a weight slot, got {a!r}", pos)
+        if math.isnan(p):
+            raise PotentialParseError("power exponent must be a number, got nan", pos)
         return PowerPotential(a, p)
     if text.startswith("table:"):
         return TablePotential.from_csv(text[len("table:"):])
@@ -352,8 +358,9 @@ def parse_component(text: str, pos: int = 0) -> PotentialComponent:
         c = _parse_float(parts[0], pos)
         eps = _parse_float(parts[1], pos)
         R = _parse_float(rtext, pos)
-        if c < 0:
-            raise PotentialParseError("mshell mass must be nonnegative in a weight slot", pos)
+        if not c >= 0:
+            raise PotentialParseError(
+                f"mshell mass must be nonnegative in a weight slot, got {c!r}", pos)
         return MollifiedShell(c, eps, R)
     raise PotentialParseError(f"unknown component {text!r}", pos)
 
@@ -401,8 +408,9 @@ def parse_v2_slot(text: str) -> PotentialComponent:
 def parse_pair(v1_text: str, v2_text: str, c1: float = 1.0, c2: float = 1.0) -> PotentialPair:
     v1, shells = parse_v1_slot(v1_text)
     v2 = parse_v2_slot(v2_text)
-    if c1 < 0 or c2 < 0:
-        raise PotentialParseError("coupling constants must be nonnegative")
+    if not (c1 >= 0 and c2 >= 0):     # NaN fails too
+        raise PotentialParseError(
+            f"coupling constants must be nonnegative, got c1={c1!r}, c2={c2!r}")
     return PotentialPair(v1_regular=v1, v1_shells=shells, v2=v2, c1=c1, c2=c2)
 
 

@@ -391,6 +391,8 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
     """
     if not R > 0.0:     # NaN fails too
         raise ValueError(f"shell radius R must be positive, got {R!r}")
+    if not (c1 >= 0.0 and c2 >= 0.0):
+        raise ValueError(f"coupling constants must be nonnegative, got c1={c1!r}, c2={c2!r}")
     if lam is None:
         lam = select_lambda(c1, c2, m) if c1 > 0 and c2 > 0 else 0.0
     if not (-m < lam < m):
@@ -402,8 +404,8 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
 
     rows = []
     for eps in eps_list:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps!r}")
         edges = (0.0, max(1.0 - eps, 0.0), 1.0 + eps, math.inf)    # eps >= 1: no inner bulk
         (grad,) = _channel_integrals(field_, (), [None], edges)     # every channel at once
         bulk, annulus = float(grad[:, [0, 2]].sum()), float(grad[:, 1].sum())

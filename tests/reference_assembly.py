@@ -110,21 +110,26 @@ def reference_form(fem, problem, E):
     return loop_constrain(fem, ab)
 
 
-def reference_solve(fem, problem, F1, F2):
-    """Coefficients and energy norm of the weak solve, by ``solveh_banded``
-    of the equilibrated reference form at E = -lam."""
-    from scipy.linalg import solveh_banded
-
+def reference_load(fem, problem, F1, F2):
+    """Load (3n,) of the weak solve at E = -lam, zero on the fixed dofs."""
     m, lam, rq = problem.m, problem.lam, fem.rq
-    ab = reference_form(fem, problem, -lam)
     f1 = np.real(F1(rq)) if F1 is not None else np.zeros_like(rq)
     f2 = np.real(F2(rq)) if F2 is not None else np.zeros_like(rq)
     b = add_at_load(fem, f1 * rq**3, f2 * rq**2 / (m + problem.w2(rq) - lam),
                     problem.channel.k)
     for idx in fixed_dofs(fem):
         b[idx] = 0.0
+    return b
+
+
+def reference_solve(fem, problem, F1, F2):
+    """Coefficients and energy norm of the weak solve, by ``solveh_banded``
+    of the equilibrated reference form at E = -lam."""
+    from scipy.linalg import solveh_banded
+
+    ab = reference_form(fem, problem, -problem.lam)
     scaled, s = loop_scaled_copy(ab)
-    coefs = solveh_banded(scaled, b * s, lower=True) * s
+    coefs = solveh_banded(scaled, reference_load(fem, problem, F1, F2) * s, lower=True) * s
     return coefs, float(np.sqrt(coefs @ band_matvec(ab, coefs)))
 
 

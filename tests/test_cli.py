@@ -54,13 +54,17 @@ class TestConstantsCommand:
 
 
 def test_import_leaves_scipy_out():
-    # only weak_solve needs scipy, which takes about a third of a second to
-    # import; every command imports the cli module, and extremize runs without it
+    # scipy serves only as a test oracle: importing the cli module (which
+    # every command does), extremizing and weak solving all run without it
     src = os.path.dirname(os.path.dirname(hardydirac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for run in ("import hardydirac.cli",
                 "from hardydirac import extremize_ratio, parse_pair; "
-                "extremize_ratio(parse_pair('coulomb:1', 'coulomb:1'), 0.5, k_set=(0,))"):
+                "extremize_ratio(parse_pair('coulomb:1', 'coulomb:1'), 0.5, k_set=(0,))",
+                "from hardydirac import Channel, DiracChannelProblem, RadialGrid, exp_profile, "
+                "parse_pair, weak_solve; weak_solve(DiracChannelProblem(parse_pair('coulomb:1', "
+                "'coulomb:1', 0.5, 0.5), Channel(0), grid=RadialGrid.log_uniform(200, 1e-7, 50.0)), "
+                "exp_profile(0, 1.0))"):
         code = f"import sys; {run}; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
@@ -89,22 +93,37 @@ class TestVerifyCommand:
         assert code == 2
 
 
-@pytest.mark.parametrize("argv, needle", [
-    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma -0.5", "gamma must be >= 0, got -0.5"),
-    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma nan", "gamma must be >= 0, got nan"),
-    ("extremize --v1 coulomb:1 --v2 coulomb:1 --kset 0 --gamma -0.5", "gamma must be >= 0"),
-    ("constants --v1 mshell:1,0.5@nan --v2 coulomb:1", "R=nan"),
-    ("constants --v1 shell:1@nan --v2 coulomb:1", "R=nan, a=1.0"),
-    ("experiment --R 0", "shell radius R must be positive, got 0.0"),
-    ("experiment --R -1", "shell radius R must be positive, got -1.0"),
+@pytest.mark.parametrize("argv, error_type, needle", [
+    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma -0.5", "ValueError",
+     "gamma must be >= 0, got -0.5"),
+    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma nan", "ValueError",
+     "gamma must be >= 0, got nan"),
+    ("extremize --v1 coulomb:1 --v2 coulomb:1 --kset 0 --gamma -0.5", "ValueError",
+     "gamma must be >= 0"),
+    ("constants --v1 mshell:1,0.5@nan --v2 coulomb:1", "ValueError", "R=nan"),
+    ("constants --v1 shell:1@nan --v2 coulomb:1", "ValueError", "R=nan, a=1.0"),
+    ("experiment --R 0", "ValueError", "shell radius R must be positive, got 0.0"),
+    ("experiment --R -1", "ValueError", "shell radius R must be positive, got -1.0"),
+    ("constants --v1 coulomb:1 --v2 coulomb:1 --c2 nan", "PotentialParseError",
+     "coupling constants must be nonnegative, got c1=1.0, c2=nan"),
+    ("verify --v1 coulomb:1 --v2 coulomb:1 --c1 nan --gamma 0.5", "PotentialParseError",
+     "coupling constants must be nonnegative, got c1=nan, c2=1.0"),
+    ("experiment --c1 nan", "ValueError",
+     "coupling constants must be nonnegative, got c1=nan, c2=0.25"),
+    ("experiment --eps 0.5 --eps nan", "ValueError", "eps must be positive, got nan"),
+    ("constants --v1 coulomb:nan --v2 coulomb:1", "PotentialParseError",
+     "coulomb strength must be nonnegative in a weight slot, got nan"),
+    ("constants --v1 power:1,nan --v2 coulomb:1", "PotentialParseError",
+     "power exponent must be a number, got nan"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
-        "experiment-R-0", "experiment-R-negative"])
-def test_invalid_input_exits_2_naming_it(capsys, argv, needle):
+        "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
+        "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan"])
+def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     # each of these once exited 0, or failed later with a message about something else
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]
-    assert error["type"] == "ValueError" and needle in error["message"]
+    assert error["type"] == error_type and needle in error["message"]
 
 
 class TestIdempotence:

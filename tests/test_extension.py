@@ -25,7 +25,13 @@ from hardydirac.extension import (
     spectrum_in_gap,
     weak_solve,
 )
-from hardydirac.numerics import NotPositiveDefiniteError, RadialGrid, _equilibrate
+from hardydirac.numerics import (
+    NotPositiveDefiniteError,
+    RadialGrid,
+    _equilibrate,
+    spd_factor,
+    spd_solve,
+)
 from hardydirac.potentials import (
     CoulombPotential,
     PotentialPair,
@@ -35,9 +41,11 @@ from hardydirac.potentials import (
 )
 from reference_assembly import (
     band_blocks,
+    band_matvec,
     h_inner_product,
     loop_scaled_copy,
     reference_form,
+    reference_load,
     reference_solve,
 )
 
@@ -258,6 +266,26 @@ class TestWeakSolve:
             phi = coefs[0::3]
             assert np.max(np.abs(sol.phi.values - phi)) <= 1e-11 * np.max(np.abs(phi))
             assert abs(sol.h_norm_phi - h_norm) <= 1e-12 * h_norm
+
+    def test_factor_matches_banded_cholesky(self):
+        # block cyclic reduction of the reference band's own node blocks
+        # against LAPACK's banded Cholesky of the same equilibrated band: the
+        # solutions agree and the residuals of the equilibrated system are alike
+        from scipy.linalg import solveh_banded
+
+        F1 = exp_profile(1, 1.2, coef=0.7)
+        F2 = gauss_profile(2, 0.9, coef=-0.4)
+        for prob in _solve_problems().values():
+            fem = _HermiteFem(prob.grid)
+            ab = reference_form(fem, prob, -prob.lam)
+            scaled, s = loop_scaled_copy(ab)
+            b = reference_load(fem, prob, F1, F2)
+            x_ref = solveh_banded(scaled, s * b, lower=True) * s
+            x = spd_solve(spd_factor(*band_blocks(ab)), b.reshape(-1, 3).T).T.ravel()
+            assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+            residual, oracle = (np.linalg.norm(band_matvec(scaled, y / s) - s * b)
+                                for y in (x, x_ref))
+            assert residual <= 2.0 * oracle
 
     def test_shell_enters_weak_form(self):
         # a weak shell perturbs the solution continuously

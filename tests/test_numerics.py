@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from hardydirac.channels import Channel, GridProfile, exp_profile
 from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts
 from hardydirac.numerics import (
+    NotPositiveDefiniteError,
     RadialGrid,
     UnboundedError,
     integrate_radial,
     ldl_inertia,
+    spd_factor,
+    spd_solve,
     sup_over_r,
 )
 from hardydirac.potentials import (
@@ -466,6 +469,15 @@ def _dense_inertia(fem, prob, E) -> tuple[int, float]:
     return count, logdet - 2.0 * np.log(s).sum()
 
 
+def _random_block_tridiagonal(rng, n_nodes: int) -> np.ndarray:
+    """Symmetric block-tridiagonal matrix of 3x3 node blocks with normal entries."""
+    a = np.zeros((3 * n_nodes, 3 * n_nodes))
+    for i in range(n_nodes):
+        lo, hi = 3 * max(i - 1, 0), 3 * i + 3
+        a[3 * i:3 * i + 3, lo:hi] = rng.normal(size=(3, hi - lo))
+    return a + a.T
+
+
 def _equilibrated(a: np.ndarray) -> np.ndarray:
     s = 1.0 / np.sqrt(np.abs(np.diag(a)))
     return a * s[:, None] * s[None, :]
@@ -527,11 +539,7 @@ class TestInertia:
         rng = np.random.default_rng(7)
         mats = []
         for _ in range(16):
-            a = np.zeros((3 * n_nodes, 3 * n_nodes))
-            for i in range(n_nodes):
-                lo, hi = 3 * max(i - 1, 0), 3 * i + 3
-                a[3 * i:3 * i + 3, lo:hi] = rng.normal(size=(3, hi - lo))
-            a = a + a.T
+            a = _random_block_tridiagonal(rng, n_nodes)
             scale = np.exp(rng.uniform(-23.0, 23.0, 3 * n_nodes))
             mats.append(a * scale[:, None] * scale[None, :])
         got, logdet = ldl_inertia(*_stacked(mats), np.arange(16.0))
@@ -570,6 +578,35 @@ class TestInertia:
         D[1, 1, 1, 1] = bad
         with pytest.raises(ValueError, match="E=0.25"):
             ldl_inertia(D, B, np.array([0.0, 0.25, 0.5]))
+
+
+class TestSpdFactor:
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 33, 64])
+    def test_random_spd_matches_dense_solve(self, n_nodes):
+        # diagonally dominant block-tridiagonal matrices over 20 decades of
+        # diagonal scale; the node counts give odd and even lengths at every
+        # reduction level
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            a = _random_block_tridiagonal(rng, n_nodes)
+            a += (np.abs(a).sum(axis=1).max() + 1.0) * np.eye(3 * n_nodes)
+            scale = np.exp(rng.uniform(-23.0, 23.0, 3 * n_nodes))
+            c = rng.normal(size=3 * n_nodes)
+            # S a S x = S c, so S x = a^-1 c
+            x = spd_solve(spd_factor(*_blocks(a * scale[:, None] * scale[None, :])),
+                          (c * scale).reshape(n_nodes, 3).T).T.ravel()
+            y = np.linalg.solve(a, c)
+            assert np.max(np.abs(x * scale - y)) <= 1e-13 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("d", [-1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_pivot_not_positive_raises(self, d, node):
+        # diagonal on 5 nodes: node 0 is eliminated at level 1, node 1 at
+        # level 2 and node 3 at level 3, so each level checks its pivots
+        diag = np.arange(1.0, 16.0)
+        diag[3 * node + 1] = d
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_factor(*_blocks(np.diag(diag)))
 
 
 class TestRadialGrid:

@@ -357,6 +357,23 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             PotentialPair(v2=CoulombPotential(1.0), c2=-1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PotentialPair(v2=CoulombPotential(1.0), c2=math.nan),
+        lambda: PotentialPair(v2=CoulombPotential(1.0), c1=math.nan),
+        lambda: parse_pair("coulomb:1", "coulomb:1", c1=math.nan),
+        lambda: parse_pair("coulomb:1", "coulomb:1", c2=math.nan),
+        lambda: parse_component("coulomb:nan"),
+        lambda: parse_component("power:nan,1"),
+        lambda: parse_component("power:1,nan"),
+        lambda: parse_component("mshell:nan,0.5@1"),
+    ], ids=["pair-c2", "pair-c1", "parse-c1", "parse-c2", "coulomb", "power-a", "power-p",
+            "mshell-c"])
+    def test_nan_coupling_or_strength_rejected(self, make):
+        # NaN passes every x < 0 check; these once went through, or failed
+        # deep in the quadrature with a message about a radius
+        with pytest.raises(ValueError, match="nan"):
+            make()
+
     def test_shell_needs_positive_mass(self):
         with pytest.raises(ValueError):
             ShellMeasure(R=1.0, a=0.0)

@@ -433,8 +433,10 @@ class TestMollified:
         assert rows[0].ratio < 1e-40
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            mollified_delta_experiment(1.0, 0.25, 2.0, [0.0], F_EXP)
+        # NaN fails the range check too, so it cannot reach the quadrature
+        for eps in (0.0, math.nan):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                mollified_delta_experiment(1.0, 0.25, 2.0, [eps], F_EXP)
 
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
     def test_bad_radius(self, R):

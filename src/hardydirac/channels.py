@@ -16,7 +16,6 @@ purely radially.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,26 +87,42 @@ class ClosedFormProfile:
         return _terms_at(self.terms, r)
 
     def reduced(self, k: int) -> "ClosedFormProfile":
-        """The profile of f' - k f / r (k = 0 gives f')."""
-        return ClosedFormProfile(tuple(ProfileTerm(*t) for t in _reduced_terms(self.terms, k)))
+        """The profile of f' - k f / r (k = 0 gives f'), like terms merged."""
+        merged = {}
+        for t in self.terms:
+            new = [(-t.coef * t.a, t.p) if t.kind == "exp" else (-2.0 * t.coef * t.a, t.p + 1.0)]
+            if t.p != k:
+                new.insert(0, (t.coef * (t.p - k), t.p - 1.0))
+            for coef, p in new:
+                if coef != 0:
+                    key = (p, t.a, t.kind)
+                    merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
+        return ClosedFormProfile(tuple(ProfileTerm(c, p, a, kind)
+                                       for (p, a, kind), c in merged.items() if c != 0))
 
-    def reduced_at(self, k: int, r):
-        """f' - k f / r at radii r > 0.  It builds no profile, so unlike
+    def _real_with_slope(self, r: np.ndarray, t: np.ndarray):
+        """Real parts of f and f' at radii r > 0 with logs t, from one
+        exponential per term: f' is c (p/r - a) r^p e^(-a r), or
+        c (p/r - 2 a r) r^p e^(-a r^2).  It builds no profile, so unlike
         ``reduced`` it also takes an f whose f' is not square integrable at
         the origin (a load that is only sampled on a grid)."""
-        return _terms_at(_reduced_terms(self.terms, k), r)
+        f, slope = np.zeros((2,) + r.shape)
+        for term in self.terms:
+            gauss = term.kind == "gauss"
+            e = np.exp(term.p * t - term.a * (r * r if gauss else r))
+            e *= term.coef.real
+            f += e
+            e *= term.p / r - (2.0 * term.a * r if gauss else term.a)
+            slope += e
+        return f, slope
 
     def scaled(self, coef: complex) -> "ClosedFormProfile":
         return ClosedFormProfile(tuple(
             ProfileTerm(t.coef * coef, t.p, t.a, t.kind) for t in self.terms))
 
 
-# a profile term's fields without ProfileTerm's checks
-_Term = namedtuple("_Term", "coef p a kind")
-
-
 def _terms_at(terms, r):
-    """Sum of the terms (ProfileTerm or _Term) at the radii r."""
+    """Sum of the profile terms at the radii r."""
     r = np.asarray(r, dtype=float)
     out = np.zeros(r.shape, dtype=complex)
     lr = np.log(r)
@@ -115,21 +130,6 @@ def _terms_at(terms, r):
         decay = r if t.kind == "exp" else r * r
         out += t.coef * np.exp(t.p * lr - t.a * decay)
     return out if out.ndim else out[()]
-
-
-def _reduced_terms(terms, k: int) -> tuple:
-    """The terms (_Term) of f' - k f / r for the profile terms of f, like
-    terms merged."""
-    merged = {}
-    for t in terms:
-        new = [(-t.coef * t.a, t.p) if t.kind == "exp" else (-2.0 * t.coef * t.a, t.p + 1.0)]
-        if t.p != k:
-            new.insert(0, (t.coef * (t.p - k), t.p - 1.0))
-        for coef, p in new:
-            if coef != 0:
-                key = (p, t.a, t.kind)
-                merged[key] = merged.get(key, 0.0 + 0.0j) + complex(coef)
-    return tuple(_Term(c, p, a, kind) for (p, a, kind), c in merged.items() if c != 0)
 
 
 def exp_profile(p: float, a: float, coef: complex = 1.0) -> ClosedFormProfile:
@@ -165,9 +165,10 @@ class GridProfile:
         dv = log_derivative(self.values, self.grid.log_step)
         return GridProfile(self.grid, (dv - k * self.values) / self.grid.nodes)
 
-    def reduced_at(self, k: int, r):
-        """f' - k f / r at the radii r."""
-        return self.reduced(k)(r)
+    def _real_with_slope(self, r: np.ndarray, t: np.ndarray):
+        """Real parts of f and of ``reduced(0)`` (f') at radii r with logs t."""
+        return tuple(np.real(np.interp(t, self.grid.t, v, left=0.0, right=0.0))
+                     for v in (self.values, self.reduced(0).values))
 
 
 def log_derivative(values: np.ndarray, h: float) -> np.ndarray:

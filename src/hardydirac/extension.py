@@ -19,8 +19,10 @@ This form is the E-dependent gap form below at E = -lam, so one routine
 (``_gap_form``) makes it for the solve and for the inertia counts, and
 block cyclic reduction (``numerics``) factors it for the solve and counts
 its inertia for the spectrum.  The form depends on the problem alone: the
-first solve on a problem object factors it and keeps the factor on that
-object, so each later solve there is a load and a back-substitution.
+first solve on a problem object factors it and keeps the factor, with the
+problem's coefficients at the quadrature points, on that object, so each
+later solve there only samples its data, loads, back-substitutes and
+evaluates the strong form.
 
 Discretization: quintic Hermite elements (value, first and second
 log-derivative per node) on a log-uniform radial grid, so profiles that are
@@ -47,7 +49,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import Channel, GridProfile
 from .numerics import RadialGrid, ldl_inertia, spd_factor, spd_solve
@@ -103,9 +104,9 @@ _GQ_H, _GQ_D, _GQ_D2 = _hermite_tables(_GQ_X)    # grid-free; each grid scales t
 
 
 class _HermiteFem:
-    """Element matrices, loads and evaluation on one log-uniform grid; dofs
-    are node-major (value and two log-derivatives per node), so forms are
-    block tridiagonal in 3x3 node blocks."""
+    """Shape tables, quadrature points and element matrices on one
+    log-uniform grid; dofs are node-major (value and two log-derivatives per
+    node), so forms are block tridiagonal in 3x3 node blocks."""
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
@@ -121,8 +122,6 @@ class _HermiteFem:
         self.tq = self.t[:-1, None] + h * _GQ_X[None, :]      # (nel, nq)
         self.rq = np.exp(self.tq)
 
-    # -- assembly -----------------------------------------------------------
-
     def element_matrices(self, vals: np.ndarray, k: int | None = None) -> np.ndarray:
         """Element matrices ``em[a, b, ..., e]`` (local dofs 0-2 on node e,
         3-5 on node e+1) of the term vals*f*u (``k`` None) or
@@ -131,15 +130,6 @@ class _HermiteFem:
         shapes = self.N if k is None else self.Nd - k * self.N
         table = (shapes * self.wq)[:, None, :] * shapes[None, :, :]
         return np.tensordot(table, vals, axes=([2], [-1]))
-
-    def load(self, f1_vals: np.ndarray, f2_vals: np.ndarray, k: int) -> np.ndarray:
-        """Loads (3, n) of int f1*u dt - int f2*(u. - k u) dt on each node's
-        dofs, from (nel, nq) samples."""
-        elt = (self.N * self.wq) @ f1_vals.T - ((self.Nd - k * self.N) * self.wq) @ f2_vals.T
-        b = np.zeros((3, self.n_nodes))
-        b[:, :-1] = elt[:3]
-        b[:, 1:] += elt[3:]
-        return b
 
     def _element_shapes(self, radius: float):
         """(element, its six value shapes at ``radius``)."""
@@ -151,22 +141,6 @@ class _HermiteFem:
         el = int(np.clip((tr - self.t[0]) // self.h, 0, self.n_nodes - 2))
         H = _hermite_tables(np.array([(tr - self.t[el]) / self.h]))[0]
         return el, H[:, 0] * np.array([1.0, self.h, self.h**2, 1.0, self.h, self.h**2])
-
-    # -- evaluation ----------------------------------------------------------
-
-    def at_quad(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
-        table = (self.N, self.Nd, self.Ndd)[deriv]
-        return sliding_window_view(coefs, 6)[::3] @ table     # each element's six dofs
-
-    def node_values(self, coefs: np.ndarray, deriv: int = 0) -> np.ndarray:
-        vals = coefs[deriv::3].copy()
-        if deriv == 1:
-            vals = vals / self.grid.nodes          # d/dr = (d/dt)/r
-        return vals
-
-    def quad_norm(self, vals: np.ndarray, weight_vals: np.ndarray) -> float:
-        return math.sqrt(float(np.einsum("q,eq->", self.wq,
-                                         weight_vals * np.abs(vals) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +158,10 @@ class DiracChannelProblem:
     here: ``weak_solve`` raises :class:`NotPositiveDefiniteError` when the
     assembled form is not positive definite.
 
-    The first ``weak_solve`` factors the energy form and keeps the factor
-    on this object (about 1.6 MB at 2000 nodes), so later solves on it are
-    a load and a back-substitution; the factor is freed with the object.
+    The first ``weak_solve`` factors the energy form and keeps the factor,
+    with the coefficients at the quadrature points, on this object (about
+    1.6 MB at 2000 nodes), so later solves on it only sample their data,
+    load and back-substitute; the factor is freed with the object.
     The fields are frozen: a different lam or grid is a new problem
     (``dataclasses.replace``), with its own factor.
     """
@@ -240,6 +215,10 @@ class DiracChannelProblem:
 class WeakSolveResult:
     """Weak solution (phi, chi) of ``problem`` with its strong-form residuals.
 
+    ``residual_upper`` is the weighted L2 norm of the upper equation's
+    defect, the discretization error.  ``residual_lower`` only measures
+    rounding: chi is recovered from the lower equation itself, so that
+    defect vanishes in exact arithmetic (about 1e-16 of F2's norm or less).
     ``coefs`` are the Hermite dofs of phi.  ``_pairing`` keeps the solve's
     strong form for :func:`pairing_defect`: the upper and lower output
     components pre-weighted by the quadrature weights times r^3, f and g at
@@ -273,55 +252,96 @@ class GapEigenvalue:
 # weak solve
 # ---------------------------------------------------------------------------
 
-def _sampled(profile, r: np.ndarray) -> np.ndarray:
-    """Real part of a radial profile (None is zero) at the radii r."""
-    return np.zeros_like(r) if profile is None else np.real(profile(r))
+def _sampled(profile, r: np.ndarray, t: np.ndarray):
+    """Real values and r-derivative of a radial profile (None is zero) at the
+    radii r with logs t."""
+    return (np.zeros_like(r),) * 2 if profile is None else profile._real_with_slope(r, t)
 
 
-def _strong_form(fem: _HermiteFem, problem: DiracChannelProblem, samples,
-                 coefs: np.ndarray, F2q: np.ndarray, F2dq: np.ndarray):
-    """Strong form of (H_V + lam) on the discrete upper component.
+def _strong_form(form: _FactoredForm, k: int, x: np.ndarray,
+                 F2q: np.ndarray, F2dq: np.ndarray):
+    """Strong form of (H_V + lam) on the discrete upper component of dofs
+    x (3, n), node i's in column i.
 
-    ``samples`` are w1, w2, w2' and ``F2q``, ``F2dq`` are F2 and F2' at the
-    quadrature points.  The lower component is recovered pointwise,
-    g = -(F2 + f' - k f/r)/(m + w2 - lam); returns f, g and the upper and
-    lower output components, all sampled at the quadrature points.
+    ``F2q``, ``F2dq`` are F2 and F2' at the quadrature points.  The lower
+    component is recovered pointwise, g = -(F2 + f' - k f/r)/(m + w2 - lam);
+    returns f, g and the upper and lower output components, all sampled at the
+    quadrature points.
     """
-    m, lam, k = problem.m, problem.lam, problem.channel.k
-    rq = fem.rq
-    w1q, w2q, w2dq = samples
-    den = m + w2q - lam
-    f = fem.at_quad(coefs, 0)
-    fd = fem.at_quad(coefs, 1)
-    fdd = fem.at_quad(coefs, 2)
-    Df = (fd - k * f) / rq
-    g = -(F2q + Df) / den
-    Df_dot = (fdd - k * fd) / rq - Df
-    g_dot = -(F2dq * rq + Df_dot) / den + (F2q + Df) * (w2dq * rq) / den**2
-    upper = (m - w1q + lam) * f + (g_dot + (k + 2) * g) / rq
-    lower = -Df + (lam - m - w2q) * g
+    rq, den = form.rq, form.den
+    # f, f., f.. (t = log r) from each element's six dofs, in one block that
+    # ends up holding f, lower and upper, so a kept result holds no dead samples
+    f, fd, fdd = (form.shapes @ np.concatenate((x[:, :-1], x[:, 1:]))).reshape((3,) + rq.shape)
+    fdd -= k * fd                     # fd, fdd become Df = (f. - k f)/r and Df.
+    fdd /= rq
+    fd -= k * f
+    fd /= rq
+    fdd -= fd
+    s = F2q + fd                      # F2 + Df = -(m + w2 - lam) g
+    g = s / den
+    np.negative(g, out=g)
+    fdd += F2dq * rq                  # g. = -(F2' r + Df.)/den + (F2 + Df) w2' r/den^2
+    fdd /= den
+    s *= form.w2_rate
+    s -= fdd
+    s += (k + 2) * g
+    s /= rq                           # (g. + (k + 2) g)/r
+    upper = np.multiply(form.mass, f, out=fdd)
+    upper += s
+    lower = fd                        # -(Df + (m + w2 - lam) g)
+    lower += den * g
+    np.negative(lower, out=lower)
     return f, g, upper, lower
 
 
 class _FactoredForm:
-    """The part of a weak solve that depends on the problem alone: the
-    elements, w1, w2 and w2' at the quadrature points with the load weights
-    r^3 and r^2/(m + w2 - lam) there, w2 at the nodes, the shells' element
-    rows, and the factor of the form by block cyclic reduction.  It keeps no
-    reference to the problem, which holds it."""
+    """The part of a weak solve that depends on the problem alone, for a
+    load, a back-substitution and a strong form per solve.
+
+    At the quadrature points, stored point-major (7, elements) so that the
+    load and the strong form are one product each: r and log r,
+    m + w2 - lam, m - w1 + lam, ``w2_rate`` = w2' r/(m + w2 - lam)^2 and
+    the load weights r^3 w_q and r^2 w_q/(m + w2 - lam).  The shape tables
+    [N | N' | N''] (21, 6) of the strong form and [N | -(N' - k N)] (6, 14)
+    of the load; log r and m + w2 - lam at the nodes; the shells' element
+    rows; and the factor of the form by block cyclic reduction.  It keeps
+    no reference to the problem, which holds it."""
 
     def __init__(self, problem: DiracChannelProblem):
-        self.fem = fem = _HermiteFem(problem.grid)
-        rq = fem.rq
-        self.samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
-        self.r3 = rq**3
-        self.f2_weight = rq**2 / (problem.m + self.samples[1] - problem.lam)
-        self.w2_nodes = problem.w2(problem.grid.nodes)
+        fem = _HermiteFem(problem.grid)
+        m, lam, k = problem.m, problem.lam, problem.channel.k
+        self.rq, self.tq = np.ascontiguousarray(fem.rq.T), np.ascontiguousarray(fem.tq.T)
+        rq, wq = self.rq, fem.wq[:, None]
+        self.den = m + problem.w2(rq) - lam
+        self.mass = m - problem.w1(rq) + lam
+        self.w2_rate = problem.w2_derivative(rq) * rq / self.den**2
+        self.r3wq = rq**3 * wq
+        self.f2_weight = rq**2 * wq / self.den
+        self.shapes = np.concatenate([fem.N.T, fem.Nd.T, fem.Ndd.T])
+        self.load_shapes = np.concatenate([fem.N, k * fem.N - fem.Nd], axis=1)
+        self.t_nodes = fem.t
+        self.den_nodes = m + problem.w2(problem.grid.nodes) - lam
         self.shells = tuple(fem._element_shapes(radius) for radius, _ in problem.shell_terms())
         # the gap form at E = -lam, equilibrated by the factorization, which
         # then stays healthy across 20 decades
         D, B = _gap_form(fem, problem)(np.array([-problem.lam]))
         self.factor = spd_factor(D[:, :, 0], B[:, :, 0])
+
+    def load(self, F1q: np.ndarray, F2q: np.ndarray) -> np.ndarray:
+        """Loads (3, n) of int F1 u r^2 dr - int F2 (u' - k u/r) r^2/(m + w2 - lam) dr
+        on each node's dofs, from samples at the quadrature points, with the
+        value dofs at both ends fixed."""
+        nq = F1q.shape[0]
+        data = np.empty((2 * nq, F1q.shape[1]))
+        np.multiply(F1q, self.r3wq, out=data[:nq])
+        np.multiply(F2q, self.f2_weight, out=data[nq:])
+        elt = self.load_shapes @ data                # (6, elements)
+        b = np.empty((3, elt.shape[1] + 1))
+        b[:, :-1] = elt[:3]
+        b[:, -1] = 0.0
+        b[:, 1:] += elt[3:]
+        b[0, [0, -1]] = 0.0
+        return b
 
 
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
@@ -333,45 +353,49 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     quadrature points, so neither F1 nor F2' need be square integrable at
     the origin: r^-0.5 e^-r is a valid F1 and a valid F2.
     Returns the two radial components with strong-form residuals measured
-    in the weighted L2 norm.
+    in the weighted L2 norm; as g is recovered from the lower equation
+    itself, ``residual_lower`` vanishes in exact arithmetic and only
+    measures rounding.
 
     The first solve on ``problem`` factors its equilibrated energy form by
-    block cyclic reduction (``numerics.spd_factor``) and keeps the factor on
-    the problem object, so it is freed with the problem (about 1.6 MB at
-    2000 nodes); each solve then samples the data, builds the load and
-    back-substitutes (``numerics.spd_solve``).  Another lam or grid is
+    block cyclic reduction (``numerics.spd_factor``) and keeps the factor,
+    with the problem's coefficients at the quadrature points, on the
+    problem object, so it is freed with the problem (about 1.6 MB at 2000
+    nodes); each solve then samples its data in one real pass per profile,
+    builds the load in one product, back-substitutes (``numerics.spd_solve``)
+    and evaluates the strong form in one product.  Another lam or grid is
     another problem (``dataclasses.replace``).  A form that is not positive
     definite raises :class:`NotPositiveDefiniteError` on every call.
     """
     form = problem._factored
-    fem, samples = form.fem, form.samples
-    m, lam, k = problem.m, problem.lam, problem.channel.k
-    rq = fem.rq
-    F1q, F2q = _sampled(F1, rq), _sampled(F2, rq)
-    b = fem.load(F1q * form.r3, F2q * form.f2_weight, k)
-    b[0, [0, -1]] = 0.0                       # value dofs at both ends
+    k = problem.channel.k
+    F1q, _ = _sampled(F1, form.rq, form.tq)
+    F2q, F2dq = _sampled(F2, form.rq, form.tq)
+    b = form.load(F1q, F2q)
     x = spd_solve(form.factor, b)
     coefs = x.T.ravel()
 
-    F2dq = np.zeros_like(rq) if F2 is None else np.real(F2.reduced_at(0, rq))
-    f, g, upper, lower = _strong_form(fem, problem, samples, coefs, F2q, F2dq)
-    residual_upper = fem.quad_norm(upper - F1q, form.r3)
-    residual_lower = fem.quad_norm(lower - F2q, form.r3)
-    weight = form.r3 * fem.wq
+    f, g, upper, lower = _strong_form(form, k, x, F2q, F2dq)
+    # einsum, not np.vdot: a BLAS dot this long wakes its threads, about 8 ms
+    # per call where the thread count is not pinned (the CLI)
+    residual_upper, residual_lower = (
+        math.sqrt(float(np.einsum("qe,qe->", np.square(d, out=d), form.r3wq)))
+        for d in (upper - F1q, lower - F2q))
+    upper *= form.r3wq
+    lower *= form.r3wq
     phi_at = tuple(float(shapes @ coefs[3 * el: 3 * el + 6]) for el, shapes in form.shells)
 
     h_norm = math.sqrt(max(float(np.vdot(x, b)), 0.0))     # x . A x, as A x = b
-    nodes = problem.grid
-    phi = GridProfile(nodes, fem.node_values(coefs, 0))
-    g_nodes = -(_sampled(F2, nodes.nodes)
-                + fem.node_values(coefs, 1) - k * fem.node_values(coefs, 0) / nodes.nodes
-                ) / (m + form.w2_nodes - lam)
-    chi = GridProfile(nodes, g_nodes)
-    return WeakSolveResult(phi=phi, chi=chi,
+    grid = problem.grid
+    nodes = grid.nodes
+    F2n, _ = _sampled(F2, nodes, form.t_nodes)
+    g_nodes = -(F2n + x[1] / nodes - k * x[0] / nodes) / form.den_nodes
+    return WeakSolveResult(phi=GridProfile(grid, x[0].copy()),
+                           chi=GridProfile(grid, g_nodes),
                            residual_upper=residual_upper,
                            residual_lower=residual_lower,
                            h_norm_phi=h_norm, problem=problem, coefs=coefs,
-                           _pairing=(upper * weight, lower * weight, f, g, phi_at))
+                           _pairing=(upper, lower, f, g, phi_at))
 
 
 def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,

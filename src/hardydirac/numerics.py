@@ -7,7 +7,9 @@ equilibrated symmetric block-tridiagonal matrices in 3x3 node blocks.  It
 gives their inertia counts (numbers of negative eigenvalues) with log|det|,
 many shifts at once, on which ``extension.spectrum_in_gap`` runs
 multisection; and it factors one positive definite matrix and solves with
-it, one product per level and direction, for ``extension.weak_solve``.
+it, one product per level and direction down to a dense system of at most
+16 nodes, then one product with that system's inverse, for
+``extension.weak_solve``.
 
 All integrals over (0, infinity) are computed after the substitution
 r = e^t, which turns 1/r singularities at the origin and decaying tails
@@ -69,6 +71,11 @@ _SCAN = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
 _GROWTH_TOL = 1e-8
 # bisection alone takes a 0.064-wide bracket in log r to adjacent floats in < 50
 _NEWTON_STEPS, _EPS = 64, float(np.finfo(float).eps)
+
+# spd_factor keeps a system of at most this many nodes dense
+_DENSE_TAIL = 16
+_NOT_DEFINITE = ("energy form is not positive definite "
+                 "(regime hypothesis violated, e.g. c1*c2 too large)")
 
 
 class QuadratureError(RuntimeError):
@@ -440,24 +447,24 @@ def spd_factor(D: np.ndarray, B: np.ndarray):
     ``spd_solve``; D and B are equilibrated in place.
 
     The reduction is ``ldl_inertia``'s, with the odd nodes' new couplings
-    -z_j B_2j+2 of exact sign; a pivot that is not positive raises
-    :class:`NotPositiveDefiniteError`.  Per level it keeps a forward table
-    [left_j^T inv_j | right_j inv_j+1] (3, 6, odd nodes), which moves the even
-    nodes' load onto the odd ones, and a backward table
-    [inv_j | -inv_j left_j | -inv_j right_j-1^T] (3, 9, even nodes), which
-    gives an even node's solution from its load and its odd neighbours'
-    solutions; a missing neighbour has a zero block.  Returns the scales and
-    those tables.
+    -z_j B_2j+2 of exact sign, down to at most ``_DENSE_TAIL`` nodes.  Per
+    level it keeps a forward table [left_j^T inv_j | right_j inv_j+1]
+    (3, 6, odd nodes), which moves the even nodes' load onto the odd ones, and
+    a backward table [inv_j | -inv_j left_j | -inv_j right_j-1^T] (3, 9, even
+    nodes), which gives an even node's solution from its load and its odd
+    neighbours' solutions; a missing neighbour has a zero block.  The system
+    left (at most 48 unknowns, node-major) is kept as its dense inverse, from
+    its Cholesky factor.  A pivot that is not positive, or a tail that is not
+    finite or not positive definite, raises :class:`NotPositiveDefiniteError`.
+    Returns the scales, those tables and the tail's inverse.
     """
     levels = []
     with np.errstate(all="ignore"):
         s = _equilibrate(D, B)
-        while D.shape[-1]:
+        while D.shape[-1] > _DENSE_TAIL:
             piv, inv = _block_ldl(D[..., ::2])
             if not (piv > 0.0).all():     # NaN fails too
-                raise NotPositiveDefiniteError(
-                    "energy form is not positive definite "
-                    "(regime hypothesis violated, e.g. c1*c2 too large)")
+                raise NotPositiveDefiniteError(_NOT_DEFINITE)
             # odd node 2j+1 couples to 2j by left_j (rows on 2j), to 2j+2 by right_j
             left, right = B[..., ::2], B[..., 1::2]
             w = np.einsum("ij...,jk...->ik...", inv[..., :left.shape[-1]], left)
@@ -473,15 +480,29 @@ def spd_factor(D: np.ndarray, B: np.ndarray):
             D = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, w)
             D[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
             B = -np.einsum("ij...,jk...->ik...", z[..., :D.shape[-1] - 1], left[..., 1:])
-    return s, levels
+    n = D.shape[-1]
+    tail = np.zeros((n, 3, n, 3))
+    i = np.arange(n)
+    tail[i, :, i] = D.transpose(2, 0, 1)
+    tail[i[:-1], :, i[1:]] = B.transpose(2, 0, 1)
+    tail[i[1:], :, i[:-1]] = B.transpose(2, 1, 0)
+    tail = tail.reshape(3 * n, 3 * n)
+    if not np.isfinite(tail).all():   # the Cholesky factorization lets NaN through
+        raise NotPositiveDefiniteError(_NOT_DEFINITE)
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(tail))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_NOT_DEFINITE) from None
+    return s, levels, inv_l.T @ inv_l
 
 
 def spd_solve(factor, b: np.ndarray) -> np.ndarray:
     """Solution x (3, n) of A x = b, node i's dofs in column i of b (3, n), from
-    ``spd_factor`` of A: the forward tables reduce the load level by level, then
-    the backward tables recover each level's even nodes in reverse order, one
-    product per level and direction."""
-    s, levels = factor
+    ``spd_factor`` of A: the forward tables reduce the load level by level, one
+    product with the tail's inverse solves what is left, then the backward
+    tables recover each level's even nodes in reverse order, one product per
+    level and direction."""
+    s, levels, tail_inv = factor
     b = b * s
     evens = []
     for fwd, _ in levels:
@@ -491,7 +512,7 @@ def spd_solve(factor, b: np.ndarray) -> np.ndarray:
         near[3:, :even.shape[1] - 1] = even[:, 1:]
         b = b - np.einsum("ijk,jk->ik", fwd, near)
         evens.append(even)
-    x = b
+    x = (tail_inv @ b.T.ravel()).reshape(-1, 3).T
     for (_, bwd), even in zip(reversed(levels), reversed(evens)):
         near = np.zeros((9, even.shape[1]))    # even node j's load, odd neighbours j and j-1
         near[:3] = even

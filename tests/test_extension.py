@@ -15,6 +15,7 @@ from hardydirac.channels import Channel, ClosedFormProfile, ProfileTerm, exp_pro
 from hardydirac.extension import (
     _GQ_X,
     DiracChannelProblem,
+    _FactoredForm,
     _HermiteFem,
     _gap_counts,
     _gap_form,
@@ -181,20 +182,40 @@ class TestWeakSolve:
         sol = weak_solve(coulomb_problem(n=1500), exp_profile(-0.5, 1.0), None)
         assert sol.residual_upper <= 1e-9 * 0.5
 
-    def test_f2_reduced_at_matches_reduced(self):
-        # weak_solve samples F2' through reduced_at; for a profile whose F2'
-        # is square integrable it is bit for bit the reduced profile's values,
-        # and for one whose F2' is not only reduced() refuses
-        rq = _HermiteFem(coulomb_problem(n=200).grid).rq
+    def test_real_with_slope_matches_profile_and_reduced(self):
+        # weak_solve samples F and F' in one pass, F' from the terms' own
+        # exponentials; that matches F(r) and F.reduced(0)(r) to round-off (not
+        # bit for bit, as reduced() sums other exponentials), and a profile
+        # whose F' is not square integrable, which reduced() refuses, still
+        # gives finite slopes
+        fem = _HermiteFem(coulomb_problem(n=200).grid)
+        rq, tq = fem.rq, fem.tq
         two_terms = ClosedFormProfile((ProfileTerm(1.0, 1.0, 1.0, "exp"),
                                        ProfileTerm(-0.5, 0.0, 2.0, "exp")))
-        for F2 in (two_terms, exp_profile(0, 1.0), gauss_profile(2, 0.7)):
-            for k in (0, 1, -2):
-                assert np.array_equal(F2.reduced_at(k, rq), F2.reduced(k)(rq))
         singular = exp_profile(-0.5, 1.0)
+        for F in (two_terms, exp_profile(0, 1.0), gauss_profile(2, 0.7), singular):
+            f, slope = F._real_with_slope(rq, tq)
+            want = np.real(F(rq))
+            assert np.max(np.abs(f - want)) <= 1e-13 * np.max(np.abs(want))
+            if F is singular:
+                assert np.isfinite(slope).all()
+                continue
+            want = np.real(F.reduced(0)(rq))
+            assert np.max(np.abs(slope - want)) <= 1e-13 * np.max(np.abs(want))
         with pytest.raises(ValueError, match="not square integrable"):
             singular.reduced(0)
-        assert np.isfinite(singular.reduced_at(0, rq)).all()
+
+    def test_residual_lower_is_rounding(self):
+        # g is recovered from the lower equation itself, so lower - F2
+        # vanishes in exact arithmetic and the residual is round-off of the
+        # data's size
+        fem = _HermiteFem(RadialGrid.log_uniform(2000, 1e-7, 50.0))
+        for F2 in (None, gauss_profile(2, 0.9, coef=-0.4), exp_profile(0, 1.3, coef=2.0)):
+            F2q = 0.0 if F2 is None else np.real(F2(fem.rq))
+            norm = math.sqrt(float(np.einsum("q,eq->", fem.wq, F2q * F2q * fem.rq**3)))
+            for prob in _solve_problems().values():
+                sol = weak_solve(prob, exp_profile(1, 1.2, coef=0.7), F2)
+                assert sol.residual_lower <= 1e-13 * max(1.0, norm)
 
     def test_deterministic(self):
         a = weak_solve(coulomb_problem(n=400), exp_profile(0, 1.0), None)
@@ -322,14 +343,13 @@ def _solve_problems():
 
 def _recomputed_pairing_defect(problem, u, v, F2_u, F2_v):
     """The pairing defect recomputed from the coefficients alone: a fresh
-    element set, the strong form of both solutions (with their F2 data) and
-    the einsum pairing, plus the shell point terms."""
-    fem = _HermiteFem(problem.grid)
-    rq = fem.rq
-    samples = problem.w1(rq), problem.w2(rq), problem.w2_derivative(rq)
+    element set and samples, the strong form of both solutions (with their
+    F2 data) and the einsum pairing, plus the shell point terms."""
+    fem, form = _HermiteFem(problem.grid), _FactoredForm(problem)
+    rq = form.rq        # point-major: rq[q, e] is fem.rq[e, q]
 
     def pieces(sol, F2):
-        f, g, upper, lower = _strong_form(fem, problem, samples, sol.coefs,
+        f, g, upper, lower = _strong_form(form, problem.channel.k, sol.coefs.reshape(-1, 3).T,
                                           np.real(F2(rq)), np.real(F2.reduced(0)(rq)))
         f_at = {}
         for radius, _ in problem.shell_terms():
@@ -342,7 +362,7 @@ def _recomputed_pairing_defect(problem, u, v, F2_u, F2_v):
     w3 = rq**3
 
     def pair(up_a, lo_a, at_a, f_b, g_b, at_b):
-        val = float(np.einsum("q,eq->", fem.wq, (up_a * f_b + lo_a * g_b) * w3))
+        val = float(np.einsum("q,qe->", fem.wq, (up_a * f_b + lo_a * g_b) * w3))
         for radius, a in problem.shell_terms():
             val -= a * radius**2 * at_a[radius] * at_b[radius]
         return val

@@ -532,7 +532,7 @@ class TestInertia:
         assert got == pytest.approx(logdet, rel=1e-12)
         assert list(expected) == sorted(expected) and expected[-1] >= 3
 
-    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 33, 64])
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 16, 17, 33, 64, 200])
     def test_random_block_tridiagonal(self, n_nodes):
         # indefinite matrices over 20 decades of diagonal scale; the node
         # counts give odd and even lengths at every reduction level
@@ -581,11 +581,12 @@ class TestInertia:
 
 
 class TestSpdFactor:
-    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 33, 64])
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 12, 16, 17, 33, 64, 200])
     def test_random_spd_matches_dense_solve(self, n_nodes):
         # diagonally dominant block-tridiagonal matrices over 20 decades of
         # diagonal scale; the node counts give odd and even lengths at every
-        # reduction level
+        # reduction level, the dense tail alone (up to 16), the tail after one
+        # level (17) and after many (200)
         rng = np.random.default_rng(11)
         for _ in range(4):
             a = _random_block_tridiagonal(rng, n_nodes)

@@ -139,7 +139,7 @@ def run_channel_constants(args):
     pair = parse_pair(args.v1, args.v2, args.c1, args.c2)
     ks = [k for k in range(args.kmin, args.kmax + 1) if k != -1]
     table = {str(k): a_k(pair, k) for k in ks}
-    rows = [{"k": k, "A_k": a_k(pair, k)} for k in ks]
+    rows = [{"k": k, "A_k": table[str(k)]} for k in ks]
     return {"per_channel": table}, ("k,A_k", rows)
 
 

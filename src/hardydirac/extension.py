@@ -414,7 +414,8 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
     def pair(a, b):
         up_a, lo_a, _, _, at_a = a._pairing
         _, _, f_b, g_b, at_b = b._pairing
-        val = float(np.vdot(up_a, f_b) + np.vdot(lo_a, g_b))
+        # einsum, not np.vdot, as in weak_solve's residuals
+        val = float(np.einsum("qe,qe->", up_a, f_b) + np.einsum("qe,qe->", lo_a, g_b))
         for c, phi_a, phi_b in zip(shells, at_a, at_b):
             val -= c * phi_a * phi_b
         return val
@@ -531,6 +532,17 @@ def _model_ladders(E, C, L, open_, tol):
     return [ladder[:, j] if fit[j] else None for j in range(len(open_))]
 
 
+def _check_monotone(E: np.ndarray, C: np.ndarray) -> None:
+    """Raises ValueError where the counts C at the shifts E fall as E grows: the
+    form is monotone in E, so such a count is wrong."""
+    order = np.argsort(E, kind="stable")
+    fell = np.flatnonzero(np.diff(C[order]) < 0)
+    if fell.size:
+        i, j = order[fell[0]], order[fell[0] + 1]
+        raise ValueError(f"inertia count fell from {int(C[i])} at shift E={float(E[i])!r} "
+                         f"to {int(C[j])} at E={float(E[j])!r}")
+
+
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
     function (shifts to counts below them and log|det|): its first call
@@ -551,7 +563,8 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
     guesses, by lo, hi and a geometric ladder g +- w rho^j of at most 3
     rungs around each guess g, from w = 0.4 tol (so that an exact guess
     closes its bracket in one call) out to g +- reach.  Later sweeps bracket
-    from the counts as before, so a level the ladder misses is still found."""
+    from the counts as before, so a level the ladder misses is still found.
+    After every call, a count that falls as E grows raises ValueError."""
     E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)
     if warm and 0 < len(warm[0]) <= (_SHIFTS_PER_SWEEP - 2) // 4:
         (guesses, reach), w = warm, 0.4 * tol
@@ -560,6 +573,7 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
         E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
     C, L = counts(E)
+    _check_monotone(E, C)
     levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
     while True:
         brackets = []
@@ -577,6 +591,7 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
                               else r for j, ((a, b), r) in enumerate(zip(open_, ladders))])
         new_counts, new_logdet = counts(new)
         E, C, L = np.append(E, new), np.append(C, new_counts), np.append(L, new_logdet)
+        _check_monotone(E, C)
 
 
 def spectrum_in_gap(problem: DiracChannelProblem, count: int):

@@ -366,20 +366,14 @@ def _checked_eval(g, r: np.ndarray) -> np.ndarray:
 # equilibration and block inertia
 # ---------------------------------------------------------------------------
 
-def _equilibration(diagonal: np.ndarray) -> np.ndarray:
-    """Scales ``|diagonal|^(-1/2)``; entries below 1e-300 keep scale 1."""
-    d = np.abs(diagonal)
-    return 1.0 / np.sqrt(np.where(d < 1e-300, 1.0, d))
-
-
 def _equilibrate(D: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Symmetric diagonal equilibration of node blocks D (3, 3, ..., n) and
-    couplings B (3, 3, ..., n-1), in place, by ``_equilibration`` of the
-    diagonal; returns the scales s (3, ..., n).  S A S has the inertia of A,
-    and A x = b is solved as x = s * y with (S A S) y = s * b.
-    """
+    """Symmetric diagonal equilibration of node blocks D (3, 3, ..., n) and couplings
+    B (3, 3, ..., n-1), in place; returns the scales s = |diagonal|^(-1/2) (3, ..., n),
+    1 where |diagonal| < 1e-300.  S A S has the inertia of A, and A x = b is solved
+    as x = s * y with (S A S) y = s * b."""
     with np.errstate(all="ignore"):
-        s = _equilibration(D[[0, 1, 2], [0, 1, 2]])
+        d = np.abs(D[[0, 1, 2], [0, 1, 2]])
+        s = 1.0 / np.sqrt(np.where(d < 1e-300, 1.0, d))
         B *= s[:, None, ..., :-1] * s[None, :, ..., 1:]
         D *= s[:, None] * s[None, :]
     return s
@@ -403,36 +397,46 @@ def _block_ldl(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                              [i10, q1 + m21 * m21 * q2, i21], [i20, i21, q2]])
 
 
+def _eliminate_evens(D: np.ndarray, B: np.ndarray):
+    """One level of odd-even block cyclic reduction of node blocks D (3, 3, ..., n)
+    and couplings B (3, 3, ..., n-1), rows on node i, over any stack axes ``...``.
+
+    Odd node 2j+1 couples to 2j by left_j = B_2j and to 2j+2 by right_j = B_2j+1.
+    With the inverses inv_j of the even nodes' blocks (``_block_ldl``) and
+    z_j = right_j inv_j+1, the odd nodes' Schur complement A_oo - A_oe A_ee^-1 A_eo
+    has node blocks D_2j+1 - left_j^T inv_j left_j - z_j right_j^T (a missing
+    neighbour adds nothing) and couplings -z_j left_j+1 from 2j+1 to 2j+3.
+    Returns the even nodes' pivots, inv, z and the reduced D and B.
+    """
+    piv, inv = _block_ldl(D[..., ::2])
+    left, right = B[..., ::2], B[..., 1::2]
+    odd = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, np.einsum(
+        "ij...,jk...->ik...", inv[..., :left.shape[-1]], left))
+    z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])
+    odd[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
+    B = np.einsum("ij...,jk...->ik...", z[..., :odd.shape[-1] - 1], left[..., 1:])
+    return piv, inv, z, odd, np.negative(B, out=B)
+
+
 def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> tuple[np.ndarray, np.ndarray]:
     """Negative-eigenvalue counts and log|det| of S symmetric block-tridiagonal matrices.
 
     ``D[:, :, j, i]`` is the 3x3 diagonal block of node i in matrix j and ``B[:, :, j, i]``
     its coupling to node i+1 (rows on node i); ``shifts`` name the matrices in errors.
-    After ``_equilibrate`` of D and B in place, odd-even block cyclic reduction
-    eliminates the even-numbered nodes of what remains (0, 2, 4, ...) at each level,
-    vectorized over nodes and matrices, in about log2(n) levels; the negative pivots of
-    all eliminated blocks give the count (Haynsworth additivity, Sylvester's law), and
-    their log|pivot| less twice the log scales give log|det| (the sign of det is
-    (-1)^count).  A zero pivot is nudged to -1e-300 (counts as negative); a non-finite
-    one raises.
+    After ``_equilibrate`` of D and B in place, ``_eliminate_evens`` runs, vectorized
+    over nodes and matrices, until no node is left, in about log2(n) levels; the
+    negative pivots of all eliminated blocks give the count (Haynsworth additivity,
+    Sylvester's law), and their log|pivot| less twice the log scales give log|det|
+    (the sign of det is (-1)^count).  A zero pivot is nudged to -1e-300 (counts as
+    negative); a non-finite one raises.
     """
     pivots = []
     with np.errstate(all="ignore"):
         logdet = -2.0 * np.log(_equilibrate(D, B)).sum(axis=(0, 2))
         while D.shape[-1]:
-            piv, inv = _block_ldl(D[..., ::2])
+            piv, _, _, D, B = _eliminate_evens(D, B)
             pivots.append(piv)
             logdet += np.log(np.abs(piv)).sum(axis=(0, 2))
-            # odd node i couples to i-1 (rows on i-1) and i+1 (rows on i)
-            left, right = B[..., ::2], B[..., 1::2]
-            odd = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, np.einsum(
-                "ij...,jk...->ik...", inv[..., :left.shape[-1]], left))
-            z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])
-            odd[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
-            # odd nodes i, i+2 now couple by -z_i B_i+1; the sign (a
-            # congruence by diag(+-I)) leaves the count unchanged
-            B = np.einsum("ij...,jk...->ik...", z[..., :odd.shape[-1] - 1], left[..., 1:])
-            D = odd
     piv = np.concatenate(pivots, axis=-1)
     bad = ~np.isfinite(piv).all(axis=(0, 2))
     if bad.any():
@@ -446,29 +450,26 @@ def spd_factor(D: np.ndarray, B: np.ndarray):
     blocks D (3, 3, n) and couplings B (3, 3, n-1) with rows on node i, for
     ``spd_solve``; D and B are equilibrated in place.
 
-    The reduction is ``ldl_inertia``'s, with the odd nodes' new couplings
-    -z_j B_2j+2 of exact sign, down to at most ``_DENSE_TAIL`` nodes.  Per
-    level it keeps a forward table [left_j^T inv_j | right_j inv_j+1]
-    (3, 6, odd nodes), which moves the even nodes' load onto the odd ones, and
-    a backward table [inv_j | -inv_j left_j | -inv_j right_j-1^T] (3, 9, even
-    nodes), which gives an even node's solution from its load and its odd
-    neighbours' solutions; a missing neighbour has a zero block.  The system
-    left (at most 48 unknowns, node-major) is kept as its dense inverse, from
-    its Cholesky factor.  A pivot that is not positive, or a tail that is not
-    finite or not positive definite, raises :class:`NotPositiveDefiniteError`.
+    ``_eliminate_evens`` runs while more than ``_DENSE_TAIL`` nodes are left.  Per
+    level, in its names, a forward table [left_j^T inv_j | z_j] (3, 6, odd nodes) moves
+    the even nodes' load onto the odd ones, and a backward table
+    [inv_j | -inv_j left_j | -z_j-1^T] (3, 9, even nodes) gives an even node's solution
+    from its load and its odd neighbours' solutions (a missing neighbour has a zero
+    block).  The system left (at most 48 unknowns, node-major) is kept as its dense
+    inverse, from its Cholesky factor.  A pivot that is not positive, or a tail that is
+    not finite or not positive definite, raises :class:`NotPositiveDefiniteError`.
     Returns the scales, those tables and the tail's inverse.
     """
     levels = []
     with np.errstate(all="ignore"):
         s = _equilibrate(D, B)
         while D.shape[-1] > _DENSE_TAIL:
-            piv, inv = _block_ldl(D[..., ::2])
+            left = B[..., ::2]
+            piv, inv, z, D, B = _eliminate_evens(D, B)
             if not (piv > 0.0).all():     # NaN fails too
                 raise NotPositiveDefiniteError(_NOT_DEFINITE)
-            # odd node 2j+1 couples to 2j by left_j (rows on 2j), to 2j+2 by right_j
-            left, right = B[..., ::2], B[..., 1::2]
+            # w = inv left is formed here, not in the step, so the count's levels keep no more
             w = np.einsum("ij...,jk...->ik...", inv[..., :left.shape[-1]], left)
-            z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])
             fwd = np.zeros((3, 6, w.shape[-1]))
             fwd[:, :3] = w.transpose(1, 0, 2)
             fwd[:, 3:, :z.shape[-1]] = z
@@ -477,9 +478,6 @@ def spd_factor(D: np.ndarray, B: np.ndarray):
             bwd[:, 3:6, :w.shape[-1]] = -w
             bwd[:, 6:, 1:z.shape[-1] + 1] = -z.transpose(1, 0, 2)
             levels.append((fwd, bwd))
-            D = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, w)
-            D[..., :z.shape[-1]] -= np.einsum("ij...,kj...->ik...", z, right)
-            B = -np.einsum("ij...,jk...->ik...", z[..., :D.shape[-1] - 1], left[..., 1:])
     n = D.shape[-1]
     tail = np.zeros((n, 3, n, 3))
     i = np.arange(n)

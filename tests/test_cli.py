@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardydirac
-from hardydirac import potentials
+from hardydirac import cli, extension, potentials
 from hardydirac.cli import main
 from hardydirac.numerics import QuadratureError
 
@@ -51,6 +52,19 @@ class TestConstantsCommand:
         code, out = run_cli(capsys, "constants", "--v1", "coulomb:0.25", "--v2", "zero")
         assert code == 1
         assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+
+def test_falling_count_exits_2(capsys, monkeypatch):
+    # a count that falls as E grows is refused with exit 2, as invalid input is
+    def gap_counts(fem, problem):
+        return lambda shifts: (np.arange(len(shifts))[::-1], np.zeros(len(shifts)))
+
+    monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+    code, out = run_cli(capsys, "spectrum", "--v1", "coulomb:1", "--v2", "coulomb:1",
+                        "--c1", "0.5", "--c2", "0.5", "--k", "0", "--count", "2")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and "inertia count fell" in error["message"]
 
 
 def test_import_leaves_scipy_out():
@@ -156,6 +170,22 @@ class TestTabularCommands:
         ks = [int(line.split(",")[0]) for line in lines[1:]]
         assert -1 not in ks
         assert ks == sorted(ks)
+
+    def test_channel_constants_one_a_k_per_channel(self, capsys, monkeypatch):
+        calls = []
+
+        def a_k(pair, k, inner=cli.a_k):
+            calls.append(k)
+            return inner(pair, k)
+
+        monkeypatch.setattr(cli, "a_k", a_k)
+        code, out = run_cli(capsys, "channel-constants", "--v1", "coulomb:1",
+                            "--v2", "coulomb:1", "--kmin", "-3", "--kmax", "2",
+                            "--format", "csv")
+        assert code == 0
+        assert calls == [-3, -2, 0, 1, 2]
+        assert [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == [
+            pytest.approx(1.0 / abs(k + 1), rel=1e-9) for k in calls]
 
     def test_spectrum_csv_columns(self, capsys):
         code, out = run_cli(capsys, "spectrum", "--v1", "coulomb:1", "--v2",

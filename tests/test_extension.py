@@ -532,6 +532,28 @@ class TestSpectrum:
         assert [ev.index for ev in evs] == [0]
         assert evs[0].value == pytest.approx(0.2, abs=1e-10)
 
+    @pytest.mark.parametrize("bad_call", [0, 1])
+    def test_falling_count_raises(self, monkeypatch, bad_call):
+        # the form is monotone in E, so a count that falls as E grows is wrong:
+        # here the highest shift of the first or the second count call counts
+        # no level below it
+        oracle, calls = _dense_counts(np.diag([0.2, 0.5])), []
+
+        def gap_counts(fem, problem):
+            def counts(shifts):
+                C, logdet = oracle(shifts)
+                if len(calls) == bad_call:
+                    C[np.argmax(shifts)] = 0
+                calls.append(len(shifts))
+                return C, logdet
+            return counts
+
+        monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+        with pytest.raises(ValueError,
+                           match=r"inertia count fell from [12] at shift E=\S+ to 0 at E="):
+            spectrum_in_gap(coulomb_problem(n=50), 2)
+        assert len(calls) == bad_call + 1
+
     @pytest.mark.parametrize("n, r_min", [(700, 1e-6), (1500, 1e-7)])
     def test_doubled_grid_warm_started(self, monkeypatch, n, r_min):
         # criterion 8 and the README spectrum problem: the coarse levels'

@@ -12,6 +12,7 @@ from hardydirac.numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
     UnboundedError,
+    _eliminate_evens,
     integrate_radial,
     ldl_inertia,
     spd_factor,
@@ -450,6 +451,16 @@ def _blocks(dense: np.ndarray):
     return blocks[i, :, i].transpose(1, 2, 0), blocks[i[:-1], :, i[1:]].transpose(1, 2, 0)
 
 
+def _assembled(D: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dense matrix of node blocks D (3, 3, n) and couplings B (3, 3, n-1)."""
+    n, i = D.shape[-1], np.arange(D.shape[-1])
+    a = np.zeros((n, 3, n, 3))
+    a[i, :, i] = D.transpose(2, 0, 1)
+    a[i[:-1], :, i[1:]] = B.transpose(2, 0, 1)
+    a[i[1:], :, i[:-1]] = B.transpose(2, 1, 0)
+    return a.reshape(3 * n, 3 * n)
+
+
 def _stacked(mats):
     """(D, B) of several dense matrices, matrix index on axis 2."""
     D, B = zip(*(_blocks(a) for a in mats))
@@ -578,6 +589,32 @@ class TestInertia:
         D[1, 1, 1, 1] = bad
         with pytest.raises(ValueError, match="E=0.25"):
             ldl_inertia(D, B, np.array([0.0, 0.25, 0.5]))
+
+
+class TestEliminateEvens:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 16, 17])
+    def test_schur_complement_matches_dense(self, n_nodes, stacked):
+        # one level leaves the odd nodes' Schur complement A_oo - A_oe A_ee^-1 A_eo,
+        # couplings of exact sign included, which no count can see (a congruence
+        # by diag(+-I) keeps the inertia); indefinite matrices, with and without
+        # a stack axis
+        rng = np.random.default_rng(13)
+        mats = [_random_block_tridiagonal(rng, n_nodes)
+                + np.diag(rng.choice([-8.0, 8.0], 3 * n_nodes)) for _ in range(3 if stacked else 1)]
+        D, B = _stacked(mats) if stacked else _blocks(mats[0])
+        _, inv, _, D_odd, B_odd = _eliminate_evens(D, B)
+        nodes = np.arange(3 * n_nodes).reshape(n_nodes, 3)
+        even, odd = nodes[::2].ravel(), nodes[1::2].ravel()
+        for j, a in enumerate(mats):
+            want = a[np.ix_(odd, odd)] - a[np.ix_(odd, even)] @ np.linalg.solve(
+                a[np.ix_(even, even)], a[np.ix_(even, odd)])
+            got = (_assembled(D_odd[:, :, j], B_odd[:, :, j]) if stacked
+                   else _assembled(D_odd, B_odd))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = np.linalg.inv(np.moveaxis(D[..., ::2], (0, 1), (-2, -1)))
+        got = np.moveaxis(inv, (0, 1), (-2, -1))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSpdFactor:

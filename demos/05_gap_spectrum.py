@@ -8,7 +8,6 @@ Run:  python demos/05_gap_spectrum.py
 """
 
 import math
-import warnings
 
 from hardydirac import (
     Channel,
@@ -56,9 +55,7 @@ def main():
         shell = parse_pair("shell:1@1", "coulomb:1", c1=a, c2=0.5)
         shell_prob = DiracChannelProblem(pair=shell, channel=Channel(0), m=1.0, lam=0.0,
                                          grid=grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            levels = spectrum_in_gap(shell_prob, 1)
+        levels = spectrum_in_gap(shell_prob, 1)
         if levels:
             print(f"  a={a}: E0 = {levels[0].value:.8f}")
         else:

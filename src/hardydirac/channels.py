@@ -39,7 +39,6 @@ __all__ = [
     "parse_profile",
     "parse_field_term",
     "build_field",
-    "log_derivative",
 ]
 
 
@@ -84,7 +83,13 @@ class ClosedFormProfile:
     terms: tuple
 
     def __call__(self, r):
-        return _terms_at(self.terms, r)
+        r = np.asarray(r, dtype=float)
+        out = np.zeros(r.shape, dtype=complex)
+        lr = np.log(r)
+        for t in self.terms:
+            decay = r if t.kind == "exp" else r * r
+            out += t.coef * np.exp(t.p * lr - t.a * decay)
+        return out if out.ndim else out[()]
 
     def reduced(self, k: int) -> "ClosedFormProfile":
         """The profile of f' - k f / r (k = 0 gives f'), like terms merged."""
@@ -121,17 +126,6 @@ class ClosedFormProfile:
             ProfileTerm(t.coef * coef, t.p, t.a, t.kind) for t in self.terms))
 
 
-def _terms_at(terms, r):
-    """Sum of the profile terms at the radii r."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape, dtype=complex)
-    lr = np.log(r)
-    for t in terms:
-        decay = r if t.kind == "exp" else r * r
-        out += t.coef * np.exp(t.p * lr - t.a * decay)
-    return out if out.ndim else out[()]
-
-
 def exp_profile(p: float, a: float, coef: complex = 1.0) -> ClosedFormProfile:
     """coef * r**p * exp(-a r)."""
     return ClosedFormProfile((ProfileTerm(complex(coef), float(p), float(a), "exp"),))
@@ -144,7 +138,7 @@ def gauss_profile(p: float, a: float, coef: complex = 1.0) -> ClosedFormProfile:
 
 @dataclass(frozen=True, eq=False)
 class GridProfile:
-    """Radial samples on a grid, interpolated linearly in log r."""
+    """Radial samples at the nodes of a grid, as a weak solve returns them."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -154,36 +148,6 @@ class GridProfile:
         if values.shape != (self.grid.n,):
             raise ValueError("values must match the grid")
         object.__setattr__(self, "values", values)
-
-    def __call__(self, r):
-        t = np.log(np.asarray(r, dtype=float))
-        out = np.interp(t, self.grid.t, self.values, left=0.0, right=0.0)
-        return out if out.ndim else out[()]
-
-    def reduced(self, k: int) -> "GridProfile":
-        """f' - k f / r by fourth-order differences in the log variable."""
-        dv = log_derivative(self.values, self.grid.log_step)
-        return GridProfile(self.grid, (dv - k * self.values) / self.grid.nodes)
-
-    def _real_with_slope(self, r: np.ndarray, t: np.ndarray):
-        """Real parts of f and of ``reduced(0)`` (f') at radii r with logs t."""
-        return tuple(np.real(np.interp(t, self.grid.t, v, left=0.0, right=0.0))
-                     for v in (self.values, self.reduced(0).values))
-
-
-def log_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order d/dt of uniformly sampled values (one-sided at the ends)."""
-    v = np.asarray(values)
-    n = v.size
-    if n < 5:
-        raise ValueError("need at least five samples for the fourth-order stencil")
-    dv = np.empty_like(v)
-    dv[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    dv[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
-    dv[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    dv[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
-    dv[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * h)
-    return dv
 
 
 @dataclass(frozen=True)

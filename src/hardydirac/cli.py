@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -181,8 +182,10 @@ def run_spectrum(args):
     problem = DiracChannelProblem(pair=pair, channel=Channel(args.k), m=args.m,
                                   lam=args.lam, grid=_grid(args))
     evs = spectrum_in_gap(problem, args.count)
+    # a level only the doubled grid finds has an infinite estimate; strict JSON has no inf
     rows = [{"k": args.k, "index": ev.index, "E": ev.value,
-             "error_estimate": ev.error_estimate} for ev in evs]
+             "error_estimate": ev.error_estimate if math.isfinite(ev.error_estimate) else "inf"}
+            for ev in evs]
     return {"eigenvalues": rows, "lambda": problem.lam}, ("k,index,E,error_estimate", rows)
 
 

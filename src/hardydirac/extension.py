@@ -38,13 +38,15 @@ for all shifts of a call by ``numerics.ldl_inertia``) locate every nonlinear
 eigenvalue by multisection, with no spectral pollution by construction.
 The same reduction gives log|det| of each shift, through which a
 three-point model places the multisection's shifts near each level; the
-counts alone certify the brackets.
+counts alone certify the brackets.  The levels are counted again on the
+doubled grid, whose space contains the coarse one; every level it brackets
+is reported, with the drift between the grids as its error estimate, and a
+level lost on the doubled grid is a wrong count, which raises.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -253,8 +255,8 @@ class GapEigenvalue:
 # ---------------------------------------------------------------------------
 
 def _sampled(profile, r: np.ndarray, t: np.ndarray):
-    """Real values and r-derivative of a radial profile (None is zero) at the
-    radii r with logs t."""
+    """Real values and r-derivative of a closed-form profile (None is zero) at
+    the radii r with logs t."""
     return (np.zeros_like(r),) * 2 if profile is None else profile._real_with_slope(r, t)
 
 
@@ -347,15 +349,14 @@ class _FactoredForm:
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
     """Riesz solve of (H_V + lam)(phi, chi) = (F1, F2) on one channel.
 
-    F1 and F2 are radial profiles (closed form or grid samples; None is
-    zero).  F2 is understood in the same lower-spinor convention as chi.
-    Only F2 is differentiated (g' in the strong form), and only at the
-    quadrature points, so neither F1 nor F2' need be square integrable at
-    the origin: r^-0.5 e^-r is a valid F1 and a valid F2.
-    Returns the two radial components with strong-form residuals measured
-    in the weighted L2 norm; as g is recovered from the lower equation
-    itself, ``residual_lower`` vanishes in exact arithmetic and only
-    measures rounding.
+    F1 and F2 are closed-form profiles (None is zero).  F2 is understood in
+    the same lower-spinor convention as chi.  Only F2 is differentiated
+    (g' in the strong form), and only at the quadrature points, so neither
+    F1 nor F2' need be square integrable at the origin: r^-0.5 e^-r is a
+    valid F1 and a valid F2.  Returns the two radial components with
+    strong-form residuals measured in the weighted L2 norm; as g is
+    recovered from the lower equation itself, ``residual_lower`` vanishes in
+    exact arithmetic and only measures rounding.
 
     The first solve on ``problem`` factors its equilibrated energy form by
     block cyclic reduction (``numerics.spd_factor``) and keeps the factor,
@@ -427,9 +428,9 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # gap spectrum
 # ---------------------------------------------------------------------------
 
-# brackets close at _TOL * m; a level that moves more than _STABILITY_TOL * 2m
-# between the grids is dropped as spectral pollution
-_TOL, _STABILITY_TOL = 1e-10, 1e-3
+# brackets close at _TOL * m; the doubled grid's warm ladders reach _WARM_REACH * m
+# out from the coarse levels
+_TOL, _WARM_REACH = 1e-10, 2e-3
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
@@ -601,11 +602,18 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     block-tridiagonal matrix bracket each eigenvalue; multisection, 4 shifts
     per open bracket and count (placed from log|det| where a bracket holds
     one level), shrinks the brackets to 1e-10 m.  A solve on a doubled grid
-    gives the error estimate, the larger of the drift between grids and the
-    final bracket width; levels that move more than 2e-3 m between grids
-    are dropped with a warning.  The doubled grid starts from 3-rung ladders
-    around the coarse levels, down to 4e-11 m, so a level that did not move
-    reports 8e-11 m.
+    (2n - 1 nodes on the same log range) gives the reported value and its
+    error estimate, the larger of the drift between grids and the final
+    bracket width.  The doubled grid starts from 3-rung ladders around the
+    coarse levels, from 4e-11 m out to 2e-3 m, so a level that did not move
+    reports 8e-11 m; a level that moved further is bracketed by the later
+    sweeps and reported with its drift.
+
+    Every level the doubled grid brackets is reported.  One that only the
+    doubled grid finds gets an infinite estimate.  The doubled grid's space
+    contains the coarse one, so by min-max its count is never lower at any
+    E: more levels on the coarse grid than on the doubled one mean a wrong
+    count, and raise ValueError.
     """
     if count < 1:
         return []
@@ -614,22 +622,14 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     lo, hi = -m + edge, m - edge
     fine_grid = RadialGrid.log_uniform(2 * problem.grid.n - 1,
                                        problem.grid.r_min, problem.grid.r_max)
-    coarse = _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
-                            lo, hi, count, _TOL * m)
+    coarse = [v for v, _ in _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
+                                           lo, hi, count, _TOL * m)]
     fine = _multisect_gap(_gap_counts(_HermiteFem(fine_grid), problem), lo, hi, count,
-                          _TOL * m, warm=([v for v, _ in coarse], _STABILITY_TOL * 2.0 * m))
-
-    out = []
-    for idx in range(min(len(coarse), len(fine))):
-        value, width = fine[idx]
-        drift = abs(value - coarse[idx][0])
-        if drift > _STABILITY_TOL * 2.0 * m:
-            warnings.warn(
-                f"eigenvalue {value:.6g} unstable under refinement "
-                f"(drift {drift:.2e}); dropped as spectral pollution")
-            continue
-        out.append(GapEigenvalue(value=value, index=idx,
-                                 error_estimate=max(drift, width)))
-    for idx in range(len(fine), len(coarse)):
-        warnings.warn("eigenvalue found only on the coarse grid; dropped")
-    return out
+                          _TOL * m, warm=(coarse, _WARM_REACH * m))
+    if len(coarse) > len(fine):
+        raise ValueError(f"the coarse grid finds {len(coarse)} levels and the doubled grid "
+                         f"only {len(fine)}; nested spaces cannot lose a level")
+    # a level that only the doubled grid finds has no coarse partner to drift from
+    coarse += [math.inf] * (len(fine) - len(coarse))
+    return [GapEigenvalue(value=value, index=idx, error_estimate=max(abs(value - c), width))
+            for idx, ((value, width), c) in enumerate(zip(fine, coarse))]

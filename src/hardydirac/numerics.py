@@ -116,7 +116,7 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
-    def log_uniform(cls, n: int, r_min: float = 1e-6, r_max: float = 50.0) -> "RadialGrid":
+    def log_uniform(cls, n: int, r_min: float, r_max: float) -> "RadialGrid":
         if not (0.0 < r_min < r_max):
             raise ValueError("need 0 < r_min < r_max")
         return cls(np.exp(np.linspace(math.log(r_min), math.log(r_max), n)))

@@ -5,7 +5,6 @@ import pytest
 
 from hardydirac.channels import (
     Channel,
-    GridProfile,
     SpinorField,
     build_field,
     evaluate_spinor,
@@ -14,7 +13,6 @@ from hardydirac.channels import (
     gauss_profile,
     lattice_sigma_grad_norm,
     lattice_weighted_norm,
-    log_derivative,
     parse_field_term,
     parse_profile,
     sigma_grad_norm_weighted,
@@ -56,27 +54,6 @@ class TestRadialReduction:
         red = prof.reduced(k)
         for r in (0.5, 1.0, 4.0):
             assert red(r) == pytest.approx(-(r ** k) * math.exp(-r), rel=1e-13)
-
-    def test_complex_grid_profile(self):
-        # one complex interpolation against the real and imaginary parts apart
-        grid = RadialGrid.log_uniform(50, 1e-2, 10.0)
-        values = np.exp(-grid.nodes) * np.exp(1j * grid.t)
-        prof = GridProfile(grid, values)
-        r = np.geomspace(5e-3, 20.0, 301)
-        want = GridProfile(grid, values.real)(r) + 1j * GridProfile(grid, values.imag)(r)
-        np.testing.assert_allclose(prof(r), want, rtol=1e-15, atol=1e-300)
-        assert prof(r[150]) == prof(r)[150]         # a scalar radius gives a scalar
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_kernel_on_grid(self, k):
-        grid = RadialGrid.log_uniform(2048, 1e-2, 10.0)
-        prof = GridProfile(grid, grid.nodes ** float(k))
-        red = prof.reduced(k)
-        h = grid.t[1] - grid.t[0]
-        w = grid.nodes ** 3 * h
-        num = math.sqrt(float(np.sum(np.abs(red.values) ** 2 * w)))
-        den = math.sqrt(float(np.sum(np.abs(prof.values) ** 2 * w)))
-        assert num <= 1e-8 * den
 
     def test_gauss_zero_crossing(self):
         red = gauss_profile(0, 1.0).reduced(-2)
@@ -232,17 +209,6 @@ class TestLatticeOracle:
         radial = field_norm_weighted(field, weight=w)
         lattice = lattice_weighted_norm(field, weight=w, spacing=0.05, extent=3.4)
         assert abs(lattice - radial) / radial < 0.01
-
-
-class TestLogDerivative:
-    def test_fourth_order(self):
-        errs = []
-        for n in (101, 201):
-            t = np.linspace(-1.0, 1.0, n)
-            v = np.exp(2.0 * t)
-            dv = log_derivative(v, t[1] - t[0])
-            errs.append(float(np.max(np.abs(dv - 2.0 * v))))
-        assert errs[1] < errs[0] / 12.0   # at least fourth order
 
 
 class TestProfileGrammar:

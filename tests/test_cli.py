@@ -67,6 +67,30 @@ def test_falling_count_exits_2(capsys, monkeypatch):
     assert error["type"] == "ValueError" and "inertia count fell" in error["message"]
 
 
+def test_level_only_on_doubled_grid_reported_as_inf(capsys, monkeypatch):
+    # a level that only the doubled grid finds has an infinite estimate,
+    # which the JSON report writes as "inf" (strict JSON has no Infinity)
+    levels = {50: [0.2], 99: [0.2, 0.5]}
+
+    def gap_counts(fem, problem):
+        eigs = np.array(levels[fem.n_nodes])
+        return lambda shifts: (np.array([np.sum(eigs < E) for E in shifts]),
+                               np.array([np.sum(np.log(np.abs(eigs - E))) for E in shifts]))
+
+    monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+    args = ["spectrum", "--v1", "coulomb:1", "--v2", "coulomb:1", "--c1", "0.5", "--c2", "0.5",
+            "--k", "0", "--count", "2", "--grid-n", "50"]
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    rows = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON {name}"))[
+        "result"]["eigenvalues"]
+    assert [row["index"] for row in rows] == [0, 1]
+    assert rows[0]["error_estimate"] < 1e-9 and rows[1]["error_estimate"] == "inf"
+    code, out = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.strip().splitlines()[2].endswith(",inf")
+
+
 def test_import_leaves_scipy_out():
     # scipy serves only as a test oracle: importing the cli module (which
     # every command does), extremizing and weak solving all run without it

@@ -507,7 +507,7 @@ class TestSpectrum:
         coarse = _multisect_gap(_gap_counts(_HermiteFem(grid), prob), lo, hi, 2, 1e-10)
         fine_counts = _gap_counts(_HermiteFem(RadialGrid.log_uniform(399, 1e-6, 50.0)), prob)
         fine = _multisect_gap(fine_counts, lo, hi, 2, 1e-10,
-                              warm=([v for v, _ in coarse], 1e-3 * 2.0))
+                              warm=([v for v, _ in coarse], extension._WARM_REACH))
         cold = _multisect_gap(fine_counts, lo, hi, 2, 1e-10)
         for ev, (c, _), (f, width), (f_cold, _) in zip(evs, coarse, fine, cold):
             assert ev.value == f
@@ -516,21 +516,70 @@ class TestSpectrum:
             assert ev.error_estimate > 0.0
             assert abs(f - f_cold) <= 1e-10
 
-    @pytest.mark.parametrize("fine_levels, message", [
-        ([0.2, 0.6], "unstable under refinement"),
-        ([0.2], "found only on the coarse grid"),
-    ])
-    def test_levels_dropped_between_grids(self, monkeypatch, fine_levels, message):
+    @pytest.mark.parametrize("coarse_levels, fine_levels, estimates", [
+        ([0.2, 0.5], [0.2, 0.4], [0.0, 0.1]),       # the second level moved by 0.1
+        ([0.2], [0.2, 0.5], [0.0, math.inf]),       # the coarse grid missed the second
+    ], ids=["moved", "fine_only"])
+    def test_levels_reported_between_grids(self, monkeypatch, coarse_levels, fine_levels,
+                                           estimates):
         # pencils keyed on the grid size stand in for the two grids' forms:
-        # a level that moves by 0.1 is pollution, one missing on the doubled
-        # grid is not reported either
-        levels = {50: [0.2, 0.5], 99: fine_levels}
+        # every level the doubled grid brackets is reported, without a warning
+        levels = {50: coarse_levels, 99: fine_levels}
         monkeypatch.setattr(extension, "_gap_counts",
                             lambda fem, problem: _dense_counts(np.diag(levels[fem.n_nodes])))
-        with pytest.warns(UserWarning, match=message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             evs = spectrum_in_gap(coulomb_problem(n=50), 2)
-        assert [ev.index for ev in evs] == [0]
-        assert evs[0].value == pytest.approx(0.2, abs=1e-10)
+        assert [ev.index for ev in evs] == [0, 1]
+        assert [ev.value for ev in evs] == pytest.approx(fine_levels, abs=1e-10)
+        assert [ev.error_estimate for ev in evs] == pytest.approx(estimates, abs=1e-9)
+
+    def test_level_lost_on_doubled_grid_raises(self, monkeypatch):
+        # the doubled grid's space contains the coarse one, so it cannot
+        # count fewer levels: a level it loses is a wrong count
+        levels = {50: [0.2, 0.5], 99: [0.2]}
+        monkeypatch.setattr(extension, "_gap_counts",
+                            lambda fem, problem: _dense_counts(np.diag(levels[fem.n_nodes])))
+        with pytest.raises(ValueError, match="coarse grid finds 2 levels and the doubled grid only 1"):
+            spectrum_in_gap(coulomb_problem(n=50), 2)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("v1, v2, c1, c2", [
+        ("coulomb:1", "coulomb:1", 0.5, 0.5),
+        ("coulomb:1", "coulomb:1", 0.99, 0.99),
+        ("shell:1@1", "zero", 1.0, 0.0),
+        ("shell:1@1", "zero", 3.0, 0.0),
+    ])
+    def test_doubled_grid_never_counts_fewer(self, v1, v2, c1, c2, k):
+        # the premise of the raise above: on n and 2n - 1 nodes of one log
+        # range the spaces are nested, so by min-max the doubled grid's count
+        # is at least the coarse count at every shift
+        prob = DiracChannelProblem(pair=parse_pair(v1, v2, c1=c1, c2=c2), channel=Channel(k),
+                                   grid=RadialGrid.log_uniform(101, 1e-7, 50.0))
+        fine = RadialGrid.log_uniform(201, 1e-7, 50.0)
+        E = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 64)
+        coarse_counts = _gap_counts(_HermiteFem(prob.grid), prob)(E)[0]
+        fine_counts = _gap_counts(_HermiteFem(fine), prob)(E)[0]
+        assert np.all(fine_counts >= coarse_counts)
+
+    def test_unit_shell_level_reported(self):
+        # a unit delta shell at R = 1 with w2 = 0 binds one k = 0 level at the
+        # root of (m + E) kappa R^2 i0(kappa R) k0(kappa R) = 1, kappa^2 = m^2 - E^2;
+        # shell levels converge at first order, so this one moves by 3.8e-3
+        # between the grids, beyond the doubled grid's warm ladder
+        exact = 0.77007357
+        kappa = math.sqrt(1.0 - exact * exact)
+        assert (1.0 + exact) * -math.expm1(-2.0 * kappa) / (2.0 * kappa) == pytest.approx(
+            1.0, abs=1e-7)
+        pair = parse_pair("shell:1@1", "zero", c1=1.0, c2=0.0)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0),
+                                   grid=RadialGrid.log_uniform(400, 1e-9, 1e9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (ev,) = spectrum_in_gap(prob, 1)
+        error = abs(ev.value - exact)
+        assert error <= 2e-3
+        assert ev.error_estimate >= error
 
     @pytest.mark.parametrize("bad_call", [0, 1])
     def test_falling_count_raises(self, monkeypatch, bad_call):

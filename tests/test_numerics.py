@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardydirac.channels import Channel, GridProfile, exp_profile
+from hardydirac.channels import Channel, exp_profile
 from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts
 from hardydirac.numerics import (
     NotPositiveDefiniteError,
@@ -667,7 +667,7 @@ class TestRadialGrid:
         with pytest.raises(ValueError, match="uniformly spaced"):
             grid.log_step
         with pytest.raises(ValueError, match="uniformly spaced"):
-            GridProfile(grid, np.exp(-grid.nodes)).reduced(0)
+            _HermiteFem(grid)
 
     def test_bad_nodes(self):
         with pytest.raises(ValueError):

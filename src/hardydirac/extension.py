@@ -106,9 +106,9 @@ _GQ_H, _GQ_D, _GQ_D2 = _hermite_tables(_GQ_X)    # grid-free; each grid scales t
 
 
 class _HermiteFem:
-    """Shape tables, quadrature points and element matrices on one
-    log-uniform grid; dofs are node-major (value and two log-derivatives per
-    node), so forms are block tridiagonal in 3x3 node blocks."""
+    """Shape tables and quadrature points on one log-uniform grid; dofs are
+    node-major (value and two log-derivatives per node), so forms are block
+    tridiagonal in 3x3 node blocks, which ``_gap_form`` assembles."""
 
     def __init__(self, grid: RadialGrid):
         self.grid = grid
@@ -123,15 +123,6 @@ class _HermiteFem:
         self.wq = _GQ_W * h
         self.tq = self.t[:-1, None] + h * _GQ_X[None, :]      # (nel, nq)
         self.rq = np.exp(self.tq)
-
-    def element_matrices(self, vals: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Element matrices ``em[a, b, ..., e]`` (local dofs 0-2 on node e,
-        3-5 on node e+1) of the term vals*f*u (``k`` None) or
-        vals*(f.-k f)(u.-k u), from (..., nel, nq) samples ``vals``; ``_gap_form``
-        gathers them into node blocks."""
-        shapes = self.N if k is None else self.Nd - k * self.N
-        table = (shapes * self.wq)[:, None, :] * shapes[None, :, :]
-        return np.tensordot(table, vals, axes=([2], [-1]))
 
     def _element_shapes(self, radius: float):
         """(element, its six value shapes at ``radius``)."""
@@ -431,40 +422,46 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # brackets close at _TOL * m; the doubled grid's warm ladders reach _WARM_REACH * m
 # out from the coarse levels
 _TOL, _WARM_REACH = 1e-10, 2e-3
+_FIRST_SWEEP = 16               # Chebyshev-Lobatto shifts of a cold first call
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
 
 
-def _node_blocks(em: np.ndarray):
-    """Node blocks D (3, 3, ..., n) and couplings B (3, 3, ..., n-1), rows on node i,
-    of element matrices em (6, 6, ..., nel); B is a copy, so that em can be freed."""
-    D = np.zeros((3, 3) + em.shape[2:-1] + (em.shape[-1] + 1,))
-    D[..., :-1] = em[:3, :3]
-    D[..., 1:] += em[3:, 3:]
-    return D, em[:3, 3:].copy()
-
-
 def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
     """The E-dependent form on one grid, as node blocks: mass part
-    (m - w1 - E) r^3, linear in E and in node blocks once (shells included);
-    gradient part r/(m + w2 + E), one product for all shifts of a call.  The
-    returned ``blocks(E)`` gives D (3, 3, S, n) and B (3, 3, S, n-1) of the S
-    shifts E, with the value dofs at both ends fixed; at E = -lam it is the
-    weak-solve form."""
-    m, k, rq = problem.m, problem.channel.k, fem.rq
-    w2q = problem.w2(rq)
-    em_fixed = fem.element_matrices((m - problem.w1(rq)) * rq**3)
-    for radius, a in problem.shell_terms():
+    (m - w1 - E) r^3, gradient part r/(m + w2 + E), shells -a R^2 f(R) u(R).
+    A table made once per grid maps an element's 7 mass and 7 gradient samples
+    to the 27 entries of its matrix that node blocks read, em[:3, :3], em[3:, 3:]
+    and em[:3, 3:] (local dofs 0-2 on node e, 3-5 on e+1); ``blocks(E)`` makes
+    them for all S shifts E, less the shells' point terms at their element, and
+    scatters them into D (3, 3, S, n) and B (3, 3, S, n-1), with the value dofs
+    at both ends fixed; at E = -lam it is the weak-solve form."""
+    m, k = problem.m, problem.channel.k
+    rq = np.ascontiguousarray(fem.rq.T)[:, None]        # point-major (7, 1, nel)
+    mass, den, r3 = m - problem.w1(rq), m + problem.w2(rq), rq**3
+    a, b = np.divmod(np.arange(9), 3)
+    rows, cols = np.r_[a, a + 3, a], np.r_[b, b + 3, b + 3]
+    table = np.hstack([(N * fem.wq)[rows] * N[cols] for N in (fem.N, fem.Nd - k * fem.N)])
+    points = []
+    for radius, c in problem.shell_terms():
         el, shapes = fem._element_shapes(radius)
-        em_fixed[..., el] -= a * radius**2 * np.outer(shapes, shapes)
-    fixed, mass = (_node_blocks(em[:, :, None]) for em in (em_fixed, fem.element_matrices(rq**3)))
+        points.append((el, (c * radius**2 * shapes[rows] * shapes[cols]).reshape(3, 3, 3, 1)))
 
     def blocks(E: np.ndarray):
-        D, B = _node_blocks(fem.element_matrices(rq / np.add.outer(E, m + w2q), k))
-        for X, X_fixed, X_mass in zip((D, B), fixed, mass):
-            t = E[:, None] * X_mass             # X += X_fixed - E X_mass, one temporary
-            X += np.subtract(X_fixed, t, out=t)
+        nq, _, nel = rq.shape
+        vals = np.empty((2 * nq, E.size, nel))
+        np.multiply(np.subtract(mass, E[:, None], out=vals[:nq]), r3, out=vals[:nq])
+        np.divide(rq, np.add(den, E[:, None], out=vals[nq:]), out=vals[nq:])
+        # one product per 9 rows, so that B owns its memory and the rest is freed
+        at_left, at_right, B = ((t @ vals.reshape(2 * nq, -1)).reshape(3, 3, E.size, nel)
+                                for t in table.reshape(3, 9, 2 * nq))     # element's nodes e, e+1
+        for el, p in points:
+            for X, P in zip((at_left, at_right, B), p):
+                X[..., el] -= P
+        D = np.empty((3, 3, E.size, nel + 1))
+        D[..., 0], D[..., -1] = at_left[..., 0], at_right[..., -1]
+        np.add(at_left[..., 1:], at_right[..., :-1], out=D[..., 1:-1])
         D[0, :, :, [0, -1]] = D[:, 0, :, [0, -1]] = 0.0    # value dofs at both ends
         D[0, 0, :, [0, -1]] = 1.0
         B[0, :, :, 0] = B[:, 0, :, -1] = 0.0
@@ -546,12 +543,13 @@ def _check_monotone(E: np.ndarray, C: np.ndarray) -> None:
 
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
     """(value, bracket width) of the eigenvalues in (lo, hi) of a count
-    function (shifts to counts below them and log|det|): its first call
-    spreads ``_SHIFTS_PER_SWEEP`` shifts over [lo, hi], each later one puts
-    ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at
-    most ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  A call
-    of S shifts costs about a + b S with a ~ 6 b, so closing L brackets,
-    about (a + b S) / ln(S/L + 1), is cheapest near S = 4 L.
+    function (shifts to counts below them and log|det|): its first call puts
+    ``_FIRST_SWEEP`` shifts at the Chebyshev-Lobatto points of [lo, hi], which
+    cluster at the ends, where levels accumulate; each later one puts
+    ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at most
+    ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  A call of S
+    shifts costs about a + b S with a ~ 6 b, so closing L brackets, about
+    (a + b S) / ln(S/L + 1), is cheapest near S = 4 L.
 
     Where a bracket holds one level, its shifts go to a ladder around where
     a three-point model of log|det| puts the level (``_model_ladders``);
@@ -566,7 +564,8 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
     closes its bracket in one call) out to g +- reach.  Later sweeps bracket
     from the counts as before, so a level the ladder misses is still found.
     After every call, a count that falls as E grows raises ValueError."""
-    E = np.linspace(lo, hi, _SHIFTS_PER_SWEEP)
+    E = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _FIRST_SWEEP)))
+    E[0], E[-1] = lo, hi
     if warm and 0 < len(warm[0]) <= (_SHIFTS_PER_SWEEP - 2) // 4:
         (guesses, reach), w = warm, 0.4 * tol
         rungs = min(3, (_SHIFTS_PER_SWEEP - 2) // (2 * len(guesses)))
@@ -599,15 +598,16 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     """Lowest nonlinear eigenvalues of the channel operator inside (-m, m).
 
     The E-dependent reduced form is monotone in E, so inertia counts of its
-    block-tridiagonal matrix bracket each eigenvalue; multisection, 4 shifts
-    per open bracket and count (placed from log|det| where a bracket holds
-    one level), shrinks the brackets to 1e-10 m.  A solve on a doubled grid
-    (2n - 1 nodes on the same log range) gives the reported value and its
-    error estimate, the larger of the drift between grids and the final
-    bracket width.  The doubled grid starts from 3-rung ladders around the
-    coarse levels, from 4e-11 m out to 2e-3 m, so a level that did not move
-    reports 8e-11 m; a level that moved further is bracketed by the later
-    sweeps and reported with its drift.
+    block-tridiagonal matrix bracket each eigenvalue; multisection from 16
+    shifts clustered at the gap's ends, then 4 per open bracket and count
+    (placed from log|det| where a bracket holds one level), shrinks the
+    brackets to 1e-10 m.  A solve on a doubled grid (2n - 1 nodes on the
+    same log range) gives the reported value and its error estimate, the
+    larger of the drift between grids and the final bracket width.  The
+    doubled grid starts from 3-rung ladders around the coarse levels, from
+    4e-11 m out to 2e-3 m, so a level that did not move reports 8e-11 m; a
+    level that moved further is bracketed by the later sweeps and reported
+    with its drift.
 
     Every level the doubled grid brackets is reported.  One that only the
     doubled grid finds gets an infinite estimate.  The doubled grid's space

@@ -408,8 +408,8 @@ def _eliminate_evens(D: np.ndarray, B: np.ndarray):
     neighbour adds nothing) and couplings -z_j left_j+1 from 2j+1 to 2j+3.
     Returns the even nodes' pivots, inv, z and the reduced D and B.
     """
-    piv, inv = _block_ldl(D[..., ::2])
-    left, right = B[..., ::2], B[..., 1::2]
+    piv, inv = _block_ldl(D[..., ::2].copy())     # contiguous: einsum is slower on strided
+    left, right = B[..., ::2].copy(), B[..., 1::2].copy()
     odd = D[..., 1::2] - np.einsum("ji...,jk...->ik...", left, np.einsum(
         "ij...,jk...->ik...", inv[..., :left.shape[-1]], left))
     z = np.einsum("ij...,jk...->ik...", right, inv[..., 1:])

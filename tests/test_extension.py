@@ -274,6 +274,30 @@ class TestWeakSolve:
                 assert np.array_equal(X == 0.0, X_ref == 0.0)
                 assert np.max(np.abs(X - X_ref)) <= 1e-15
 
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    @pytest.mark.parametrize("shells", [False, True], ids=["coulomb", "shells"])
+    def test_form_matches_reference_at_many_shifts(self, shells, k):
+        # the form of six shifts made in one call, two of them within
+        # 1e-7 of the gap's ends, against the reference band of each shift;
+        # one shell lies inside an element and one on a node
+        grid = RadialGrid.log_uniform(300, 1e-6, 50.0)
+        node = float(grid.nodes[180])
+        pair = PotentialPair(v1_regular=CoulombPotential(1.0), v2=CoulombPotential(1.0),
+                             v1_shells=(ShellMeasure(R=1.3, a=0.7), ShellMeasure(R=node, a=0.4))
+                             if shells else (), c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(k), m=1.0, lam=0.0, grid=grid)
+        fem = _HermiteFem(grid)
+        if shells:
+            assert 0.0 < math.log(1.3 / grid.nodes[fem._element_shapes(1.3)[0]]) < 0.99 * fem.h
+        shifts = np.array([-1.0 + 1e-7, -0.6, -0.1, 0.3, 0.8, 1.0 - 1e-7])
+        D, B = _gap_form(fem, prob)(shifts)
+        _equilibrate(D, B)
+        for j, E in enumerate(shifts):
+            scaled, _ = loop_scaled_copy(reference_form(fem, prob, E))
+            for X, X_ref in zip((D[:, :, j], B[:, :, j]), band_blocks(scaled)):
+                assert np.array_equal(X == 0.0, X_ref == 0.0)
+                assert np.max(np.abs(X - X_ref)) <= 1e-15
+
     def test_solve_matches_reference_assembly(self):
         # the summation order differs from the reference (gradient plus
         # (fixed - E mass) against mass plus gradient), so the pin is a
@@ -609,7 +633,9 @@ class TestSpectrum:
         # ladders bracket the doubled grid's levels in one or two count calls;
         # every call after the first puts at most 4 shifts into each bracket
         # open before it and at most 32 in all, and the coarse grid, whose
-        # shifts log|det| places, takes at most 7 calls and 160 shifts
+        # first call takes 16 shifts and whose later shifts log|det| places,
+        # takes at most 6 calls and 56 shifts (both problems take 5 and 48; a
+        # first call of 32 uniform shifts took 60 to 64)
         calls = {}
 
         def gap_counts(fem, problem, inner=_gap_counts):
@@ -630,8 +656,8 @@ class TestSpectrum:
         assert set(calls) == {n, 2 * n - 1}
         for grid_calls in calls.values():
             _assert_shift_budget(grid_calls, 2, lo, hi, tol)
-        assert len(calls[n]) <= 7
-        assert sum(len(E) for E, _ in calls[n]) <= 160
+        assert len(calls[n]) <= 6
+        assert sum(len(E) for E, _ in calls[n]) <= 56
         assert len(calls[2 * n - 1]) <= 2
 
     def test_no_masked_arrays_imported(self):
@@ -709,6 +735,24 @@ class TestMultisectGap:
         levels = _multisect_gap(counts, 0.5, 2.5, 3, 1e-12)
         assert [v for v, _ in levels] == pytest.approx([1.0, 2.0], abs=1e-12)
         assert all(0.0 < w <= 1e-12 for _, w in levels)
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0 + 1e-9, 1.0 - 1e-9), (0.5, 2.5)])
+    def test_cold_first_sweep_at_chebyshev_lobatto_points(self, lo, hi):
+        # gap levels accumulate at the gap's ends, where these points cluster;
+        # the ends themselves are lo and hi exactly
+        calls = []
+
+        def counts(shifts):
+            calls.append(np.array(shifts))
+            return _dense_counts(np.diag([1.0, 2.0, 3.0]))(shifts)
+
+        _multisect_gap(counts, lo, hi, 3, 1e-12)
+        E = calls[0]
+        assert len(E) == extension._FIRST_SWEEP == 16
+        assert E[0] == lo and E[-1] == hi
+        assert (np.diff(E) > 0.0).all()
+        want = lo + (hi - lo) * (1.0 - np.cos(np.pi * np.arange(16) / 15)) / 2
+        assert np.max(np.abs(E - want)) <= 1e-15 * (abs(lo) + abs(hi))
 
     def test_empty_window(self):
         counts = _dense_counts(np.diag([1.0, 2.0, 3.0]))

@@ -420,7 +420,7 @@ def pairing_defect(problem: DiracChannelProblem, u: WeakSolveResult,
 # ---------------------------------------------------------------------------
 
 # brackets close at _TOL * m; the doubled grid's warm ladders reach _WARM_REACH * m
-# out from the coarse levels
+# down from the coarse brackets
 _TOL, _WARM_REACH = 1e-10, 2e-3
 _FIRST_SWEEP = 16               # Chebyshev-Lobatto shifts of a cold first call
 _SHIFTS_PER_SWEEP = 32
@@ -547,9 +547,12 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
     ``_FIRST_SWEEP`` shifts at the Chebyshev-Lobatto points of [lo, hi], which
     cluster at the ends, where levels accumulate; each later one puts
     ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at most
-    ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  A call of S
-    shifts costs about a + b S with a ~ 6 b, so closing L brackets, about
-    (a + b S) / ln(S/L + 1), is cheapest near S = 4 L.
+    ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  At 200 nodes
+    a call of S <= 16 shifts costs about a + b S with a ~ 0.6 ms and
+    b ~ 0.07 ms, a ~ 9 b (0.85-1.14 ms at 4 shifts and 1.6-2.0 ms at 16, in
+    process with one BLAS thread on a shared two-core x86-64 host; 3.6-4.3 ms
+    at 32), so closing L brackets, about (a + b S) / ln(S/L + 1) per e-fold
+    of their width, is cheapest near S = 4 L for L = 2 levels.
 
     Where a bracket holds one level, its shifts go to a ladder around where
     a three-point model of log|det| puts the level (``_model_ladders``);
@@ -558,19 +561,22 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
     model costs calls, never a level.  Elsewhere the bracket is split
     uniformly.
 
-    ``warm = (guesses, reach)`` replaces the first spread, for at most 7
-    guesses, by lo, hi and a geometric ladder g +- w rho^j of at most 3
-    rungs around each guess g, from w = 0.4 tol (so that an exact guess
-    closes its bracket in one call) out to g +- reach.  Later sweeps bracket
-    from the counts as before, so a level the ladder misses is still found.
-    After every call, a count that falls as E grows raises ValueError."""
+    ``warm = (levels, reach)``, with the (value, width) pairs of at most 7
+    levels of a coarser nested space, replaces the first spread by lo, hi
+    and, per level, the two ends a, b of its bracket and two rungs below a,
+    at a - sqrt(w reach) and a - reach with w = 0.4 tol; none goes above b,
+    since by min-max no level of the finer space lies above its coarse
+    partner, and a level within its coarse bracket closes in one call.
+    Later sweeps bracket from the counts as before, so a level the ladder
+    misses is still found.  After every call, a count that falls as E
+    grows raises ValueError."""
     E = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, _FIRST_SWEEP)))
     E[0], E[-1] = lo, hi
     if warm and 0 < len(warm[0]) <= (_SHIFTS_PER_SWEEP - 2) // 4:
-        (guesses, reach), w = warm, 0.4 * tol
-        rungs = min(3, (_SHIFTS_PER_SWEEP - 2) // (2 * len(guesses)))
-        ladder = w * (reach / w) ** np.linspace(0.0, 1.0, rungs)
-        E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
+        (levels, reach), w = warm, 0.4 * tol
+        value, width = np.array(levels, dtype=float).T
+        a = value - 0.5 * width
+        E = np.concatenate((a - reach, a - math.sqrt(w * reach), a, value + 0.5 * width))
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
     C, L = counts(E)
     _check_monotone(E, C)
@@ -603,17 +609,19 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     (placed from log|det| where a bracket holds one level), shrinks the
     brackets to 1e-10 m.  A solve on a doubled grid (2n - 1 nodes on the
     same log range) gives the reported value and its error estimate, the
-    larger of the drift between grids and the final bracket width.  The
-    doubled grid starts from 3-rung ladders around the coarse levels, from
-    4e-11 m out to 2e-3 m, so a level that did not move reports 8e-11 m; a
-    level that moved further is bracketed by the later sweeps and reported
-    with its drift.
+    larger of the drift between grids and the final bracket width.
+
+    The doubled grid's space contains the coarse one, so by min-max its
+    count is never lower at any E and no level of it lies above its coarse
+    partner.  Its first count call therefore takes lo, hi and, per coarse
+    level, the ends of the coarse bracket and two rungs below it, 2.8e-7 m
+    and 2e-3 m down: a level that did not leave its coarse bracket reports
+    that bracket's width (8e-11 m on the README problem); one that moved
+    further is bracketed by the later sweeps and reported with its drift.
 
     Every level the doubled grid brackets is reported.  One that only the
-    doubled grid finds gets an infinite estimate.  The doubled grid's space
-    contains the coarse one, so by min-max its count is never lower at any
-    E: more levels on the coarse grid than on the doubled one mean a wrong
-    count, and raise ValueError.
+    doubled grid finds gets an infinite estimate; more levels on the coarse
+    grid than on the doubled one mean a wrong count, and raise ValueError.
     """
     if count < 1:
         return []
@@ -622,10 +630,11 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     lo, hi = -m + edge, m - edge
     fine_grid = RadialGrid.log_uniform(2 * problem.grid.n - 1,
                                        problem.grid.r_min, problem.grid.r_max)
-    coarse = [v for v, _ in _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
-                                           lo, hi, count, _TOL * m)]
+    coarse = _multisect_gap(_gap_counts(_HermiteFem(problem.grid), problem),
+                            lo, hi, count, _TOL * m)
     fine = _multisect_gap(_gap_counts(_HermiteFem(fine_grid), problem), lo, hi, count,
                           _TOL * m, warm=(coarse, _WARM_REACH * m))
+    coarse = [v for v, _ in coarse]
     if len(coarse) > len(fine):
         raise ValueError(f"the coarse grid finds {len(coarse)} levels and the doubled grid "
                          f"only {len(fine)}; nested spaces cannot lose a level")

@@ -3,10 +3,10 @@
 Radial grids, quadrature on (0, infinity) that is robust to inverse-power
 endpoint singularities and exponential tails, supremum search over r > 0,
 and block cyclic reduction, in about log2(nodes) vectorized levels, of
-equilibrated symmetric block-tridiagonal matrices in 3x3 node blocks.  It
-gives their inertia counts (numbers of negative eigenvalues) with log|det|,
-many shifts at once, on which ``extension.spectrum_in_gap`` runs
-multisection; and it factors one positive definite matrix and solves with
+symmetric block-tridiagonal matrices in 3x3 node blocks.  It gives their
+inertia counts (numbers of negative eigenvalues) with log|det|, many shifts
+at once, on which ``extension.spectrum_in_gap`` runs multisection; and it
+factors one equilibrated positive definite matrix and solves with
 it, one product per level and direction down to a dense system of at most
 16 nodes, then one product with that system's inverse, for
 ``extension.weak_solve``.
@@ -369,8 +369,8 @@ def _checked_eval(g, r: np.ndarray) -> np.ndarray:
 def _equilibrate(D: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Symmetric diagonal equilibration of node blocks D (3, 3, ..., n) and couplings
     B (3, 3, ..., n-1), in place; returns the scales s = |diagonal|^(-1/2) (3, ..., n),
-    1 where |diagonal| < 1e-300.  S A S has the inertia of A, and A x = b is solved
-    as x = s * y with (S A S) y = s * b."""
+    1 where |diagonal| < 1e-300.  ``spd_factor`` solves A x = b as x = s * y with
+    (S A S) y = s * b; the inertia count needs no scaling (``ldl_inertia``)."""
     with np.errstate(all="ignore"):
         d = np.abs(D[[0, 1, 2], [0, 1, 2]])
         s = 1.0 / np.sqrt(np.where(d < 1e-300, 1.0, d))
@@ -423,21 +423,21 @@ def ldl_inertia(D: np.ndarray, B: np.ndarray, shifts) -> tuple[np.ndarray, np.nd
 
     ``D[:, :, j, i]`` is the 3x3 diagonal block of node i in matrix j and ``B[:, :, j, i]``
     its coupling to node i+1 (rows on node i); ``shifts`` name the matrices in errors.
-    After ``_equilibrate`` of D and B in place, ``_eliminate_evens`` runs, vectorized
-    over nodes and matrices, until no node is left, in about log2(n) levels; the
-    negative pivots of all eliminated blocks give the count (Haynsworth additivity,
-    Sylvester's law), and their log|pivot| less twice the log scales give log|det|
-    (the sign of det is (-1)^count).  A zero pivot is nudged to -1e-300 (counts as
-    negative); a non-finite one raises.
+    ``_eliminate_evens`` runs, vectorized over nodes and matrices, until no node is
+    left, in about log2(n) levels; the negative pivots of all eliminated blocks give
+    the count (Haynsworth additivity, Sylvester's law), and the sum of their
+    log|pivot| gives log|det| (the sign of det is (-1)^count).  There is no
+    equilibration: unpivoted block LDL^T of S A S, S diagonal and positive, has the
+    pivots of A times s_i^2, so scaling moves no pivot's sign.  A zero pivot is
+    nudged to -1e-300 (counts as negative); a non-finite one raises.
     """
     pivots = []
     with np.errstate(all="ignore"):
-        logdet = -2.0 * np.log(_equilibrate(D, B)).sum(axis=(0, 2))
         while D.shape[-1]:
             piv, _, _, D, B = _eliminate_evens(D, B)
             pivots.append(piv)
-            logdet += np.log(np.abs(piv)).sum(axis=(0, 2))
-    piv = np.concatenate(pivots, axis=-1)
+        piv = np.concatenate(pivots, axis=-1)
+        logdet = np.log(np.abs(piv)).sum(axis=(0, 2))
     bad = ~np.isfinite(piv).all(axis=(0, 2))
     if bad.any():
         E = float(shifts[np.argmax(bad)])

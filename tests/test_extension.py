@@ -519,8 +519,9 @@ class TestSpectrum:
     def test_error_estimate_includes_bracket_width(self):
         # both grids used to bisect to the same float here, which reported
         # an estimate of 0.0 for a level that is off by 1.8e-8; the doubled
-        # grid now starts from ladders around the coarse levels, so its drift
-        # is often exactly 0.0 and the estimate is then the bracket width
+        # grid now starts from the coarse brackets and ladders below them, so
+        # its drift is often exactly 0.0 and the estimate is then the bracket
+        # width
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         grid = RadialGrid.log_uniform(200, 1e-6, 50.0)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
@@ -531,7 +532,7 @@ class TestSpectrum:
         coarse = _multisect_gap(_gap_counts(_HermiteFem(grid), prob), lo, hi, 2, 1e-10)
         fine_counts = _gap_counts(_HermiteFem(RadialGrid.log_uniform(399, 1e-6, 50.0)), prob)
         fine = _multisect_gap(fine_counts, lo, hi, 2, 1e-10,
-                              warm=([v for v, _ in coarse], extension._WARM_REACH))
+                              warm=(coarse, extension._WARM_REACH))
         cold = _multisect_gap(fine_counts, lo, hi, 2, 1e-10)
         for ev, (c, _), (f, width), (f_cold, _) in zip(evs, coarse, fine, cold):
             assert ev.value == f
@@ -573,16 +574,23 @@ class TestSpectrum:
         ("coulomb:1", "coulomb:1", 0.99, 0.99),
         ("shell:1@1", "zero", 1.0, 0.0),
         ("shell:1@1", "zero", 3.0, 0.0),
+        pytest.param("coulomb:1 + shell:1@1", "coulomb:1", 0.5, 0.5,
+                     id="coulomb:1+shell:1@1-coulomb:1-0.5-0.5"),
     ])
     def test_doubled_grid_never_counts_fewer(self, v1, v2, c1, c2, k):
-        # the premise of the raise above: on n and 2n - 1 nodes of one log
-        # range the spaces are nested, so by min-max the doubled grid's count
-        # is at least the coarse count at every shift
+        # the premise of the raise above and of the doubled grid's one-sided
+        # warm ladder: on n and 2n - 1 nodes of one log range the spaces are
+        # nested, so by min-max the doubled grid's count is at least the
+        # coarse count at every shift, the coarse brackets' upper ends too,
+        # and no doubled-grid level lies above its coarse bracket
         prob = DiracChannelProblem(pair=parse_pair(v1, v2, c1=c1, c2=c2), channel=Channel(k),
                                    grid=RadialGrid.log_uniform(101, 1e-7, 50.0))
         fine = RadialGrid.log_uniform(201, 1e-7, 50.0)
-        E = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 64)
-        coarse_counts = _gap_counts(_HermiteFem(prob.grid), prob)(E)[0]
+        lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+        coarse = _gap_counts(_HermiteFem(prob.grid), prob)
+        E = np.concatenate([np.linspace(lo, hi, 64),
+                            [v + 0.5 * w for v, w in _multisect_gap(coarse, lo, hi, 3, 1e-10)]])
+        coarse_counts = coarse(E)[0]
         fine_counts = _gap_counts(_HermiteFem(fine), prob)(E)[0]
         assert np.all(fine_counts >= coarse_counts)
 
@@ -629,14 +637,15 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n, r_min", [(700, 1e-6), (1500, 1e-7)])
     def test_doubled_grid_warm_started(self, monkeypatch, n, r_min):
-        # criterion 8 and the README spectrum problem: the coarse levels'
-        # ladders bracket the doubled grid's levels in one or two count calls;
-        # every call after the first puts at most 4 shifts into each bracket
-        # open before it and at most 32 in all, and the coarse grid, whose
-        # first call takes 16 shifts and whose later shifts log|det| places,
-        # takes at most 6 calls and 56 shifts (both problems take 5 and 48; a
-        # first call of 32 uniform shifts took 60 to 64)
-        calls = {}
+        # criterion 8 and the README spectrum problem: the coarse brackets and
+        # the rungs below them bracket the doubled grid's levels in one or two
+        # count calls, the first of at most 10 shifts and none above a coarse
+        # bracket; every call after the first puts at most 4 shifts into each
+        # bracket open before it and at most 32 in all, and the coarse grid,
+        # whose first call takes 16 shifts and whose later shifts log|det|
+        # places, takes at most 6 calls and 56 shifts (both problems take 5
+        # and 48; a first call of 32 uniform shifts took 60 to 64)
+        calls, coarse = {}, []
 
         def gap_counts(fem, problem, inner=_gap_counts):
             counts = inner(fem, problem)
@@ -647,7 +656,14 @@ class TestSpectrum:
                 return C, logdet
             return recorded
 
+        def multisect(*args, inner=_multisect_gap, **kwargs):
+            levels = inner(*args, **kwargs)
+            if "warm" not in kwargs:
+                coarse.extend(levels)
+            return levels
+
         monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+        monkeypatch.setattr(extension, "_multisect_gap", multisect)
         pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
         prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
                                    grid=RadialGrid.log_uniform(n, r_min, 50.0))
@@ -659,6 +675,10 @@ class TestSpectrum:
         assert len(calls[n]) <= 6
         assert sum(len(E) for E, _ in calls[n]) <= 56
         assert len(calls[2 * n - 1]) <= 2
+        inner_shifts = calls[2 * n - 1][0][0][1:-1]     # lo and hi are the ends
+        assert len(coarse) == 2 and len(inner_shifts) <= 8
+        assert all(any(v - 0.5 * w - extension._WARM_REACH <= E <= v + 0.5 * w
+                       for v, w in coarse) for E in inner_shifts)
 
     def test_no_masked_arrays_imported(self):
         # numpy.ma costs about 0.7 MB of resident memory per process
@@ -818,10 +838,13 @@ class TestMultisectGap:
         return wrapped, calls
 
     def _warm_matches_cold(self, a, lo, hi, how_many, guesses, tol=1e-12, reach=1e-3):
+        # each guess g stands for a coarse level (g, 0.8 tol), the width the
+        # model ladders close a bracket to
         cold, cold_calls = self._counted(_dense_counts(a))
         warm, warm_calls = self._counted(_dense_counts(a))
         want = _multisect_gap(cold, lo, hi, how_many, tol)
-        got = _multisect_gap(warm, lo, hi, how_many, tol, warm=(guesses, reach))
+        got = _multisect_gap(warm, lo, hi, how_many, tol,
+                             warm=([(g, 0.8 * tol) for g in guesses], reach))
         assert len(got) == len(want)
         assert [v for v, _ in got] == pytest.approx([v for v, _ in want], abs=tol)
         assert all(0.0 < w <= tol for _, w in got)
@@ -865,10 +888,12 @@ class TestMultisectGap:
 def _multisect_gap_32(counts, lo, hi, how_many, tol, warm=None):
     """The multisection as it was before per-bracket shares: every later call
     spreads 32 shifts over the open brackets, and the warm ladder has
-    (32 - 2) // (2 guesses) rungs per side."""
+    (32 - 2) // (2 guesses) rungs per side around the midpoints of the
+    coarse (value, width) levels."""
     E = np.linspace(lo, hi, 32)
     if warm and 0 < len(warm[0]) <= 30 // 4:
-        (guesses, reach), w = warm, 0.4 * tol
+        (levels, reach), w = warm, 0.4 * tol
+        guesses = [v for v, _ in levels]
         ladder = w * (reach / w) ** np.linspace(0.0, 1.0, 30 // (2 * len(guesses)))
         E = np.add.outer(guesses, np.concatenate((-ladder, ladder))).ravel()
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardydirac.channels import Channel, exp_profile
-from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts
+from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts, _gap_form
 from hardydirac.numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
     UnboundedError,
     _eliminate_evens,
+    _equilibrate,
     integrate_radial,
     ldl_inertia,
     spd_factor,
@@ -560,6 +561,35 @@ class TestInertia:
         assert 0 < min(expected) < max(expected)
         if n_nodes > 1:     # a lone node may be negative definite
             assert max(expected) < 3 * n_nodes
+
+    @pytest.mark.parametrize("v1, v2, c, r_min, r_max", [
+        ("coulomb:1", "coulomb:1", 0.99, 1e-60, 1e3),
+        ("coulomb:1", "coulomb:1", 0.9, 1e-30, 1e12),
+        ("coulomb:1 + shell:1@1", "coulomb:1", 0.5, 1e-20, 1e9),
+    ], ids=["coulomb-0.99", "coulomb-0.9", "shell-coulomb"])
+    def test_count_needs_no_equilibration(self, v1, v2, c, r_min, r_max):
+        # oracle: the equilibrated rule, D and B scaled by |diagonal|^(-1/2)
+        # and 2 sum log s taken off log|det|; unpivoted block LDL^T of S A S
+        # has the pivots of A times s_i^2, so the raw form gives the same
+        # counts and log|det| though its diagonal spans 70 to 131 decades
+        prob = DiracChannelProblem(pair=parse_pair(v1, v2, c1=c, c2=c), channel=Channel(0),
+                                   m=1.0, lam=0.0, grid=RadialGrid.log_uniform(300, r_min, r_max))
+        shifts = np.concatenate([np.cos(np.linspace(np.pi, 0.0, 70)) * (1.0 - 1e-9),
+                                 1.0 - np.geomspace(0.2, 1e-8, 30)])
+        D, B = _gap_form(_HermiteFem(prob.grid), prob)(shifts)
+        spread = np.abs(D[[0, 1, 2], [0, 1, 2]])
+        assert spread.max() / spread[spread > 0.0].min() > 1e30
+        counts, logdet = ldl_inertia(D.copy(), B.copy(), shifts)
+        want_logdet = -2.0 * np.log(_equilibrate(D, B)).sum(axis=(0, 2))
+        pivots = []
+        while D.shape[-1]:
+            piv, _, _, D, B = _eliminate_evens(D, B)
+            pivots.append(piv)
+        piv = np.concatenate(pivots, axis=-1)
+        want_logdet += np.log(np.abs(piv)).sum(axis=(0, 2))
+        assert list(counts) == list(np.count_nonzero(piv < 0.0, axis=(0, 2)))
+        assert logdet == pytest.approx(want_logdet, rel=1e-8)
+        assert counts[-1] > counts[0]
 
     def test_zero_pivot_counts_negative(self):
         # shifts landing exactly on eigenvalues of the diagonal pencil

@@ -37,12 +37,9 @@ from .channels import (
     GridProfile,
     SpinorField,
     build_field,
-    evaluate_spinor,
     exp_profile,
     field_norm_weighted,
     gauss_profile,
-    lattice_sigma_grad_norm,
-    lattice_weighted_norm,
     parse_field_term,
     parse_profile,
     sigma_grad_norm_weighted,

@@ -6,8 +6,8 @@ commands), echo the fully resolved configuration for reproducibility, and
 are written atomically when --out is given.
 
 Exit codes: 0 success, 2 hypothesis violation or invalid input (including
-coupling products above threshold and weights outside the admissible
-class), 1 numerical non-convergence.
+coupling products above threshold, weights outside the admissible class
+and files that cannot be read or written), 1 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -255,14 +255,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, table = _RUNNERS[args.command](args)
-        text = _render(args, result, table)
+        _emit(_render(args, result, table), args.out)
     except QuadratureError as exc:
         _emit_error(args, exc, 1)
         return 1
-    except ValueError as exc:    # invalid input and violated hypotheses alike
+    except (ValueError, OSError) as exc:    # invalid input, violated hypotheses, file errors
         _emit_error(args, exc, 2)
         return 2
-    _emit(text, args.out)
     return 0
 
 

@@ -340,14 +340,15 @@ class _FactoredForm:
 def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResult:
     """Riesz solve of (H_V + lam)(phi, chi) = (F1, F2) on one channel.
 
-    F1 and F2 are closed-form profiles (None is zero).  F2 is understood in
-    the same lower-spinor convention as chi.  Only F2 is differentiated
-    (g' in the strong form), and only at the quadrature points, so neither
-    F1 nor F2' need be square integrable at the origin: r^-0.5 e^-r is a
-    valid F1 and a valid F2.  Returns the two radial components with
-    strong-form residuals measured in the weighted L2 norm; as g is
-    recovered from the lower equation itself, ``residual_lower`` vanishes in
-    exact arithmetic and only measures rounding.
+    F1 and F2 are real closed-form profiles (None is zero); a complex
+    coefficient raises ``ValueError``, as only real parts would be solved
+    for.  F2 is understood in the same lower-spinor convention as chi.  Only
+    F2 is differentiated (g' in the strong form), and only at the quadrature
+    points, so neither F1 nor F2' need be square integrable at the origin:
+    r^-0.5 e^-r is a valid F1 and a valid F2.  Returns the two radial
+    components with strong-form residuals measured in the weighted L2 norm;
+    as g is recovered from the lower equation itself, ``residual_lower``
+    vanishes in exact arithmetic and only measures rounding.
 
     The first solve on ``problem`` factors its equilibrated energy form by
     block cyclic reduction (``numerics.spd_factor``) and keeps the factor,
@@ -359,6 +360,9 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     another problem (``dataclasses.replace``).  A form that is not positive
     definite raises :class:`NotPositiveDefiniteError` on every call.
     """
+    for name, F in (("F1", F1), ("F2", F2)):
+        if F is not None and any(term.coef.imag for term in F.terms):
+            raise ValueError(f"{name} has a complex coefficient; weak_solve takes real data only")
     form = problem._factored
     k = problem.channel.k
     F1q, _ = _sampled(F1, form.rq, form.tq)

@@ -103,7 +103,7 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive radial nodes."""
+    """Strictly increasing positive finite radial nodes."""
 
     nodes: np.ndarray
 
@@ -111,14 +111,15 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
-        if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing and positive")
+        # NaN fails every comparison, and an increasing grid can only end in inf
+        if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0) and nodes[-1] < math.inf):
+            raise ValueError("grid nodes must be finite, strictly increasing and positive")
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def log_uniform(cls, n: int, r_min: float, r_max: float) -> "RadialGrid":
-        if not (0.0 < r_min < r_max):
-            raise ValueError("need 0 < r_min < r_max")
+        if not (0.0 < r_min < r_max < math.inf):
+            raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min!r}, {r_max!r}")
         return cls(np.exp(np.linspace(math.log(r_min), math.log(r_max), n)))
 
     @property

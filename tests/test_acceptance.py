@@ -15,7 +15,6 @@ from hardydirac.channels import (
     SpinorField,
     exp_profile,
     gauss_profile,
-    lattice_sigma_grad_norm,
     sigma_grad_norm_weighted,
 )
 from hardydirac.extension import (
@@ -40,6 +39,7 @@ from hardydirac.verify import (
     verify_corollary,
     verify_theorem,
 )
+from lattice_oracle import lattice_sigma_grad_norm
 
 
 def _report(criterion: int, detail: str):

@@ -7,12 +7,9 @@ from hardydirac.channels import (
     Channel,
     SpinorField,
     build_field,
-    evaluate_spinor,
     exp_profile,
     field_norm_weighted,
     gauss_profile,
-    lattice_sigma_grad_norm,
-    lattice_weighted_norm,
     parse_field_term,
     parse_profile,
     sigma_grad_norm_weighted,
@@ -27,6 +24,7 @@ from hardydirac.potentials import (
     parse_pair,
 )
 from hardydirac.verify import _lhs_cached
+from lattice_oracle import evaluate_spinor, lattice_sigma_grad_norm, lattice_weighted_norm
 
 
 class TestChannel:

@@ -153,11 +153,18 @@ class TestVerifyCommand:
      "coulomb strength must be nonnegative in a weight slot, got nan"),
     ("constants --v1 power:1,nan --v2 coulomb:1", "PotentialParseError",
      "power exponent must be a number, got nan"),
+    ("solve --rmax inf", "ValueError", "need 0 < r_min < r_max < inf, got 1e-07, inf"),
+    ("constants --v1 table:/nonexistent.csv --v2 coulomb:1", "FileNotFoundError",
+     "/nonexistent.csv"),
+    ("constants --v1 coulomb:1 --v2 coulomb:1 --out /nonexistent/x.json",
+     "FileNotFoundError", "/nonexistent/"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
-        "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan"])
+        "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
+        "solve-rmax-inf", "table-unreadable", "out-unwritable"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
-    # each of these once exited 0, or failed later with a message about something else
+    # each of these once exited 0, failed later with a message about something else,
+    # or (the two file errors) ended in a traceback with exit 1
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]

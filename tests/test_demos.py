@@ -58,3 +58,9 @@ def test_mollified_delta_demo():
     lhs = re.findall(r"^\s*\d\.\d\d\s+(\S+)", out, flags=re.M)
     assert len(lhs) == 5, out
     assert set(lhs) == {f"{4.0 * math.exp(-4.0):.6f}"}
+
+
+def test_every_demo_is_run():
+    # a demo that no test runs can go stale unseen
+    ran = set(re.findall(r'_run_demo\("([^"]+)"\)', Path(__file__).read_text()))
+    assert ran == {path.name for path in (ROOT / "demos").glob("*.py")}

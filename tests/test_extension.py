@@ -151,6 +151,15 @@ class TestWeakSolve:
         assert np.all(sol.chi.values == 0.0)
         assert sol.residual_upper == 0.0
 
+    @pytest.mark.parametrize("coef", [1j, 1 + 5j])
+    def test_complex_data_rejected(self, coef):
+        # solving for the real part alone gives phi = 0 at 1j and the coef=1 solution at 1+5j
+        prob = free_problem(n=300)
+        with pytest.raises(ValueError, match="F1 has a complex coefficient"):
+            weak_solve(prob, exp_profile(0, 1.0, coef=coef))
+        with pytest.raises(ValueError, match="F2 has a complex coefficient"):
+            weak_solve(prob, exp_profile(0, 1.0), gauss_profile(1, 1.0, coef=coef))
+
     def test_manufactured_gaussian(self):
         # phi* = exp(-r^2), chi* = 0; F1 = (m+lam) phi*, F2 = -phi*'
         prob = free_problem(n=1000)

@@ -704,3 +704,9 @@ class TestRadialGrid:
             RadialGrid(np.array([1.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             RadialGrid(np.array([-1.0, 2.0]))
+        # NaN fails every comparison, so a check must demand the good case to catch it
+        for nodes in ([1.0, 2.0, math.inf], [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                RadialGrid(np.array(nodes))
+        with pytest.raises(ValueError, match="r_max < inf"):
+            RadialGrid.log_uniform(5, 1e-7, math.inf)

@@ -166,8 +166,8 @@ class DiracChannelProblem:
     grid: RadialGrid = field(default_factory=lambda: RadialGrid.log_uniform(1500, 1e-7, 50.0))
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.m < math.inf:     # NaN fails too
+            raise ValueError(f"mass must be positive and finite, got {self.m!r}")
         lam = self.lam
         if lam is None:
             if self.pair.c1 > 0 and self.pair.c2 > 0:
@@ -508,41 +508,27 @@ def _model_roots(a, b, o, La, Lb, Lo):
     return a + (b - a) / (1.0 + np.exp(-t))
 
 
-def _model_ladders(E, C, L, open_, tol):
-    """Per open bracket (a, b], its ``_SHIFTS_PER_BRACKET`` shifts placed from
-    log|det|, or None where the uniform split stays.
+def _model_ladders(E, C, L, j, tol):
+    """``_SHIFTS_PER_BRACKET`` shifts (rows) for each open bracket (E[j-1], E[j]]
+    (columns) of the sorted record of shifts E, counts C and log|det| L.
 
     For a bracket that holds one level and has an evaluated shift beyond each
     end, ``_model_roots`` of the neighbours on either side give two estimates;
     the shifts go to their mean +- r1 and +- r2, with r1 = max(0.4 tol, c1 w),
     r2 = max(3 r1, c2 w) and w the spread of the two, unless that ladder
     leaves (a, b).  An estimate within r1 closes the bracket in one call (so
-    does one within r2 when w is below tol)."""
-    order = np.argsort(E)
-    E, C, L = E[order], C[order], L[order]
-    a, b = np.array(open_).T
-    ia, ib = E.searchsorted(a, "right") - 1, E.searchsorted(b)
-    il, ir = E.searchsorted(a) - 1, E.searchsorted(b, "right")
-    one_level = (C[ib] - C[ia] == 1) & (il >= 0) & (ir < E.size)
-    outer = np.array([np.maximum(il, 0), np.minimum(ir, E.size - 1)])
-    roots = _model_roots(a, b, E[outer], L[ia], L[ib], np.where(one_level, L[outer], np.nan))
+    does one within r2 when w is below tol).  Any other bracket is split
+    uniformly."""
+    a, b = E[j - 1], E[j]
+    one_level = (C[j] - C[j - 1] == 1) & (j >= 2) & (j + 1 < E.size)
+    outer = np.array([np.maximum(j - 2, 0), np.minimum(j + 1, E.size - 1)])
+    roots = _model_roots(a, b, E[outer], L[j - 1], L[j], np.where(one_level, L[outer], np.nan))
     centre, w = roots.mean(axis=0), np.abs(roots[0] - roots[1])
     r1 = np.maximum(0.4 * tol, _RUNG_SPREADS[0] * w)
     r2 = np.maximum(3.0 * r1, _RUNG_SPREADS[1] * w)
     ladder = centre + np.array([-r2, -r1, r1, r2])
     fit = (a < ladder[0]) & (ladder[-1] < b)
-    return [ladder[:, j] if fit[j] else None for j in range(len(open_))]
-
-
-def _check_monotone(E: np.ndarray, C: np.ndarray) -> None:
-    """Raises ValueError where the counts C at the shifts E fall as E grows: the
-    form is monotone in E, so such a count is wrong."""
-    order = np.argsort(E, kind="stable")
-    fell = np.flatnonzero(np.diff(C[order]) < 0)
-    if fell.size:
-        i, j = order[fell[0]], order[fell[0] + 1]
-        raise ValueError(f"inertia count fell from {int(C[i])} at shift E={float(E[i])!r} "
-                         f"to {int(C[j])} at E={float(E[j])!r}")
+    return np.where(fit, ladder, np.linspace(a, b, _SHIFTS_PER_BRACKET + 2)[1:-1])
 
 
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
@@ -550,20 +536,23 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
     function (shifts to counts below them and log|det|): its first call puts
     ``_FIRST_SWEEP`` shifts at the Chebyshev-Lobatto points of [lo, hi], which
     cluster at the ends, where levels accumulate; each later one puts
-    ``_SHIFTS_PER_BRACKET`` into each level bracket wider than ``tol``, at most
-    ``_SHIFTS_PER_SWEEP`` in all; values are bracket midpoints.  At 200 nodes
-    a call of S <= 16 shifts costs about a + b S with a ~ 0.6 ms and
-    b ~ 0.07 ms, a ~ 9 b (0.85-1.14 ms at 4 shifts and 1.6-2.0 ms at 16, in
-    process with one BLAS thread on a shared two-core x86-64 host; 3.6-4.3 ms
-    at 32), so closing L brackets, about (a + b S) / ln(S/L + 1) per e-fold
-    of their width, is cheapest near S = 4 L for L = 2 levels.
+    ``_SHIFTS_PER_BRACKET`` into each of the lowest
+    ``_SHIFTS_PER_SWEEP // _SHIFTS_PER_BRACKET`` level brackets wider than
+    ``tol``; values are bracket midpoints.  At 200 nodes a call of S <= 16
+    shifts costs about a + b S with a ~ 0.6 ms and b ~ 0.07 ms, a ~ 9 b
+    (0.85-1.14 ms at 4 shifts and 1.6-2.0 ms at 16, in process with one BLAS
+    thread on a shared two-core x86-64 host; 3.6-4.3 ms at 32), so closing L
+    brackets, about (a + b S) / ln(S/L + 1) per e-fold of their width, is
+    cheapest near S = 4 L for L = 2 levels.
 
-    Where a bracket holds one level, its shifts go to a ladder around where
-    a three-point model of log|det| puts the level (``_model_ladders``);
-    log|det| falls by about e^10 across a 0.065 bracket, which the model's
-    linear background absorbs.  Only the counts certify a bracket, so a poor
-    model costs calls, never a level.  Elsewhere the bracket is split
-    uniformly.
+    The shifts E, counts C and log|det| L are kept as one record sorted by E,
+    merged after every call, so level i's bracket is (E[j-1], E[j]] with j
+    the first index where C > i.  Where a bracket holds one level, its shifts
+    go to a ladder around where a three-point model of log|det| puts the
+    level (``_model_ladders``); log|det| falls by about e^10 across a 0.065
+    bracket, which the model's linear background absorbs.  Only the counts
+    certify a bracket, so a poor model costs calls, never a level.  Elsewhere
+    the bracket is split uniformly.
 
     ``warm = (levels, reach)``, with the (value, width) pairs of at most 7
     levels of a coarser nested space, replaces the first spread by lo, hi
@@ -583,25 +572,24 @@ def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm
         E = np.concatenate((a - reach, a - math.sqrt(w * reach), a, value + 0.5 * width))
         E = np.concatenate(([lo], E[(lo < E) & (E < hi)], [hi]))
     C, L = counts(E)
-    _check_monotone(E, C)
-    levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
     while True:
-        brackets = []
-        for idx in levels:
-            b = E[C > idx].min()
-            brackets.append((E[(C <= idx) & (E < b)].max(), b))
-        open_ = sorted({ab for ab in brackets if ab[1] - ab[0] > tol})[:_SHIFTS_PER_SWEEP]
-        if not open_:
-            return [(float(0.5 * (a + b)), float(b - a)) for a, b in brackets]
-        share, extra = divmod(min(_SHIFTS_PER_SWEEP, _SHIFTS_PER_BRACKET * len(open_)),
-                              len(open_))
-        ladders = (_model_ladders(E, C, L, open_, tol) if share == _SHIFTS_PER_BRACKET
-                   else [None] * len(open_))
-        new = np.concatenate([np.linspace(a, b, share + (j < extra) + 2)[1:-1] if r is None
-                              else r for j, ((a, b), r) in enumerate(zip(open_, ladders))])
+        order = np.argsort(E, kind="stable")
+        E, C, L = E[order], C[order], L[order]
+        fell = np.flatnonzero(np.diff(C) < 0)
+        if fell.size:
+            i = fell[0]
+            raise ValueError(f"inertia count fell from {int(C[i])} at shift E={float(E[i])!r} "
+                             f"to {int(C[i + 1])} at E={float(E[i + 1])!r}")
+        j = C.searchsorted(np.arange(C[0], C[0] + min(C[-1] - C[0], how_many)), "right")
+        a, b = E[j - 1], E[j]
+        # levels that share a bracket share j (np.unique would import numpy.ma)
+        open_ = j[(b - a > tol) & (np.diff(j, prepend=0) > 0)]
+        open_ = open_[:_SHIFTS_PER_SWEEP // _SHIFTS_PER_BRACKET]
+        if not open_.size:
+            return [(float(0.5 * (x + y)), float(y - x)) for x, y in zip(a, b)]
+        new = _model_ladders(E, C, L, open_, tol).T.ravel()
         new_counts, new_logdet = counts(new)
         E, C, L = np.append(E, new), np.append(C, new_counts), np.append(L, new_logdet)
-        _check_monotone(E, C)
 
 
 def spectrum_in_gap(problem: DiracChannelProblem, count: int):
@@ -609,11 +597,12 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
 
     The E-dependent reduced form is monotone in E, so inertia counts of its
     block-tridiagonal matrix bracket each eigenvalue; multisection from 16
-    shifts clustered at the gap's ends, then 4 per open bracket and count
-    (placed from log|det| where a bracket holds one level), shrinks the
-    brackets to 1e-10 m.  A solve on a doubled grid (2n - 1 nodes on the
-    same log range) gives the reported value and its error estimate, the
-    larger of the drift between grids and the final bracket width.
+    shifts clustered at the gap's ends, then 4 into each of the 8 lowest open
+    brackets per count (placed from log|det| where a bracket holds one
+    level), shrinks the brackets to 1e-10 m.  A solve on a doubled grid
+    (2n - 1 nodes on the same log range) gives the reported value and its
+    error estimate, the larger of the drift between grids and the final
+    bracket width.
 
     The doubled grid's space contains the coarse one, so by min-max its
     count is never lower at any E and no level of it lies above its coarse
@@ -626,9 +615,10 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     Every level the doubled grid brackets is reported.  One that only the
     doubled grid finds gets an infinite estimate; more levels on the coarse
     grid than on the doubled one mean a wrong count, and raise ValueError.
+    A count below 1 raises ValueError; a gap that holds no level gives [].
     """
     if count < 1:
-        return []
+        raise ValueError(f"count must be at least 1, got {count}")
     m = problem.m
     edge = 1e-9 * m
     lo, hi = -m + edge, m - edge

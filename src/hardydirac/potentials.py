@@ -298,10 +298,10 @@ class PotentialPair:
     c2: float = 1.0
 
     def __post_init__(self):
-        if not self.c2 >= 0:     # NaN fails too
-            raise ValueError(f"c2 must be nonnegative, got {self.c2!r}")
-        if math.isnan(self.c1):
-            raise ValueError("c1 must be a number, got nan")
+        if not 0 <= self.c2 < math.inf:     # NaN fails too
+            raise ValueError(f"c2 must be finite and nonnegative, got {self.c2!r}")
+        if not math.isfinite(self.c1):
+            raise ValueError(f"c1 must be finite, got {self.c1!r}")
         for shell in self.v1_shells:
             # v2 must stay bounded near every shell radius
             probes = shell.R * (1.0 + 1e-2 * np.linspace(-1.0, 1.0, 11))

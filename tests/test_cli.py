@@ -158,13 +158,27 @@ class TestVerifyCommand:
      "/nonexistent.csv"),
     ("constants --v1 coulomb:1 --v2 coulomb:1 --out /nonexistent/x.json",
      "FileNotFoundError", "/nonexistent/"),
+    ("spectrum --count 0 --grid-n 50", "ValueError", "count must be at least 1, got 0"),
+    ("spectrum --count -1 --grid-n 50", "ValueError", "count must be at least 1, got -1"),
+    ("channel-constants --v1 coulomb:1 --v2 coulomb:1 --kmin 3 --kmax -3", "ValueError",
+     "no channel k != -1 in kmin=3 .. kmax=-3"),
+    ("channel-constants --v1 coulomb:1 --v2 coulomb:1 --kmin -1 --kmax -1", "ValueError",
+     "no channel k != -1 in kmin=-1 .. kmax=-1"),
+    ("spectrum --v1 coulomb:1 --v2 coulomb:1 --c1 0.5 --c2 inf --grid-n 100", "ValueError",
+     "c2 must be finite and nonnegative, got inf"),
+    ("spectrum --v1 coulomb:1 --v2 coulomb:1 --c1 inf --c2 0.5 --grid-n 100", "ValueError",
+     "c1 must be finite, got inf"),
+    ("spectrum --m nan --grid-n 100", "ValueError", "mass must be positive and finite, got nan"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
         "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
-        "solve-rmax-inf", "table-unreadable", "out-unwritable"])
+        "solve-rmax-inf", "table-unreadable", "out-unwritable", "spectrum-count-0",
+        "spectrum-count-negative", "kmin-above-kmax", "k-range-only-minus-1",
+        "spectrum-c2-inf", "spectrum-c1-inf", "spectrum-m-nan"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
-    # each of these once exited 0, failed later with a message about something else,
-    # or (the two file errors) ended in a traceback with exit 1
+    # each of these once exited 0 (the empty requests and --c2 inf, which gave levels
+    # of a form with no gradient weight), failed later with a message about something
+    # else, or (the two file errors) ended in a traceback with exit 1
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]

@@ -511,6 +511,17 @@ class TestSpectrum:
         prob = free_problem(n=300, r_min=1e-6)
         assert spectrum_in_gap(prob, 3) == []
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_request_rejected(self, count):
+        # an empty gap still returns [] (above); asking for no level is an error
+        with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+            spectrum_in_gap(coulomb_problem(n=50), count)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.inf, math.nan])
+    def test_mass_must_be_positive_and_finite(self, m):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            coulomb_problem(n=50, lam=0.0, m=m)
+
     def test_mass_scaling(self):
         vals = {}
         for m in (0.5, 1.0, 2.0):
@@ -745,7 +756,8 @@ def _dense_counts(a: np.ndarray, b: np.ndarray | None = None):
 def _assert_shift_budget(calls, how_many, lo, hi, tol):
     """Replay the (shifts, counts) of one multisection's count calls: the first
     starts at lo and ends at hi, and every later one puts at most 4 shifts into
-    each level bracket open before it, none elsewhere, at most 32 in all."""
+    each level bracket open before it, into at most 8 such brackets and none
+    elsewhere, at most 32 in all."""
     E, C = calls[0]
     assert E[0] == lo and E[-1] == hi
     levels = range(C[0], C[0] + min(C[-1] - C[0], how_many))
@@ -753,6 +765,7 @@ def _assert_shift_budget(calls, how_many, lo, hi, tol):
         open_ = [(a, b) for a, b in set(_brackets(E, C, levels)) if b - a > tol]
         inside = [np.count_nonzero((a < new) & (new < b)) for a, b in open_]
         assert max(inside) <= 4
+        assert np.count_nonzero(inside) <= 8
         assert sum(inside) == len(new) <= 32
         E, C = np.append(E, new), np.append(C, new_counts)
     assert lo <= E.min() and E.max() <= hi
@@ -892,6 +905,51 @@ class TestMultisectGap:
             cold_calls, warm_calls = self._warm_matches_cold(
                 a, 0.0, dense[-1] + 1.0, count, dense[:count])
             assert warm_calls == cold_calls
+
+    @pytest.mark.parametrize("how_many", [9, 20])
+    def test_more_open_brackets_than_one_sweep_takes(self, how_many):
+        # -u'' on 20 nodes: the first sweep leaves more than 8 levels open, and
+        # every later sweep takes the 8 lowest open brackets, 4 shifts each
+        n = 20
+        h = math.pi / (n + 1)
+        a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) / h**2
+        dense = np.linalg.eigvalsh(a)
+        oracle, calls = _dense_counts(a), []
+
+        def counts(shifts):
+            C, logdet = oracle(shifts)
+            calls.append((np.array(shifts), C))
+            return C, logdet
+
+        lo, hi, tol = 0.0, dense[-1] + 1.0, 1e-12
+        levels = _multisect_gap(counts, lo, hi, how_many, tol)
+        assert [v for v, _ in levels] == pytest.approx(dense[:how_many], abs=tol)
+        assert all(0.0 < w <= tol for _, w in levels)
+        _assert_shift_budget(calls, how_many, lo, hi, tol)
+
+    def test_coulomb_ten_levels_call_count(self, monkeypatch):
+        # ten Dirac-Coulomb levels on both grids: 18 count calls in all, where
+        # a 32-shift share over every open bracket took 30
+        calls = []
+
+        def gap_counts(fem, problem, inner=_gap_counts):
+            counts = inner(fem, problem)
+
+            def recorded(shifts):
+                calls.append(len(shifts))
+                return counts(shifts)
+            return recorded
+
+        monkeypatch.setattr(extension, "_gap_counts", gap_counts)
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        prob = DiracChannelProblem(pair=pair, channel=Channel(0), m=1.0, lam=0.0,
+                                   grid=RadialGrid.log_uniform(600, 1e-6, 400.0))
+        evs = spectrum_in_gap(prob, 10)
+        assert [ev.value for ev in evs] == pytest.approx(
+            [dirac_coulomb_level(n_r, 0.5) for n_r in range(10)], abs=1e-4)
+        assert len(calls) <= 18
+        assert max(calls) <= extension._SHIFTS_PER_SWEEP
 
 
 def _multisect_gap_32(counts, lo, hi, how_many, tol, warm=None):

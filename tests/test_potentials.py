@@ -374,6 +374,13 @@ class TestPairValidation:
         with pytest.raises(ValueError, match="nan"):
             make()
 
+    @pytest.mark.parametrize("c1, c2", [(math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_coupling_rejected(self, c1, c2):
+        # c2 = inf zeroed the gradient weight of the extension's form, and its
+        # gap "levels" came out with exit 0
+        with pytest.raises(ValueError, match="must be finite.*got -?inf"):
+            PotentialPair(v2=CoulombPotential(1.0), c1=c1, c2=c2)
+
     def test_shell_needs_positive_mass(self):
         with pytest.raises(ValueError):
             ShellMeasure(R=1.0, a=0.0)

@@ -14,6 +14,7 @@ no angular spinor is ever evaluated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,21 +101,22 @@ class ClosedFormProfile:
         return ClosedFormProfile(tuple(ProfileTerm(c, p, a, kind)
                                        for (p, a, kind), c in merged.items() if c != 0))
 
-    def _real_with_slope(self, r: np.ndarray, t: np.ndarray):
-        """Real parts of f and f' at radii r > 0 with logs t, from one
-        exponential per term: f' is c (p/r - a) r^p e^(-a r), or
-        c (p/r - 2 a r) r^p e^(-a r^2).  It builds no profile, so unlike
+    def _real_with_slope(self, r: np.ndarray, t: np.ndarray, slope: bool = True):
+        """Real parts of f and f' (None unless ``slope``) at radii r > 0 with
+        logs t, from one exponential per term: f' is c (p/r - a) r^p e^(-a r),
+        or c (p/r - 2 a r) r^p e^(-a r^2).  It builds no profile, so unlike
         ``reduced`` it also takes an f whose f' is not square integrable at
         the origin (a load that is only sampled on a grid)."""
-        f, slope = np.zeros((2,) + r.shape)
+        f, df = np.zeros((2,) + r.shape) if slope else (np.zeros(r.shape), None)
         for term in self.terms:
             gauss = term.kind == "gauss"
             e = np.exp(term.p * t - term.a * (r * r if gauss else r))
             e *= term.coef.real
             f += e
-            e *= term.p / r - (2.0 * term.a * r if gauss else term.a)
-            slope += e
-        return f, slope
+            if slope:
+                e *= term.p / r - (2.0 * term.a * r if gauss else term.a)
+                df += e
+        return f, df
 
     def scaled(self, coef: complex) -> "ClosedFormProfile":
         return ClosedFormProfile(tuple(
@@ -164,14 +166,27 @@ class SpinorField:
         return sorted(self.terms, key=lambda item: item[0].k)
 
 
+# The last field integrated: its sorted terms, its profiles by kind (0: f_k,
+# 1: f_k' - k f_k/r) and up to _MAX_RADII sets of radii (least recently used
+# first), each with the densities |.|^2 of each kind sampled there.
+_MAX_RADII = 4
+_samples = (None, {}, [])
+_samples_lock = threading.Lock()
+
+
 def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),
                        edges=(0.0, math.inf)) -> np.ndarray:
     """Integrals between ``edges`` of w |f_k|^2 r^2 for each of ``mass_weights``
     and w |f_k' - k f_k/r|^2 r^2 for each of ``grad_weights``, per channel
     term in ascending k, as (weights, channels, segments), from one call that
-    evaluates each profile once per sweep.  A weight is a callable, a
+    evaluates each profile at most once per sweep.  A weight is a callable, a
     potential component (its breakpoints cut every integral) or None (unit);
-    one that ``is_zero()`` gives exact zeros unevaluated."""
+    one that ``is_zero()`` gives exact zeros unevaluated.  A density depends
+    on the field and r alone, so a sweep handed radii that the last field (or
+    an equal one) was sampled at, as every first sweep over the same edges
+    and breakpoints is, samples only the densities missing there; results are
+    bit for bit those of a fresh evaluation."""
+    global _samples
     terms = field.sorted_terms()
     sides = [(w, 0) for w in mass_weights] + [(w, 1) for w in grad_weights]
     out = np.zeros((len(sides), len(terms), len(edges) - 1))
@@ -179,12 +194,23 @@ def _channel_integrals(field: SpinorField, mass_weights=(), grad_weights=(),
     if not (terms and live):
         return out
     sides = [sides[i] for i in live]
-    profiles = ([p for _, p in terms], [p.reduced(ch.k) for ch, p in terms if grad_weights])
+    if _samples[0] != terms:
+        _samples = (terms, {}, [])
+    _, profiles, sampled = _samples
+    kinds = {kind for _, kind in sides}
+    for kind in kinds - profiles.keys():
+        profiles[kind] = [p.reduced(ch.k) if kind else p for ch, p in terms]
     bps = [b for w, _ in sides if isinstance(w, PotentialComponent) for b in w.breakpoints()]
 
     def integrand(r):
-        dens = {kind: np.array([np.abs(p(r)) ** 2 for p in profiles[kind]])
-                for kind in {kind for _, kind in sides}}
+        with _samples_lock:     # find the radii and move them last in one step
+            i = next((i for i, (radii, _) in enumerate(sampled)
+                      if radii.shape == r.shape and np.array_equal(radii, r)), None)
+            sampled.append((r, {}) if i is None else sampled.pop(i))
+            del sampled[:-_MAX_RADII]
+            dens = sampled[-1][1]
+        for kind in kinds - dens.keys():
+            dens[kind] = np.array([np.abs(p(r)) ** 2 for p in profiles[kind]])
         return np.concatenate([(dens[kind] if w is None else w(r) * dens[kind]) * r * r
                                for w, kind in sides])
 

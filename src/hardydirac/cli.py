@@ -249,7 +249,8 @@ def _render(args, result: dict, table) -> str:
         "config": _config_echo(args),
         "result": result,
     }
-    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    # strict JSON: a non-finite value raises ValueError (exit 2) rather than print as NaN
+    return json.dumps(report, sort_keys=True, indent=2, default=str, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:

@@ -245,10 +245,12 @@ class GapEigenvalue:
 # weak solve
 # ---------------------------------------------------------------------------
 
-def _sampled(profile, r: np.ndarray, t: np.ndarray):
-    """Real values and r-derivative of a closed-form profile (None is zero) at
-    the radii r with logs t."""
-    return (np.zeros_like(r),) * 2 if profile is None else profile._real_with_slope(r, t)
+def _sampled(profile, r: np.ndarray, t: np.ndarray, slope: bool = True):
+    """Real values and (None unless ``slope``) r-derivative of a closed-form
+    profile (None is zero) at the radii r with logs t."""
+    if profile is None:
+        return np.zeros_like(r), np.zeros_like(r) if slope else None
+    return profile._real_with_slope(r, t, slope)
 
 
 def _strong_form(form: _FactoredForm, k: int, x: np.ndarray,
@@ -365,7 +367,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
             raise ValueError(f"{name} has a complex coefficient; weak_solve takes real data only")
     form = problem._factored
     k = problem.channel.k
-    F1q, _ = _sampled(F1, form.rq, form.tq)
+    F1q, _ = _sampled(F1, form.rq, form.tq, slope=False)
     F2q, F2dq = _sampled(F2, form.rq, form.tq)
     b = form.load(F1q, F2q)
     x = spd_solve(form.factor, b)
@@ -384,7 +386,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     h_norm = math.sqrt(max(float(np.vdot(x, b)), 0.0))     # x . A x, as A x = b
     grid = problem.grid
     nodes = grid.nodes
-    F2n, _ = _sampled(F2, nodes, form.t_nodes)
+    F2n, _ = _sampled(F2, nodes, form.t_nodes, slope=False)
     g_nodes = -(F2n + x[1] / nodes - k * x[0] / nodes) / form.den_nodes
     return WeakSolveResult(phi=GridProfile(grid, x[0].copy()),
                            chi=GridProfile(grid, g_nodes),

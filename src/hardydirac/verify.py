@@ -141,6 +141,8 @@ def _v2_state(pair: PotentialPair) -> str:
 def _check_gamma(gamma: float) -> None:
     if not gamma >= 0.0:    # NaN fails too
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    if gamma == math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
 
 
 def _grad_weight(pair: PotentialPair, gamma: float):
@@ -391,6 +393,8 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
     """
     if not R > 0.0:     # NaN fails too
         raise ValueError(f"shell radius R must be positive, got {R!r}")
+    if R == math.inf:
+        raise ValueError(f"shell radius R must be finite, got {R!r}")
     if not (c1 >= 0.0 and c2 >= 0.0):
         raise ValueError(f"coupling constants must be nonnegative, got c1={c1!r}, c2={c2!r}")
     if lam is None:
@@ -398,14 +402,21 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
     if not (-m < lam < m):
         raise ValueError("lambda must lie in (-m, m)")
     lhs = 0.0
-    for ch, prof in field_.sorted_terms():
-        lhs += c1 * R ** 2 * abs(prof(R)) ** 2
+    try:
+        for ch, prof in field_.sorted_terms():
+            lhs += c1 * R ** 2 * abs(prof(R)) ** 2
+    except OverflowError:   # R ** 2 beyond the float range
+        lhs = math.inf
+    if not math.isfinite(lhs):
+        raise ValueError(f"shell term c1 R^2 |f(R)|^2 is not finite at R={R!r}, c1={c1!r}")
     mass_term = (m + lam) * field_norm_weighted(field_)
 
     rows = []
     for eps in eps_list:
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps!r}")
+        if eps == math.inf:
+            raise ValueError(f"eps must be finite, got {eps!r}")
         edges = (0.0, max(1.0 - eps, 0.0), 1.0 + eps, math.inf)    # eps >= 1: no inner bulk
         (grad,) = _channel_integrals(field_, (), [None], edges)     # every channel at once
         bulk, annulus = float(grad[:, [0, 2]].sum()), float(grad[:, 1].sum())

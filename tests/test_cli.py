@@ -91,6 +91,14 @@ def test_level_only_on_doubled_grid_reported_as_inf(capsys, monkeypatch):
     assert out.strip().splitlines()[2].endswith(",inf")
 
 
+def test_non_finite_result_exits_2(capsys, monkeypatch):
+    # a non-finite value that reaches a report is refused, never printed as NaN
+    monkeypatch.setitem(cli._RUNNERS, "constants", lambda args: ({"a_plus": math.nan}, None))
+    code, out = run_cli(capsys, "constants")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_import_leaves_scipy_out():
     # scipy serves only as a test oracle: importing the cli module (which
     # every command does), extremizing and weak solving all run without it
@@ -169,16 +177,26 @@ class TestVerifyCommand:
     ("spectrum --v1 coulomb:1 --v2 coulomb:1 --c1 inf --c2 0.5 --grid-n 100", "ValueError",
      "c1 must be finite, got inf"),
     ("spectrum --m nan --grid-n 100", "ValueError", "mass must be positive and finite, got nan"),
+    ("verify --v1 coulomb:0.5 --v2 coulomb:1 --c1 0 --gamma inf", "ValueError",
+     "gamma must be finite, got inf"),
+    ("extremize --v1 coulomb:1 --v2 coulomb:1 --kset 0 --gamma inf", "ValueError",
+     "gamma must be finite, got inf"),
+    ("experiment --R inf", "ValueError", "shell radius R must be finite, got inf"),
+    ("experiment --eps 0.5 --eps inf", "ValueError", "eps must be finite, got inf"),
+    ("experiment --R 1e308", "ValueError",
+     "shell term c1 R^2 |f(R)|^2 is not finite at R=1e+308, c1=1.0"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
         "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
         "solve-rmax-inf", "table-unreadable", "out-unwritable", "spectrum-count-0",
         "spectrum-count-negative", "kmin-above-kmax", "k-range-only-minus-1",
-        "spectrum-c2-inf", "spectrum-c1-inf", "spectrum-m-nan"])
+        "spectrum-c2-inf", "spectrum-c1-inf", "spectrum-m-nan", "gamma-inf",
+        "extremize-gamma-inf", "experiment-R-inf", "experiment-eps-inf", "experiment-R-1e308"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
-    # each of these once exited 0 (the empty requests and --c2 inf, which gave levels
-    # of a form with no gradient weight), failed later with a message about something
-    # else, or (the two file errors) ended in a traceback with exit 1
+    # each of these once exited 0 (the empty requests, --c2 inf, which gave levels
+    # of a form with no gradient weight, and the infinite gamma, R and eps, which
+    # printed Infinity or NaN), failed later with a message about something else, or
+    # (the two file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]
@@ -314,7 +332,10 @@ def test_readme_lists_every_subcommand():
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
 def test_readme_command_runs(capsys, argv):
-    # the README's examples run as printed, so they cannot drift from the API
+    # the README's examples run as printed, so they cannot drift from the API,
+    # and a JSON report is strict JSON (no NaN or Infinity)
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
     assert out
+    if "csv" not in argv:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON {name}"))

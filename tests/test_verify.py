@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -414,6 +416,157 @@ class TestExtremize:
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def _forget_samples():
+    channels._samples = (None, {}, [])
+    verify._lhs_cached.cache_clear()
+
+
+def _count_profile_calls(monkeypatch) -> dict:
+    """Calls of every ClosedFormProfile, by the number of radii they sample."""
+    calls = {}
+    inner = ClosedFormProfile.__call__
+
+    def counted(self, r):
+        size = np.size(r)
+        calls[size] = calls.get(size, 0) + 1
+        return inner(self, r)
+
+    monkeypatch.setattr(ClosedFormProfile, "__call__", counted)
+    return calls
+
+
+class TestChannelSamples:
+    """The densities of the last field, kept per set of radii, change no result."""
+
+    FIELDS = random_field_gallery(10, seed=7)
+    TWO_CHANNELS = SpinorField(((Channel(0), exp_profile(0, 1.0)),
+                                (Channel(-2), gauss_profile(1, 0.7))))
+
+    @staticmethod
+    def _checks(pair_gallery, field, fresh: bool) -> list:
+        """Every gallery pair at gamma 0, 0.1 and 1, the corollary and the
+        segmented edges of the mollified experiment, as reprs (bit for bit)."""
+        calls = []
+        for pair in pair_gallery:
+            c = 0.9 / max(a_plus(pair), a_minus(pair))
+            coupled = PotentialPair(v1_regular=pair.v1_regular, v1_shells=pair.v1_shells,
+                                    v2=pair.v2, c1=c, c2=c)
+            calls += [lambda p=pair, g=gamma: verify_theorem(p, field, g)
+                      for gamma in (0.0, 0.1, 1.0)]
+            calls.append(lambda p=coupled: verify_corollary(p, field, m=1.0))
+        calls.append(lambda: mollified_delta_experiment(1.0, 0.25, 2.0, [1.5, 0.8, 0.2, 0.05],
+                                                        field, m=1.0, lam=0.0))
+        out = []
+        for call in calls:
+            if fresh:
+                _forget_samples()
+            out.append(repr(call()))
+        return out
+
+    def test_reports_equal_fresh_evaluation(self, pair_gallery):
+        for field in self.FIELDS:
+            _forget_samples()
+            kept = self._checks(pair_gallery, field, fresh=False)
+            assert kept == self._checks(pair_gallery, field, fresh=True)
+
+    def test_first_sweep_sampled_once_per_profile(self, monkeypatch):
+        # the lhs, the theorem's gradient and mass and the corollary's three
+        # rows all start on the same panels: each profile (f_k and its
+        # f_k' - k f_k/r) is evaluated there once, not once per call
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.9, c2=0.9)
+        field = self.TWO_CHANNELS
+        verify_corollary(pair, field, m=1.0)       # constants cached
+        sizes = []
+        inner = channels.integrate_radial
+
+        monkeypatch.setattr(channels, "integrate_radial",
+                            lambda f, *args: inner(lambda r: sizes.append(r.size) or f(r), *args))
+        _forget_samples()
+        calls = _count_profile_calls(monkeypatch)
+        verify_theorem(pair, field, 0.1)
+        verify_corollary(pair, field, m=1.0)
+        assert sizes[0] == 140 * 24     # (0, inf) cut at r = 1, no panel wider than 2
+        assert calls[sizes[0]] == 2 * len(field.terms)
+
+    def test_alternating_fields_not_reused(self, coulomb_pair):
+        other = random_field_gallery(1, seed=8)[0]
+        fields = [self.TWO_CHANNELS, other] * 2
+        kept, fresh = [], []
+        for field in fields:
+            verify._lhs_cached.cache_clear()
+            kept.append(repr((verify_theorem(coulomb_pair, field, 0.1),
+                              field_norm_weighted(field))))
+        for field in fields:
+            _forget_samples()
+            fresh.append(repr((verify_theorem(coulomb_pair, field, 0.1),
+                               field_norm_weighted(field))))
+        assert kept == fresh and kept[0] != kept[1]
+
+    def test_equal_field_shares_samples(self, monkeypatch):
+        # an equal field, or one listing its terms in another order, samples nothing
+        first = channels.build_field(["k=0:exp:0,1", "k=-2:gauss:1,0.7"])
+        _forget_samples()
+        want = (field_norm_weighted(first), sigma_grad_norm_weighted(first))
+        calls = _count_profile_calls(monkeypatch)
+        for field in (channels.build_field(["k=0:exp:0,1", "k=-2:gauss:1,0.7"]),
+                      SpinorField(tuple(reversed(first.terms)))):
+            assert field is not first
+            assert (field_norm_weighted(field), sigma_grad_norm_weighted(field)) == want
+        assert calls == {}
+
+    def test_holds_one_field_and_four_radius_sets(self, monkeypatch):
+        sweeps = []
+        inner = channels.integrate_radial
+        monkeypatch.setattr(channels, "integrate_radial",
+                            lambda f, *args: inner(lambda r: sweeps.append(r) or f(r), *args))
+        for field in self.FIELDS[:3]:
+            mollified_delta_experiment(1.0, 0.25, 2.0, [0.8, 0.2, 0.05], field, m=1.0, lam=0.0)
+        terms, profiles, sampled = channels._samples
+        assert terms == self.FIELDS[2].sorted_terms()
+        assert sorted(profiles) == [0, 1]
+        assert len(sweeps) > 3 * 4 and len(sampled) == 4
+        # four distinct sets of radii, the last one sampled last, each with
+        # densities for its own radii only
+        assert np.array_equal(sampled[-1][0], sweeps[-1])
+        assert not any(a.shape == b.shape and np.array_equal(a, b)
+                       for i, (a, _) in enumerate(sampled) for b, _ in sampled[i + 1:])
+        assert all(d.shape == (len(terms), radii.size)
+                   for radii, dens in sampled for d in dens.values())
+
+    def test_threads_sharing_the_memo_get_fresh_results(self):
+        # four threads cycling through four fields on a fine switch interval:
+        # every result equals the fresh one of its field
+        fields = self.FIELDS[:4]
+        want = []
+        for field in fields:
+            _forget_samples()
+            want.append((field_norm_weighted(field), sigma_grad_norm_weighted(field)))
+        got, errors = [], []
+
+        def work(j):
+            try:
+                for n in range(12):
+                    i = (j + n) % len(fields)
+                    got.append((i, field_norm_weighted(fields[i]),
+                                sigma_grad_norm_weighted(fields[i])))
+            except Exception as exc:    # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert len(got) == 4 * 12
+        assert all((norm, grad) == want[i] for i, norm, grad in got)
+
+
 class TestMollified:
     def test_smooth_case_finite(self):
         rows = mollified_delta_experiment(1.0, 0.25, 2.0, [1.0], F_EXP, m=1.0, lam=0.0)
@@ -444,7 +597,7 @@ class TestMollified:
             with pytest.raises(ValueError, match="eps must be positive"):
                 mollified_delta_experiment(1.0, 0.25, 2.0, [eps], F_EXP)
 
-    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
     def test_bad_radius(self, R):
         # R = 0 once printed a NaN lhs, which is not valid JSON
         with pytest.raises(ValueError, match="shell radius R"):

@@ -45,11 +45,9 @@ from .channels import (
     sigma_grad_norm_weighted,
 )
 from .verify import (
-    ExtremizeResult,
     HypothesisViolationError,
     InequalityReport,
     MollifiedRow,
-    extremize_ratio,
     mollified_delta_experiment,
     random_field_gallery,
     select_lambda,
@@ -59,8 +57,10 @@ from .verify import (
 )
 from .extension import (
     DiracChannelProblem,
+    ExtremizeResult,
     GapEigenvalue,
     WeakSolveResult,
+    extremize_ratio,
     pairing_defect,
     spectrum_in_gap,
     weak_solve,

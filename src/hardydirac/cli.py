@@ -23,10 +23,10 @@ import tempfile
 
 from . import __version__
 from .channels import Channel, build_field, parse_profile
-from .extension import DiracChannelProblem, spectrum_in_gap, weak_solve
+from .extension import DiracChannelProblem, extremize_ratio, spectrum_in_gap, weak_solve
 from .numerics import QuadratureError, RadialGrid
 from .potentials import a_k, a_minus, a_plus, parse_pair, tilde_constants
-from .verify import extremize_ratio, mollified_delta_experiment, verify_corollary, verify_theorem
+from .verify import mollified_delta_experiment, verify_corollary, verify_theorem
 
 _TOOL = "hardy-dirac"
 
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", action="append", default=None,
                    help="channel term k=<int>:<profile>, repeatable")
 
-    p = sub.add_parser("extremize", help="maximize lhs/rhs over a profile family")
+    p = sub.add_parser("extremize", help="enclose the supremum of lhs/rhs per channel")
     _add_pair_flags(p)
     _add_output_flags(p)
     p.add_argument("--gamma", type=float, default=0.0)

@@ -54,8 +54,8 @@ import numpy as np
 
 from .channels import Channel, GridProfile
 from .numerics import RadialGrid, ldl_inertia, spd_factor, spd_solve
-from .potentials import PotentialPair
-from .verify import select_lambda
+from .potentials import PotentialPair, a_k, a_minus, a_plus
+from .verify import _check_gamma, _check_mass, _v2_state, select_lambda
 
 __all__ = [
     "DiracChannelProblem",
@@ -64,6 +64,8 @@ __all__ = [
     "weak_solve",
     "pairing_defect",
     "spectrum_in_gap",
+    "extremize_ratio",
+    "ExtremizeResult",
 ]
 
 
@@ -166,8 +168,7 @@ class DiracChannelProblem:
     grid: RadialGrid = field(default_factory=lambda: RadialGrid.log_uniform(1500, 1e-7, 50.0))
 
     def __post_init__(self):
-        if not 0 < self.m < math.inf:     # NaN fails too
-            raise ValueError(f"mass must be positive and finite, got {self.m!r}")
+        _check_mass(self.m)
         lam = self.lam
         if lam is None:
             if self.pair.c1 > 0 and self.pair.c2 > 0:
@@ -319,7 +320,7 @@ class _FactoredForm:
         self.shells = tuple(fem._element_shapes(radius) for radius, _ in problem.shell_terms())
         # the gap form at E = -lam, equilibrated by the factorization, which
         # then stays healthy across 20 decades
-        D, B = _gap_form(fem, problem)(np.array([-problem.lam]))
+        D, B = _problem_form(fem, problem)(np.array([-problem.lam]))
         self.factor = spd_factor(D[:, :, 0], B[:, :, 0])
 
     def load(self, F1q: np.ndarray, F2q: np.ndarray) -> np.ndarray:
@@ -434,23 +435,22 @@ _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
 
 
-def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
-    """The E-dependent form on one grid, as node blocks: mass part
-    (m - w1 - E) r^3, gradient part r/(m + w2 + E), shells -a R^2 f(R) u(R).
-    A table made once per grid maps an element's 7 mass and 7 gradient samples
-    to the 27 entries of its matrix that node blocks read, em[:3, :3], em[3:, 3:]
-    and em[:3, 3:] (local dofs 0-2 on node e, 3-5 on e+1); ``blocks(E)`` makes
-    them for all S shifts E, less the shells' point terms at their element, and
-    scatters them into D (3, 3, S, n) and B (3, 3, S, n-1), with the value dofs
-    at both ends fixed; at E = -lam it is the weak-solve form."""
-    m, k = problem.m, problem.channel.k
+def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=()):
+    """The E-dependent form of channel k on one grid, as node blocks: mass part
+    (mass(r) - E) r^3, gradient part r/(den(r) + E), and -c R^2 f(R) u(R) for
+    each shell (R, c).  A table made once per grid maps an element's 7 mass and
+    7 gradient samples to the 27 entries of its matrix that node blocks read,
+    em[:3, :3], em[3:, 3:] and em[:3, 3:] (local dofs 0-2 on node e, 3-5 on
+    e+1); ``blocks(E)`` makes them for all S shifts E, less the shells' point
+    terms at their element, and scatters them into D (3, 3, S, n) and
+    B (3, 3, S, n-1), with the value dofs at both ends fixed."""
     rq = np.ascontiguousarray(fem.rq.T)[:, None]        # point-major (7, 1, nel)
-    mass, den, r3 = m - problem.w1(rq), m + problem.w2(rq), rq**3
+    mass, den, r3 = mass(rq), den(rq), rq**3
     a, b = np.divmod(np.arange(9), 3)
     rows, cols = np.r_[a, a + 3, a], np.r_[b, b + 3, b + 3]
     table = np.hstack([(N * fem.wq)[rows] * N[cols] for N in (fem.N, fem.Nd - k * fem.N)])
     points = []
-    for radius, c in problem.shell_terms():
+    for radius, c in shells:
         el, shapes = fem._element_shapes(radius)
         points.append((el, (c * radius**2 * shapes[rows] * shapes[cols]).reshape(3, 3, 3, 1)))
 
@@ -476,9 +476,17 @@ def _gap_form(fem: _HermiteFem, problem: DiracChannelProblem):
     return blocks
 
 
+def _problem_form(fem: _HermiteFem, problem: DiracChannelProblem):
+    """``_gap_form`` of a channel problem: mass m - w1, den m + w2 and w1's
+    shells; at E = -lam it is the weak-solve form."""
+    m = problem.m
+    return _gap_form(fem, problem.channel.k, lambda r: m - problem.w1(r),
+                     lambda r: m + problem.w2(r), problem.shell_terms())
+
+
 def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
     """Batched inertia count and log|det| of the E-dependent form on one grid."""
-    blocks = _gap_form(fem, problem)
+    blocks = _problem_form(fem, problem)
 
     def counts(shifts):
         E = np.asarray(shifts, dtype=float)
@@ -534,8 +542,10 @@ def _model_ladders(E, C, L, j, tol):
 
 
 def _multisect_gap(counts, lo: float, hi: float, how_many: int, tol: float, warm=None):
-    """(value, bracket width) of the eigenvalues in (lo, hi) of a count
-    function (shifts to counts below them and log|det|): its first call puts
+    """(value, bracket width) of the levels in (lo, hi) of a count function,
+    from shifts of a parameter E (the energy for ``spectrum_in_gap``, log c
+    for ``extremize_ratio``) to counts that do not fall as E grows and
+    log|det|.  Its first call puts
     ``_FIRST_SWEEP`` shifts at the Chebyshev-Lobatto points of [lo, hi], which
     cluster at the ends, where levels accumulate; each later one puts
     ``_SHIFTS_PER_BRACKET`` into each of the lowest
@@ -638,3 +648,86 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
     coarse += [math.inf] * (len(fine) - len(coarse))
     return [GapEigenvalue(value=value, index=idx, error_estimate=max(abs(value - c), width))
             for idx, ((value, width), c) in enumerate(zip(fine, coarse))]
+
+
+# ---------------------------------------------------------------------------
+# ratio extremization
+# ---------------------------------------------------------------------------
+
+_EXTREMIZE_GRID = (1600, 1e-12, 1e3)        # nodes, r_min, r_max
+
+
+@dataclass(frozen=True)
+class ExtremizeResult:
+    """``per_channel[k] = (lower, upper)`` encloses the supremum of lhs/rhs in
+    channel k; ``best_ratio`` is the largest lower bound, at ``best_k``, and
+    ``grid`` (nodes, r_min, r_max) the element grid of the lower bounds."""
+
+    best_ratio: float
+    best_k: int
+    per_channel: dict
+    grid: tuple = _EXTREMIZE_GRID
+
+    def to_dict(self) -> dict:
+        return {"best_ratio": self.best_ratio, "best_k": self.best_k,
+                "per_channel": {str(k): {"lower_bound": lower, "upper_bound": upper}
+                                for k, (lower, upper) in sorted(self.per_channel.items())},
+                "grid": dict(zip(("n_nodes", "r_min", "r_max"), self.grid))}
+
+
+def _channel_bounds(fem: _HermiteFem, pair: PotentialPair, gamma: float, maxsq: float,
+                    k: int) -> tuple:
+    """(1/(A^2 c_h), U_k) of ``extremize_ratio`` in channel k."""
+    ak = a_k(pair, k)
+    if not maxsq:               # V1 = V2 = 0 and no shell: the ratio is 0
+        return 0.0, 0.0
+    upper = ak**2 / maxsq if gamma == 0.0 else max(ak**2 / maxsq, 1.0)
+    g, zero = gamma / maxsq, np.zeros(1)
+    D0, B0 = _gap_form(fem, k, lambda r: np.full_like(r, g), lambda r: pair.v2(r) + gamma)(zero)
+    D, B = _gap_form(fem, k, lambda r: g - pair.v1_regular(r), lambda r: pair.v2(r) + gamma,
+                     tuple((s.R, s.a) for s in pair.v1_shells))(zero)
+    D1, B1 = D0 - D, B0 - B             # q_c is D0 - c D1, B0 - c B1
+    lo = -math.log(maxsq * upper) - 1e-9    # the threshold, less what rounding may tip
+
+    def counts(x):
+        c = np.exp(x)[:, None]
+        n, logdet = ldl_inertia(D0 - c * D1, B0 - c * B1, x)
+        if n[x <= lo].any():
+            raise ValueError(f"channel k={k}: q_c has a negative direction below the threshold "
+                             f"c = 1/(A^2 U_k), so A_k = {ak!r} is too small")
+        return np.minimum(n, 1), logdet     # far above c*, a low-rank L is miscounted
+
+    levels = _multisect_gap(counts, lo, lo + 12.0 * math.log(10.0), 1, _TOL)
+    if not levels:
+        return 0.0, upper
+    value, width = levels[0]
+    return math.exp(-value - 0.5 * width) / maxsq, upper
+
+
+def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> ExtremizeResult:
+    """Enclose the supremum of lhs/rhs of the master inequality per channel.
+
+    In channel k the ratio is L/(A^2 G + gamma M), A^2 = max(A+^2, A-^2), with
+    L = int V1 f^2 r^2 dr (and shells), G = int |f' - k f/r|^2 r^2/(V2 + gamma) dr
+    and M = int f^2 r^2 dr; the channel inequality bounds its supremum by
+    U_k = A_k^2/A^2 (gamma = 0) or max(A_k^2/A^2, 1) (gamma > 0).  The supremum
+    is 1/(A^2 c*), c* the least c at which q_c = (gamma/A^2) M - c L + G has a
+    negative direction, and a negative inertia count of q_c on the element
+    space of ``_EXTREMIZE_GRID`` (functions vanishing at both ends) is one
+    (min-max).  So multisection of the count over log c, from 1e-9 below the
+    threshold 1/(A^2 U_k) to 12 decades above it, brackets a c_h >= c*, and
+    1/(A^2 c_h) is a lower bound, 0 if the count stays 0.  A count above 0 at
+    the threshold contradicts A_k and raises ValueError.  gamma = 0 needs
+    V2 > 0; shells must lie on the grid.
+    """
+    if not k_set:
+        raise ValueError("empty channel set")
+    _check_gamma(gamma)
+    if gamma == 0.0 and _v2_state(pair) != "positive":
+        raise ValueError("gamma = 0 requires V2 > 0 everywhere, as the gradient term "
+                         "weighs by 1/V2; take gamma > 0 with this V2")
+    maxsq = max(a_plus(pair), a_minus(pair)) ** 2
+    fem = _HermiteFem(RadialGrid.log_uniform(*_EXTREMIZE_GRID))
+    per_channel = {k: _channel_bounds(fem, pair, gamma, maxsq, k) for k in sorted(k_set)}
+    best_k = max(per_channel, key=lambda k: per_channel[k][0])    # the lowest k of a tie
+    return ExtremizeResult(per_channel[best_k][0], best_k, per_channel)

@@ -24,7 +24,7 @@ from .channels import (
     exp_profile,
     field_norm_weighted,
 )
-from .numerics import QuadratureError, integrate_radial
+from .numerics import QuadratureError
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "verify_theorem",
     "select_lambda",
     "verify_corollary",
-    "extremize_ratio",
-    "ExtremizeResult",
     "mollified_delta_experiment",
     "MollifiedRow",
     "random_field_gallery",
@@ -145,9 +143,9 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite, got {gamma!r}")
 
 
-def _grad_weight(pair: PotentialPair, gamma: float):
-    v2 = pair.v2
-    return lambda r: 1.0 / (v2(r) + gamma)
+def _check_mass(m: float) -> None:
+    if not 0.0 < m < math.inf:      # NaN fails too
+        raise ValueError(f"mass must be positive and finite, got {m!r}")
 
 
 def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> InequalityReport:
@@ -175,7 +173,7 @@ def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> In
     try:
         # every channel's gradient and (gamma > 0) mass integral in one call
         *mass, grad = _channel_integrals(field_, [None] if gamma > 0 else [],
-                                         [_grad_weight(pair, gamma)])[..., 0].tolist()
+                                         [lambda r: 1.0 / (pair.v2(r) + gamma)])[..., 0].tolist()
     except (QuadratureError, ValueError):
         return InequalityReport(lhs=lhs, rhs=math.inf, ratio=0.0,
                                 satisfied=True, vacuous=True,
@@ -201,8 +199,9 @@ def select_lambda(c1: float, c2: float, m: float) -> float:
     smallest admissible lambda is m(c1-c2)/(c1+c2) (clamped at 0), and the
     midpoint between it and m balances the conditioning of both weights.
     """
-    if c1 <= 0 or c2 <= 0 or m <= 0:
-        raise ValueError("need positive c1, c2, m")
+    _check_mass(m)
+    if c1 <= 0 or c2 <= 0:
+        raise ValueError("need positive c1, c2")
     lam_min = max(0.0, m * (c1 - c2) / (c1 + c2))
     return 0.5 * (lam_min + m)
 
@@ -215,6 +214,7 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
     rather than reporting an unsatisfied inequality.  With strict margin
     the epsilon norm-equivalence inequality is evaluated as well.
     """
+    _check_mass(m)
     c1, c2 = pair.c1, pair.c2
     if c1 <= 0 or c2 <= 0:
         raise ValueError("the coupled inequality needs positive c1, c2")
@@ -264,102 +264,6 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
 
 
 # ---------------------------------------------------------------------------
-# ratio extremization
-# ---------------------------------------------------------------------------
-
-# the (p, a) box of the profile family: its lower and upper corners
-_BOX = np.array([[0.0, 0.2], [3.0, 4.0]])
-# a first grid as fine as a 20 x 20 brute-force search of the box, then levels
-# of 9 x 9 grids spanning +-2 steps of the level before around its best point
-_FIRST_GRID, _ZOOM_LEVELS = 20, 20
-_ZOOM_OFFSETS = np.arange(-4.0, 5.0)
-
-
-@dataclass(frozen=True)
-class ExtremizeResult:
-    best_ratio: float
-    best_k: int
-    best_p: float
-    best_a: float
-
-    def to_dict(self) -> dict:
-        return {"best_ratio": self.best_ratio, "best_k": self.best_k,
-                "best_p": self.best_p, "best_a": self.best_a}
-
-
-def _exp_ratios(pair: PotentialPair, gamma: float, maxsq: float, k: int,
-                p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """lhs/rhs of the master inequality for r^p e^{-a r} in channel k, per
-    candidate (p, a), from one quadrature call with lhs, gradient and
-    (gamma > 0) mass rows for all of them.  A ratio is 0 where lhs or rhs
-    vanishes, and where f' - k f/r is not square integrable (unintegrated)."""
-    out = np.zeros(p.size)
-    ok = 2.0 * (p - 1.0) + 2.0 > -1.0
-    p, a = p[ok], a[ok]
-    if not p.size:
-        return out
-    v1, weight = pair.v1_regular, _grad_weight(pair, gamma)
-    lhs_rows = [] if v1.is_zero() else [v1]
-    pc, ac = p[:, None], a[:, None]
-
-    def integrand(r):
-        dens = np.exp(2.0 * pc * np.log(r) - 2.0 * ac * r) * r * r  # |f|^2 r^2
-        grad = weight(r) * ((pc - k) / r - ac) ** 2 * dens  # weighted |f' - k f/r|^2 r^2
-        return np.concatenate([v(r) * dens for v in lhs_rows]
-                              + ([dens] if gamma > 0 else []) + [grad])
-
-    values, _ = integrate_radial(integrand, breakpoints=v1.breakpoints() if lhs_rows else ())
-    rows = values[:, 0].reshape(-1, p.size)
-    lhs = rows[0] if lhs_rows else np.zeros(p.size)
-    for shell in pair.v1_shells:
-        lhs = lhs + shell.a * shell.R ** 2 * np.exp(2.0 * (p * math.log(shell.R) - a * shell.R))
-    rhs = maxsq * rows[-1] + (gamma * rows[-2] if gamma > 0 else 0.0)
-    live = (lhs != 0.0) & (rhs != 0.0) & np.isfinite(rhs)
-    out[np.flatnonzero(ok)[live]] = lhs[live] / rhs[live]
-    return out
-
-
-def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> ExtremizeResult:
-    """Maximize lhs/rhs of the master inequality over a profile family.
-
-    The family is r^p e^{-a r} per channel over the fixed box p in [0, 3],
-    a in [0.2, 4].  Since a ratio of channel sums never exceeds the best
-    single-channel ratio, each channel is extremized independently and the
-    winning channel is reported.  The search is a deterministic zoom scan,
-    one quadrature call per level: a 20 x 20 grid over the box, then 20
-    levels of 9 x 9 grids spanning +-2 steps of the level before around its
-    best point (clipped to the box).  Along each axis the step halves when
-    the best point is inside the grid and stays when it is on the grid's
-    edge, so the grid moves along a ridge.
-    """
-    if not k_set:
-        raise ValueError("empty channel set")
-    _check_gamma(gamma)
-
-    maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-    lo, hi = _BOX
-    best = (-math.inf, None, None, None)
-    for k in sorted(k_set):
-        if k == -1:
-            raise ValueError("k = -1 is not in the spin-orbit spectrum")
-        axes = np.linspace(lo, hi, _FIRST_GRID).T
-        step = (hi - lo) / (_FIRST_GRID - 1)
-        for level in range(_ZOOM_LEVELS + 1):
-            p, a = np.meshgrid(*axes, indexing="ij")
-            inside = (p >= lo[0]) & (p <= hi[0]) & (a >= lo[1]) & (a <= hi[1])
-            ratios = np.full(p.shape, -math.inf)
-            ratios[inside] = _exp_ratios(pair, gamma, maxsq, k, p[inside], a[inside])
-            i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-            if ratios[i, j] > best[0]:
-                best = (float(ratios[i, j]), k, float(p[i, j]), float(a[i, j]))
-            edge = np.isin([i, j], (0, _ZOOM_OFFSETS.size - 1))
-            step = np.where(edge & (level > 0), step, 0.5 * step)
-            axes = np.array([p[i, j], a[i, j]])[:, None] + step[:, None] * _ZOOM_OFFSETS
-    return ExtremizeResult(best_ratio=best[0], best_k=best[1],
-                           best_p=best[2], best_a=best[3])
-
-
-# ---------------------------------------------------------------------------
 # mollified-delta degeneration experiment
 # ---------------------------------------------------------------------------
 
@@ -397,6 +301,7 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
         raise ValueError(f"shell radius R must be finite, got {R!r}")
     if not (c1 >= 0.0 and c2 >= 0.0):
         raise ValueError(f"coupling constants must be nonnegative, got c1={c1!r}, c2={c2!r}")
+    _check_mass(m)
     if lam is None:
         lam = select_lambda(c1, c2, m) if c1 > 0 and c2 > 0 else 0.0
     if not (-m < lam < m):

@@ -1,6 +1,6 @@
 """Reference forms of a channel problem, independent of the library's.
 
-The band: an oracle for ``extension._gap_form`` and ``weak_solve``, with
+The band: an oracle for ``extension._problem_form`` and ``weak_solve``, with
 element matrices by einsum, scattered with ``np.add.at`` into LAPACK lower
 band storage, the value dofs at both ends fixed by loops over the band, and
 diagonal equilibration entry by entry.  Only the shape tables and quadrature

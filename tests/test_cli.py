@@ -185,18 +185,34 @@ class TestVerifyCommand:
     ("experiment --eps 0.5 --eps inf", "ValueError", "eps must be finite, got inf"),
     ("experiment --R 1e308", "ValueError",
      "shell term c1 R^2 |f(R)|^2 is not finite at R=1e+308, c1=1.0"),
+    ("experiment --m inf", "ValueError", "mass must be positive and finite, got inf"),
+    ("experiment --m nan", "ValueError", "mass must be positive and finite, got nan"),
+    ("experiment --c1 0 --m inf", "ValueError", "mass must be positive and finite, got inf"),
+    ("verify --v1 coulomb:1 --v2 coulomb:1 --c1 0.5 --c2 0.5 --m inf", "ValueError",
+     "mass must be positive and finite, got inf"),
+    ("verify --v1 coulomb:1 --v2 coulomb:1 --c1 0.5 --c2 0.5 --m nan", "ValueError",
+     "mass must be positive and finite, got nan"),
+    ("verify --v1 coulomb:1 --v2 coulomb:1 --c1 0.5 --c2 0.5 --m inf --lambda 0.5",
+     "ValueError", "mass must be positive and finite, got inf"),
+    ("extremize --v1 coulomb:1 --v2 zero", "ValueError", "gamma = 0 requires V2 > 0"),
+    ("extremize --v1 coulomb:1 --v2 mshell:1,0.5@2", "ValueError",
+     "gamma = 0 requires V2 > 0"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
         "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
         "solve-rmax-inf", "table-unreadable", "out-unwritable", "spectrum-count-0",
         "spectrum-count-negative", "kmin-above-kmax", "k-range-only-minus-1",
         "spectrum-c2-inf", "spectrum-c1-inf", "spectrum-m-nan", "gamma-inf",
-        "extremize-gamma-inf", "experiment-R-inf", "experiment-eps-inf", "experiment-R-1e308"])
+        "extremize-gamma-inf", "experiment-R-inf", "experiment-eps-inf", "experiment-R-1e308",
+        "experiment-m-inf", "experiment-m-nan", "experiment-c1-0-m-inf", "verify-m-inf",
+        "verify-m-nan", "verify-m-inf-lambda", "extremize-v2-zero", "extremize-v2-mshell"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     # each of these once exited 0 (the empty requests, --c2 inf, which gave levels
     # of a form with no gradient weight, and the infinite gamma, R and eps, which
-    # printed Infinity or NaN), failed later with a message about something else, or
-    # (the two file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1
+    # printed Infinity or NaN), failed later with a message about something else
+    # (an infinite or NaN mass as "lambda must lie in (-m, m)", gamma = 0 with a V2
+    # that vanishes as a non-finite integrand after RuntimeWarnings), or (the two
+    # file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]
@@ -310,7 +326,9 @@ class TestSolveCommand:
                             "coulomb:1", "--kset", "0")
         assert code == 0
         result = json.loads(out)["result"]
-        assert result["best_ratio"] <= 1.0 + 1e-6
+        channel = result["per_channel"]["0"]
+        assert result["best_ratio"] == channel["lower_bound"] <= channel["upper_bound"] == 1.0
+        assert result["grid"] == {"n_nodes": 1600, "r_min": 1e-12, "r_max": 1e3}
 
 
 def _readme_commands():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,11 +30,16 @@ def test_hardy_constants_demo():
 
 def test_inequality_checks_demo():
     out = _run_demo("02_inequality_checks.py")
-    # for the Coulomb pair r^p e^{-a r} in k = 0 or -2 has the ratio
-    # 1/(1 + (p+1)/2) for every a, so the best over p in [0, 3] is 2/3
-    match = re.search(r"best ratio (\S+) at k=\S+, p=(\S+),", out)
-    assert match, out
-    assert match.groups() == (f"{2.0 / 3.0:.6f}", "0.000")
+    # the Coulomb pair's supremum in k = 0 and -2 is enclosed between the
+    # count's lower bound and U_k = 1, and the lower bound matches the closed
+    # form 1/(1 + (pi/L)^2) of the grid's log box to 1e-9
+    rows = re.findall(r"channel ([+-]\d+): (\S+) <= sup <= (\S+)", out)
+    assert [k for k, _, _ in rows] == ["-2", "+0"], out
+    box = float(re.search(r"log box the supremum is (\S+);", out).group(1))
+    assert box == pytest.approx(1.0 / (1.0 + (math.pi / math.log(1e15)) ** 2), rel=1e-12)
+    for _, lower, upper in rows:
+        assert float(lower) == pytest.approx(box, rel=1e-9)
+        assert float(lower) <= float(upper) == 1.0
 
 
 def test_weak_solve_demo():

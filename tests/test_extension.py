@@ -18,9 +18,9 @@ from hardydirac.extension import (
     _FactoredForm,
     _HermiteFem,
     _gap_counts,
-    _gap_form,
     _hermite_tables,
     _multisect_gap,
+    _problem_form,
     _strong_form,
     pairing_defect,
     spectrum_in_gap,
@@ -276,7 +276,7 @@ class TestWeakSolve:
         # dense matrix is zero off the block tridiagonal in both)
         for prob in _solve_problems().values():
             fem = _HermiteFem(prob.grid)
-            D, B = _gap_form(fem, prob)(np.array([-prob.lam]))
+            D, B = _problem_form(fem, prob)(np.array([-prob.lam]))
             _equilibrate(D, B)
             scaled, _ = loop_scaled_copy(reference_form(fem, prob, -prob.lam))
             for X, X_ref in zip((D[:, :, 0], B[:, :, 0]), band_blocks(scaled)):
@@ -299,7 +299,7 @@ class TestWeakSolve:
         if shells:
             assert 0.0 < math.log(1.3 / grid.nodes[fem._element_shapes(1.3)[0]]) < 0.99 * fem.h
         shifts = np.array([-1.0 + 1e-7, -0.6, -0.1, 0.3, 0.8, 1.0 - 1e-7])
-        D, B = _gap_form(fem, prob)(shifts)
+        D, B = _problem_form(fem, prob)(shifts)
         _equilibrate(D, B)
         for j, E in enumerate(shifts):
             scaled, _ = loop_scaled_copy(reference_form(fem, prob, E))

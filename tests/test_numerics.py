@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardydirac.channels import Channel, exp_profile
-from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts, _gap_form
+from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts, _problem_form
 from hardydirac.numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
@@ -576,7 +576,7 @@ class TestInertia:
                                    m=1.0, lam=0.0, grid=RadialGrid.log_uniform(300, r_min, r_max))
         shifts = np.concatenate([np.cos(np.linspace(np.pi, 0.0, 70)) * (1.0 - 1e-9),
                                  1.0 - np.geomspace(0.2, 1e-8, 30)])
-        D, B = _gap_form(_HermiteFem(prob.grid), prob)(shifts)
+        D, B = _problem_form(_HermiteFem(prob.grid), prob)(shifts)
         spread = np.abs(D[[0, 1, 2], [0, 1, 2]])
         assert spread.max() / spread[spread > 0.0].min() > 1e30
         counts, logdet = ldl_inertia(D.copy(), B.copy(), shifts)

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from hardydirac import channels, verify
+from hardydirac import channels, extension, numerics, potentials, verify
 from hardydirac.channels import (
     Channel,
     ClosedFormProfile,
@@ -16,6 +16,7 @@ from hardydirac.channels import (
     gauss_profile,
     sigma_grad_norm_weighted,
 )
+from hardydirac.extension import extremize_ratio
 from hardydirac.numerics import integrate_radial
 from hardydirac.potentials import (
     CoulombPotential,
@@ -29,7 +30,6 @@ from hardydirac.potentials import (
 )
 from hardydirac.verify import (
     HypothesisViolationError,
-    extremize_ratio,
     mollified_delta_experiment,
     random_field_gallery,
     select_lambda,
@@ -358,58 +358,134 @@ class TestBatchedChecks:
 
 
 class TestExtremize:
+    # the best ratio over r^p e^{-a r}, p in [0, 3], a in [0.2, 4], of the 21-level
+    # zoom that extremize_ratio ran before the inertia count, per
+    # (standard_pair_gallery index, gamma) in the channels (0, 1, -2)
+    ZOOM = {
+        (0, 0.0): (0.6666666666666664, 0.2222222222222221, 0.6666666666666664),
+        (0, 0.5): (0.7895021035873282, 0.33333333333333315, 0.6589579043131051),
+        (0, 1.0): (0.7895021035873284, 0.3333333333333331, 0.6419675391168587),
+        (1, 0.0): (0.4266666666666665, 0.14222222222222217, 0.4266666666666666),
+        (1, 0.5): (0.42744471283084823, 0.1627140852264232, 0.39938048252202546),
+        (1, 1.0): (0.41796451248930444, 0.16271408522642314, 0.3737122356007929),
+        (2, 0.0): (0.17379738445013698, 0.08271794485961302, 0.17379738445013695),
+        (2, 0.5): (0.26580630677602196, 0.13222981193490219, 0.2086612084753353),
+        (2, 1.0): (0.2971714729035929, 0.1671965110097638, 0.22892807057541312),
+        (3, 0.0): (0.26556279842788394, 0.12407592167455082, 0.26556279842788383),
+        (3, 0.5): (0.34430018531825524, 0.24700763214501487, 0.2850052441430863),
+        (3, 1.0): (0.23779463755139144, 0.20347656077035747, 0.2135455421789841),
+        (4, 0.0): (0.32280901824332775, 0.13126519113823373, 0.3228090182433277),
+        (4, 0.5): (0.45396942941484625, 0.2065031962803185, 0.3430922261258877),
+        (4, 1.0): (0.45848802263204524, 0.2537557680089032, 0.3453871308441252),
+    }
+
     def test_zero_pair(self):
         pair = parse_pair("zero", "coulomb:1")
         res = extremize_ratio(pair, 0.0, k_set=(0,))
         assert res.best_ratio == 0.0
+        # V1 = V2 = 0: A = 0, so the form q_c is not defined, and the ratio is 0
+        res = extremize_ratio(parse_pair("zero", "zero"), 0.5, k_set=(0, -2))
+        assert res.best_ratio == 0.0 and res.per_channel == {-2: (0.0, 0.0), 0: (0.0, 0.0)}
 
     @pytest.mark.parametrize("nu1, nu2", [(1.0, 1.0), (0.5, 2.0)])
     def test_coulomb_closed_form(self, nu1, nu2):
-        # V1 = nu1/r, V2 = nu2/r, gamma = 0: r^p e^{-a r} in channel k has the
-        # ratio nu1 nu2 / maxsq / ((k+1)^2 + (p+1)/2) for every a, with
-        # maxsq = ((nu1+nu2)/2)^2, so the box's best is p = 0 in k = 0 or -2
+        # V1 = nu1/r, V2 = nu2/r, gamma = 0: with f = u(ln r)/r, channel k reads
+        # nu1 nu2/A^2 int u^2 dt against int u'^2 + (k+1)^2 u^2 dt, A = (nu1+nu2)/2,
+        # so over u vanishing at the ends of the grid's log box, of length L, the
+        # supremum is nu1 nu2/A^2/((k+1)^2 + (pi/L)^2); U_k is 1 in k = 0, -2
         res = extremize_ratio(parse_pair(f"coulomb:{nu1}", f"coulomb:{nu2}"), 0.0,
                               k_set=(0, -2, 1))
-        want = nu1 * nu2 / ((nu1 + nu2) / 2) ** 2 / (1.0 + 1.0 / 2)
-        assert res.best_ratio == pytest.approx(want, rel=1e-12)
-        assert (res.best_k, res.best_p) in ((0, 0.0), (-2, 0.0))
-
-    def test_batched_ratios_match_single_profiles(self, pair_gallery):
-        # every candidate of one batched call against its own field's ratio,
-        # from the per-field channel integrals; p = -0.5 is rejected unintegrated
-        p, a = (x.ravel() for x in np.meshgrid([-0.5, 0.0, 0.7, 2.5], [0.3, 1.1, 3.9],
-                                               indexing="ij"))
-        for pair in pair_gallery:
-            maxsq = max(a_plus(pair), a_minus(pair)) ** 2
-            for gamma in (0.0, 0.1):
-                weight = lambda r: 1.0 / (pair.v2(r) + gamma)
-                for k in (0, -2):
-                    got = verify._exp_ratios(pair, gamma, maxsq, k, p, a)
-                    assert (got[p == -0.5] == 0.0).all()
-                    for p_c, a_c, ratio in zip(p[p > -0.5], a[p > -0.5], got[p > -0.5]):
-                        single = SpinorField.single(k, exp_profile(p_c, a_c))
-                        v1, *mass, grad = channels._channel_integrals(
-                            single, [pair.v1_regular] + ([None] if gamma > 0 else []), [weight])[:, 0, 0]
-                        (lhs,) = channels._with_shells(single, pair.v1_shells, [v1])
-                        want = lhs / (maxsq * grad + (gamma * mass[0] if mass else 0.0))
-                        assert ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+        _, r_min, r_max = res.grid
+        scale = nu1 * nu2 / ((nu1 + nu2) / 2) ** 2
+        for k in (0, -2, 1):
+            want = scale / ((k + 1) ** 2 + (math.pi / math.log(r_max / r_min)) ** 2)
+            assert res.per_channel[k][0] == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert res.per_channel[0][1] == res.per_channel[-2][1] == pytest.approx(1.0, rel=1e-12)
+        # the two channels tie to round-off (about 1e-13 apart in the README case): either wins
+        assert res.best_k in (0, -2)
+        assert res.best_ratio == max(lower for lower, _ in res.per_channel.values())
 
     def test_matches_brute_force_grid(self, coulomb_pair):
+        # the inertia count's supremum is over a whole element space, so it
+        # reaches at least every ratio of a 20 x 20 grid over the zoom's box
         res = extremize_ratio(coulomb_pair, 0.0, k_set=(0, -2))
-        # 20 x 20 grid oracle over the same box
-        best = 0.0
         for k in (0, -2):
+            lower, upper = res.per_channel[k]
             for p in np.linspace(0.0, 3.0, 20):
                 for a in np.linspace(0.2, 4.0, 20):
                     f = SpinorField.single(k, exp_profile(float(p), float(a)))
                     lhs = sum(verify._lhs_cached(coulomb_pair, f))
                     rhs = sigma_grad_norm_weighted(f, weight=lambda r: r)
-                    best = max(best, lhs / rhs)
-        assert res.best_ratio >= best - 1e-6
-        assert res.best_ratio <= 1.0 + 1e-6
+                    assert lower >= lhs / rhs * (1.0 - 1e-9)
+            assert lower <= upper == pytest.approx(1.0, rel=1e-12)
+
+    def test_encloses_the_zoom(self, pair_gallery, monkeypatch):
+        # every cell: count 0 where the search starts, 1e-9 below the threshold
+        # c = 1/(A^2 U_k); a lower bound at most U_k (1 + 1e-9); and at least the
+        # zoom's ratio, which the count undercuts only by its bracket width (4e-11
+        # on the two Coulomb cells at 1/3)
+        starts = []
+
+        def recorded(D, B, x, inner=extension.ldl_inertia):
+            n, logdet = inner(D, B, x)
+            starts.append((float(x.min()), int(n[x.argmin()])))
+            return n, logdet
+
+        monkeypatch.setattr(extension, "ldl_inertia", recorded)
+        for (i, gamma), zoom in self.ZOOM.items():
+            pair = pair_gallery[i]
+            maxsq = max(a_plus(pair), a_minus(pair)) ** 2
+            for k, zoom_k in zip((0, 1, -2), zoom):
+                starts.clear()
+                lower, upper = extremize_ratio(pair, gamma, k_set=(k,)).per_channel[k]
+                u_k = a_k(pair, k) ** 2 / maxsq
+                assert upper == (u_k if gamma == 0.0 else max(u_k, 1.0))
+                x_min, count = min(starts)
+                assert x_min == pytest.approx(-math.log(maxsq * upper) - 1e-9, abs=1e-13)
+                assert count == 0
+                assert zoom_k * (1.0 - 1e-9) <= lower <= upper * (1.0 + 1e-9), (i, gamma, k)
+        # the Coulomb pair in k = 1 at gamma = 0.5: 1/3, above A_1^2/A^2 = 1/4
+        lower, upper = extremize_ratio(pair_gallery[0], 0.5, k_set=(1,)).per_channel[1]
+        assert lower == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert upper == 1.0 and lower > a_k(pair_gallery[0], 1) ** 2 == pytest.approx(0.25)
+
+    def test_call_budget(self, coulomb_pair, monkeypatch):
+        # the README case: at most 10 count calls per channel, and with the
+        # constants warm no quadrature at all
+        extremize_ratio(coulomb_pair, 0.0, k_set=(0, -2))
+        for module in (numerics, potentials, channels):
+            monkeypatch.setattr(module, "integrate_radial",
+                                lambda *a, **kw: pytest.fail("quadrature called"))
+        calls = []
+
+        def counted(D, B, x, inner=extension.ldl_inertia):
+            calls.append(x.size)
+            return inner(D, B, x)
+
+        monkeypatch.setattr(extension, "ldl_inertia", counted)
+        for k in (0, -2):
+            calls.clear()
+            extremize_ratio(coulomb_pair, 0.0, k_set=(k,))
+            assert 1 <= len(calls) <= 10
+
+    def test_too_small_constant_raises(self, coulomb_pair, monkeypatch):
+        # with A_0 = 0.9 the threshold 1/(A^2 U_0) lies above the crossing
+        monkeypatch.setattr(extension, "a_k", lambda pair, k: 0.9)
+        with pytest.raises(ValueError, match=r"channel k=0: .* A_k = 0\.9 is too small"):
+            extremize_ratio(coulomb_pair, 0.0, k_set=(0,))
+
+    @pytest.mark.parametrize("v2", ["zero", "mshell:1,0.5@2"])
+    def test_gamma_zero_needs_positive_v2(self, v2):
+        # the gradient term weighs by 1/V2 at gamma = 0 (this once ended in a
+        # non-finite integrand, after RuntimeWarnings); with gamma > 0 it runs
+        pair = parse_pair("coulomb:1", v2)
+        with pytest.raises(ValueError, match="gamma = 0 requires V2 > 0"):
+            extremize_ratio(pair, 0.0, k_set=(0,))
+        lower, upper = extremize_ratio(pair, 0.5, k_set=(0,)).per_channel[0]
+        assert 0.0 < lower <= upper * (1.0 + 1e-9)
 
     def test_leaves_the_lhs_cache_alone(self, coulomb_pair):
-        # hundreds of one-off fields would only crowd the checks' cache
+        # the checks' cache holds the fields they were given, none of extremize's
         before = verify._lhs_cached.cache_info()
         extremize_ratio(coulomb_pair, 0.5, k_set=(0,))
         after = verify._lhs_cached.cache_info()

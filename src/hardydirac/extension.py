@@ -53,7 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Channel, GridProfile
-from .numerics import RadialGrid, ldl_inertia, spd_factor, spd_solve
+from .numerics import (_NODES, _ROUNDOFF, _RULES, RadialGrid, ldl_inertia, spd_factor,
+                       spd_solve)
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 from .verify import _check_gamma, _check_mass, _v2_state, select_lambda
 
@@ -433,9 +434,53 @@ _FIRST_SWEEP = 16               # Chebyshev-Lobatto shifts of a cold first call
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
+_KINK_TOL, _KINK_DEPTH = 1e-12, 30     # composite rules where the weights have kinks
 
 
-def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=()):
+def _kink_rules(fem: _HermiteFem, kinks, weights):
+    """(element, radii, t-weights) of a composite rule for each element that
+    the 7-point rule does not resolve, where ``weights`` (functions of r, to
+    be integrated in t = log r) have ``kinks``.
+
+    The pieces between the nodes and the kinks are halved until, on each,
+    the 16- and 8-point Gauss-Legendre rules of ``integrate_radial`` (in r)
+    agree on every weight to _KINK_TOL of the element's integral of its
+    modulus, or to round-off; an element that holds a kink, or a piece that
+    had to be halved, takes the 16-point rule on all its pieces.  So a
+    weight narrower than an element, or flat at a kink (a bump's edge), is
+    integrated on its own scale."""
+    nodes = fem.grid.nodes
+    inside = [r for r in kinks if nodes[0] < r < nodes[-1]]
+    if not inside:
+        return []
+    ends = np.sort(np.concatenate((nodes, inside)))
+    ends = ends[np.flatnonzero(np.diff(ends) > 0.0)[:, None] + [0, 1]]      # (pieces, 2)
+    el = np.minimum(nodes.searchsorted(ends[:, 0], "right") - 1, fem.n_nodes - 2)
+    fine = np.zeros(fem.n_nodes - 1, dtype=bool)
+    fine[el[ends[:, 0] != nodes[el]]] = True                                 # a kink inside
+    pieces = []
+    for depth in range(_KINK_DEPTH + 1):
+        half = 0.5 * (ends[:, 1:] - ends[:, :1])
+        r = ends[:, :1] + half * (_NODES + 1.0)             # integrate_radial's nodes, in r
+        vals = np.stack([f(r) for f in weights]) * (half / r)              # dt = dr / r
+        error, size = np.abs(vals @ _RULES[:, 1]), np.abs(vals) @ _RULES[:, 0]
+        if not depth:
+            scale = _KINK_TOL * np.array([np.bincount(el, s, fem.n_nodes - 1) for s in size])
+        # a piece is done at the tolerance or at its round-off level
+        ok = np.all(error <= np.maximum(scale[:, el], _ROUNDOFF * size), axis=0)
+        ok |= depth == _KINK_DEPTH
+        pieces.append((el[ok], r[ok, :16], half[ok] / r[ok, :16] * _RULES[:16, 0]))
+        if ok.all():
+            break
+        ends, el = ends[~ok], el[~ok]
+        fine[el] = True
+        mid = ends.mean(axis=1)
+        ends, el = np.concatenate((np.c_[ends[:, 0], mid], np.c_[mid, ends[:, 1]])), np.r_[el, el]
+    el, r, w = (np.concatenate(part) for part in zip(*pieces))
+    return [(e, r[el == e].ravel(), w[el == e].ravel()) for e in np.flatnonzero(fine)]
+
+
+def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=(), rules=()):
     """The E-dependent form of channel k on one grid, as node blocks: mass part
     (mass(r) - E) r^3, gradient part r/(den(r) + E), and -c R^2 f(R) u(R) for
     each shell (R, c).  A table made once per grid maps an element's 7 mass and
@@ -443,11 +488,19 @@ def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=()):
     em[:3, :3], em[3:, 3:] and em[:3, 3:] (local dofs 0-2 on node e, 3-5 on
     e+1); ``blocks(E)`` makes them for all S shifts E, less the shells' point
     terms at their element, and scatters them into D (3, 3, S, n) and
-    B (3, 3, S, n-1), with the value dofs at both ends fixed."""
-    rq = np.ascontiguousarray(fem.rq.T)[:, None]        # point-major (7, 1, nel)
-    mass, den, r3 = mass(rq), den(rq), rq**3
+    B (3, 3, S, n-1), with the value dofs at both ends fixed.  The elements
+    of ``rules`` (``_kink_rules``) take their entries from those instead."""
     a, b = np.divmod(np.arange(9), 3)
     rows, cols = np.r_[a, a + 3, a], np.r_[b, b + 3, b + 3]
+    scale = np.array([1.0, fem.h, fem.h**2, 1.0, fem.h, fem.h**2])[:, None]
+    kinked = []
+    for el, r, w in rules:
+        H, Ht, _ = _hermite_tables((np.log(r) - fem.t[el]) / fem.h)
+        N, Nt = H * scale, Ht * scale / fem.h
+        kinked.append((el, np.hstack([(sh * w)[rows] * sh[cols] for sh in (N, Nt - k * N)]),
+                       r, mass(r), den(r)))
+    rq = np.ascontiguousarray(fem.rq.T)[:, None]        # point-major (7, 1, nel)
+    mass, den, r3 = mass(rq), den(rq), rq**3
     table = np.hstack([(N * fem.wq)[rows] * N[cols] for N in (fem.N, fem.Nd - k * fem.N)])
     points = []
     for radius, c in shells:
@@ -462,6 +515,11 @@ def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=()):
         # one product per 9 rows, so that B owns its memory and the rest is freed
         at_left, at_right, B = ((t @ vals.reshape(2 * nq, -1)).reshape(3, 3, E.size, nel)
                                 for t in table.reshape(3, 9, 2 * nq))     # element's nodes e, e+1
+        for el, table_el, r, mass_el, den_el in kinked:
+            vals_el = np.concatenate(((mass_el - E[:, None]) * r**3, r / (den_el + E[:, None])),
+                                     axis=1)
+            at_left[..., el], at_right[..., el], B[..., el] = (
+                (table_el @ vals_el.T).reshape(3, 3, 3, E.size))
         for el, p in points:
             for X, P in zip((at_left, at_right, B), p):
                 X[..., el] -= P
@@ -655,6 +713,9 @@ def spectrum_in_gap(problem: DiracChannelProblem, count: int):
 # ---------------------------------------------------------------------------
 
 _EXTREMIZE_GRID = (1600, 1e-12, 1e3)        # nodes, r_min, r_max
+# decades of c searched above the threshold; on rank-one L (a delta shell)
+# ldl_inertia's count was found exact up to 8.3 decades above the crossing
+_EXTREMIZE_DECADES = 8.0
 
 
 @dataclass(frozen=True)
@@ -666,7 +727,10 @@ class ExtremizeResult:
     best_ratio: float
     best_k: int
     per_channel: dict
-    grid: tuple = _EXTREMIZE_GRID
+
+    @property
+    def grid(self) -> tuple:
+        return _EXTREMIZE_GRID
 
     def to_dict(self) -> dict:
         return {"best_ratio": self.best_ratio, "best_k": self.best_k,
@@ -675,17 +739,19 @@ class ExtremizeResult:
                 "grid": dict(zip(("n_nodes", "r_min", "r_max"), self.grid))}
 
 
-def _channel_bounds(fem: _HermiteFem, pair: PotentialPair, gamma: float, maxsq: float,
+def _channel_bounds(fem: _HermiteFem, rules, pair: PotentialPair, gamma: float, maxsq: float,
                     k: int) -> tuple:
-    """(1/(A^2 c_h), U_k) of ``extremize_ratio`` in channel k."""
+    """(1/(A^2 c_h), U_k) of ``extremize_ratio`` in channel k, with the
+    ``_kink_rules`` of its weights."""
     ak = a_k(pair, k)
     if not maxsq:               # V1 = V2 = 0 and no shell: the ratio is 0
         return 0.0, 0.0
     upper = ak**2 / maxsq if gamma == 0.0 else max(ak**2 / maxsq, 1.0)
     g, zero = gamma / maxsq, np.zeros(1)
-    D0, B0 = _gap_form(fem, k, lambda r: np.full_like(r, g), lambda r: pair.v2(r) + gamma)(zero)
+    D0, B0 = _gap_form(fem, k, lambda r: np.full_like(r, g), lambda r: pair.v2(r) + gamma,
+                       rules=rules)(zero)
     D, B = _gap_form(fem, k, lambda r: g - pair.v1_regular(r), lambda r: pair.v2(r) + gamma,
-                     tuple((s.R, s.a) for s in pair.v1_shells))(zero)
+                     tuple((s.R, s.a) for s in pair.v1_shells), rules)(zero)
     D1, B1 = D0 - D, B0 - B             # q_c is D0 - c D1, B0 - c B1
     lo = -math.log(maxsq * upper) - 1e-9    # the threshold, less what rounding may tip
 
@@ -695,9 +761,9 @@ def _channel_bounds(fem: _HermiteFem, pair: PotentialPair, gamma: float, maxsq: 
         if n[x <= lo].any():
             raise ValueError(f"channel k={k}: q_c has a negative direction below the threshold "
                              f"c = 1/(A^2 U_k), so A_k = {ak!r} is too small")
-        return np.minimum(n, 1), logdet     # far above c*, a low-rank L is miscounted
+        return np.minimum(n, 1), logdet     # only the first crossing is sought
 
-    levels = _multisect_gap(counts, lo, lo + 12.0 * math.log(10.0), 1, _TOL)
+    levels = _multisect_gap(counts, lo, lo + _EXTREMIZE_DECADES * math.log(10.0), 1, _TOL)
     if not levels:
         return 0.0, upper
     value, width = levels[0]
@@ -715,10 +781,19 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> Extremi
     negative direction, and a negative inertia count of q_c on the element
     space of ``_EXTREMIZE_GRID`` (functions vanishing at both ends) is one
     (min-max).  So multisection of the count over log c, from 1e-9 below the
-    threshold 1/(A^2 U_k) to 12 decades above it, brackets a c_h >= c*, and
-    1/(A^2 c_h) is a lower bound, 0 if the count stays 0.  A count above 0 at
-    the threshold contradicts A_k and raises ValueError.  gamma = 0 needs
-    V2 > 0; shells must lie on the grid.
+    threshold 1/(A^2 U_k) to ``_EXTREMIZE_DECADES`` (8) decades above it,
+    brackets a c_h >= c*, and 1/(A^2 c_h) is a lower bound; it is 0 if the
+    count stays 0, as it does for a supremum below 1e-8 U_k.  Further up,
+    ldl_inertia miscounts a form whose L is of low rank, so the window
+    stops there.  A count above 0 at the threshold contradicts A_k and raises
+    ValueError.
+
+    The bound holds as far as the form is integrated exactly on the space:
+    elements that hold a breakpoint of V1 or V2 are split there and sampled
+    at 40 points per piece (``_kink_rules``), so weights narrower than an
+    element count in full.  The grid spans [1e-12, 1e3]: a delta shell of V1
+    outside it raises ValueError, and the part of a regular weight outside it
+    is left out, which only lowers the bound.  gamma = 0 needs V2 > 0.
     """
     if not k_set:
         raise ValueError("empty channel set")
@@ -728,6 +803,9 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> Extremi
                          "weighs by 1/V2; take gamma > 0 with this V2")
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
     fem = _HermiteFem(RadialGrid.log_uniform(*_EXTREMIZE_GRID))
-    per_channel = {k: _channel_bounds(fem, pair, gamma, maxsq, k) for k in sorted(k_set)}
+    # one rule for both forms, so that their gradient parts cancel in D1
+    rules = _kink_rules(fem, pair.v1_regular.breakpoints() + pair.v2.breakpoints(),
+                        (lambda r: pair.v1_regular(r) * r**3, lambda r: r / (pair.v2(r) + gamma)))
+    per_channel = {k: _channel_bounds(fem, rules, pair, gamma, maxsq, k) for k in sorted(k_set)}
     best_k = max(per_channel, key=lambda k: per_channel[k][0])    # the lowest k of a tie
     return ExtremizeResult(per_channel[best_k][0], best_k, per_channel)

@@ -197,6 +197,8 @@ class TestVerifyCommand:
     ("extremize --v1 coulomb:1 --v2 zero", "ValueError", "gamma = 0 requires V2 > 0"),
     ("extremize --v1 coulomb:1 --v2 mshell:1,0.5@2", "ValueError",
      "gamma = 0 requires V2 > 0"),
+    ("extremize --v1 shell:1@2000 --v2 coulomb:1 --gamma 0.5", "ValueError",
+     "radius R=2000 lies outside the element grid [1e-12, 1000]"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
         "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
@@ -205,14 +207,17 @@ class TestVerifyCommand:
         "spectrum-c2-inf", "spectrum-c1-inf", "spectrum-m-nan", "gamma-inf",
         "extremize-gamma-inf", "experiment-R-inf", "experiment-eps-inf", "experiment-R-1e308",
         "experiment-m-inf", "experiment-m-nan", "experiment-c1-0-m-inf", "verify-m-inf",
-        "verify-m-nan", "verify-m-inf-lambda", "extremize-v2-zero", "extremize-v2-mshell"])
+        "verify-m-nan", "verify-m-inf-lambda", "extremize-v2-zero", "extremize-v2-mshell",
+        "extremize-shell-off-grid"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     # each of these once exited 0 (the empty requests, --c2 inf, which gave levels
     # of a form with no gradient weight, and the infinite gamma, R and eps, which
     # printed Infinity or NaN), failed later with a message about something else
     # (an infinite or NaN mass as "lambda must lie in (-m, m)", gamma = 0 with a V2
     # that vanishes as a non-finite integrand after RuntimeWarnings), or (the two
-    # file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1
+    # file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1;
+    # the last row pins a refusal that held already, of a delta shell beyond
+    # extremize's element grid
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]

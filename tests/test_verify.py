@@ -357,6 +357,59 @@ class TestBatchedChecks:
             assert sum(verify._lhs_cached(shell_coulomb_pair, field)) == want
 
 
+def _element_space_ratio(pair, gamma: float, k: int, grid: tuple) -> float:
+    """lhs/rhs of channel k, by adaptive quadrature with the weights'
+    breakpoints and every node, of the best function of the element space
+    on ``grid``: the top generalized eigenvector of the library's forms L and
+    (gamma/A^2) M + G, which serves only as a trial function."""
+    from scipy.linalg import eigh
+
+    fem = extension._HermiteFem(numerics.RadialGrid.log_uniform(*grid))
+    maxsq = max(a_plus(pair), a_minus(pair)) ** 2
+    g, kinks = gamma / maxsq, pair.v1_regular.breakpoints() + pair.v2.breakpoints()
+
+    def den(r):
+        return pair.v2(r) + gamma
+
+    rules = extension._kink_rules(fem, kinks, (lambda r: pair.v1_regular(r) * r**3,
+                                               lambda r: r / den(r)))
+
+    def dense(mass, shells=()):
+        D, B = extension._gap_form(fem, k, mass, den, shells, rules)(np.zeros(1))
+        n = fem.n_nodes
+        a, i = np.zeros((n, 3, n, 3)), np.arange(n)
+        a[i, :, i, :] = D[:, :, 0].transpose(2, 0, 1)
+        a[i[:-1], :, i[1:], :] = B[:, :, 0].transpose(2, 0, 1)
+        a[i[1:], :, i[:-1], :] = B[:, :, 0].transpose(2, 1, 0)
+        return a.reshape(3 * n, 3 * n)
+
+    rhs = dense(lambda r: np.full_like(r, g))
+    lhs = rhs - dense(lambda r: g - pair.v1_regular(r), [(s.R, s.a) for s in pair.v1_shells])
+    s = 1.0 / np.sqrt(np.diag(rhs))
+    last = 3 * fem.n_nodes - 1
+    _, v = eigh(lhs * s * s[:, None], rhs * s * s[:, None], subset_by_index=[last, last])
+    x = (v[:, 0] * s).reshape(-1, 3)                    # node-major dofs
+    nodes, h = fem.grid.nodes, fem.h
+    scale = np.array([1.0, h, h * h, 1.0, h, h * h])[:, None]
+
+    def f_and_slope(r):                                 # f and df/d(log r)
+        el = np.clip(nodes.searchsorted(r, "right") - 1, 0, fem.n_nodes - 2)
+        H, Ht, _ = extension._hermite_tables((np.log(r) - fem.t[el]) / h)
+        local = np.concatenate([x[el], x[el + 1]], axis=1).T
+        return (H * scale * local).sum(axis=0), (Ht * scale / h * local).sum(axis=0)
+
+    def integrands(r):
+        f, ft = f_and_slope(r)
+        return np.array([pair.v1_regular(r) * f * f * r * r, (ft - k * f) ** 2 / den(r),
+                         f * f * r * r])
+
+    (L, G, M), _ = integrate_radial(integrands, (nodes[0], nodes[-1]),
+                                    sorted({*nodes, *kinks}))
+    L = L[0] + sum(sh.a * sh.R**2 * f_and_slope(np.array([sh.R]))[0][0] ** 2
+                   for sh in pair.v1_shells)
+    return L / (maxsq * G[0] + gamma * M[0])
+
+
 class TestExtremize:
     # the best ratio over r^p e^{-a r}, p in [0, 3], a in [0.2, 4], of the 21-level
     # zoom that extremize_ratio ran before the inertia count, per
@@ -421,14 +474,16 @@ class TestExtremize:
 
     def test_encloses_the_zoom(self, pair_gallery, monkeypatch):
         # every cell: count 0 where the search starts, 1e-9 below the threshold
-        # c = 1/(A^2 U_k); a lower bound at most U_k (1 + 1e-9); and at least the
-        # zoom's ratio, which the count undercuts only by its bracket width (4e-11
-        # on the two Coulomb cells at 1/3)
-        starts = []
+        # c = 1/(A^2 U_k), and no count beyond 8 decades above it, where a
+        # rank-one L was miscounted; a lower bound at most U_k (1 + 1e-9); and at
+        # least the zoom's ratio, which the count undercuts only by its bracket
+        # width (4e-11 on the two Coulomb cells at 1/3)
+        starts, ends = [], []
 
         def recorded(D, B, x, inner=extension.ldl_inertia):
             n, logdet = inner(D, B, x)
             starts.append((float(x.min()), int(n[x.argmin()])))
+            ends.append(float(x.max()))
             return n, logdet
 
         monkeypatch.setattr(extension, "ldl_inertia", recorded)
@@ -437,17 +492,44 @@ class TestExtremize:
             maxsq = max(a_plus(pair), a_minus(pair)) ** 2
             for k, zoom_k in zip((0, 1, -2), zoom):
                 starts.clear()
+                ends.clear()
                 lower, upper = extremize_ratio(pair, gamma, k_set=(k,)).per_channel[k]
                 u_k = a_k(pair, k) ** 2 / maxsq
                 assert upper == (u_k if gamma == 0.0 else max(u_k, 1.0))
                 x_min, count = min(starts)
                 assert x_min == pytest.approx(-math.log(maxsq * upper) - 1e-9, abs=1e-13)
                 assert count == 0
+                assert max(ends) == pytest.approx(x_min + 8.0 * math.log(10.0), abs=1e-13)
                 assert zoom_k * (1.0 - 1e-9) <= lower <= upper * (1.0 + 1e-9), (i, gamma, k)
         # the Coulomb pair in k = 1 at gamma = 0.5: 1/3, above A_1^2/A^2 = 1/4
         lower, upper = extremize_ratio(pair_gallery[0], 0.5, k_set=(1,)).per_channel[1]
         assert lower == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert upper == 1.0 and lower > a_k(pair_gallery[0], 1) ** 2 == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("pair, gamma, k", [
+        (parse_pair("mshell:1,1e-3@1", "coulomb:1"), 0.5, 0),
+        (parse_pair("mshell:1,1e-3@1.03", "coulomb:1"), 0.5, -2),
+        (parse_pair("mshell:1,0.5@2.03", "coulomb:1"), 0.0, 1),
+        (parse_pair("coulomb:1", "coulomb:1+mshell:5,1e-3@1.03"), 0.5, 0),
+        (PotentialPair(v1_regular=potentials.TablePotential((0.5, 0.51, 0.9, 1.7, 1.71),
+                                                            (0.0, 2.0, 1.0, 3.0, 0.0)),
+                       v2=CoulombPotential(1.0)), 0.5, 0),
+    ], ids=["v1-narrow-between-points", "v1-narrow-on-a-point", "v1-wide-bump",
+            "v2-narrow", "v1-table"])
+    def test_bound_is_attained_on_the_space(self, monkeypatch, pair, gamma, k):
+        # weights 1e-3 wide, far narrower than an element (0.058 in log r on this
+        # grid), a bump 0.5 wide whose flat edges fall inside elements, and a
+        # table with kinks and jumps: the best function of the element space,
+        # integrated with the breakpoints, reaches the reported lower bound to
+        # the bracket width.  Sampled at the 7 points of each element alone the
+        # first read 0, the second 1.75 times the value its function attains,
+        # and the others were off by 4e-8 to 3e-3
+        grid = (241, 1e-4, 1e2)
+        monkeypatch.setattr(extension, "_EXTREMIZE_GRID", grid)
+        lower, upper = extremize_ratio(pair, gamma, k_set=(k,)).per_channel[k]
+        assert lower <= upper
+        exact = _element_space_ratio(pair, gamma, k, grid)
+        assert lower == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_call_budget(self, coulomb_pair, monkeypatch):
         # the README case: at most 10 count calls per channel, and with the

@@ -31,11 +31,12 @@ from .verify import mollified_delta_experiment, verify_corollary, verify_theorem
 _TOOL = "hardy-dirac"
 
 
-def _add_pair_flags(p: argparse.ArgumentParser):
+def _add_pair_flags(p: argparse.ArgumentParser, couplings: bool = True):
     p.add_argument("--v1", default="zero", help="first weight slot (components + shells)")
     p.add_argument("--v2", default="zero", help="second weight slot (components only)")
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
+    if couplings:
+        p.add_argument("--c1", type=float, default=1.0)
+        p.add_argument("--c2", type=float, default=1.0)
 
 
 def _add_gap_flags(p: argparse.ArgumentParser):
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="channel term k=<int>:<profile>, repeatable")
 
     p = sub.add_parser("extremize", help="enclose the supremum of lhs/rhs per channel")
-    _add_pair_flags(p)
+    _add_pair_flags(p, couplings=False)     # the ratio reads V1 and V2 uncoupled
     _add_output_flags(p)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--kset", default="0,-2", help="comma-separated channel list")
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="gap eigenvalues per channel")
     _add_pair_flags(p)
-    _add_gap_flags(p)
+    p.add_argument("--m", type=float, default=1.0)      # the gap levels do not depend on lambda
     _add_grid_flags(p)
     _add_output_flags(p)
     p.add_argument("--k", type=int, default=0)
@@ -158,7 +159,7 @@ def run_verify(args):
 
 
 def run_extremize(args):
-    pair = parse_pair(args.v1, args.v2, args.c1, args.c2)
+    pair = parse_pair(args.v1, args.v2)
     k_set = tuple(int(tok) for tok in args.kset.split(",") if tok.strip())
     return extremize_ratio(pair, args.gamma, k_set=k_set).to_dict(), None
 
@@ -181,14 +182,13 @@ def run_solve(args):
 
 def run_spectrum(args):
     pair = parse_pair(args.v1, args.v2, args.c1, args.c2)
-    problem = DiracChannelProblem(pair=pair, channel=Channel(args.k), m=args.m,
-                                  lam=args.lam, grid=_grid(args))
+    problem = DiracChannelProblem(pair=pair, channel=Channel(args.k), m=args.m, grid=_grid(args))
     evs = spectrum_in_gap(problem, args.count)
     # a level only the doubled grid finds has an infinite estimate; strict JSON has no inf
     rows = [{"k": args.k, "index": ev.index, "E": ev.value,
              "error_estimate": ev.error_estimate if math.isfinite(ev.error_estimate) else "inf"}
             for ev in evs]
-    return {"eigenvalues": rows, "lambda": problem.lam}, ("k,index,E,error_estimate", rows)
+    return {"eigenvalues": rows}, ("k,index,E,error_estimate", rows)
 
 
 def run_experiment(args):

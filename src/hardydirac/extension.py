@@ -53,8 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Channel, GridProfile
-from .numerics import (_NODES, _ROUNDOFF, _RULES, RadialGrid, ldl_inertia, spd_factor,
-                       spd_solve)
+from .numerics import RadialGrid, _adaptive, ldl_inertia, spd_factor, spd_solve
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 from .verify import _check_gamma, _check_mass, _v2_state, select_lambda
 
@@ -363,6 +362,11 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     and evaluates the strong form in one product.  Another lam or grid is
     another problem (``dataclasses.replace``).  A form that is not positive
     definite raises :class:`NotPositiveDefiniteError` on every call.
+
+    The form counts a weight narrower than an element in full
+    (``_problem_form``); the load's F2 term and the strong-form residuals
+    still sample w1 and w2 at 7 points per element, and the strong form has no
+    delta shell's jump, so a shell problem's ``residual_upper`` is of order one.
     """
     for name, F in (("F1", F1), ("F2", F2)):
         if F is not None and any(term.coef.imag for term in F.terms):
@@ -434,50 +438,26 @@ _FIRST_SWEEP = 16               # Chebyshev-Lobatto shifts of a cold first call
 _SHIFTS_PER_SWEEP = 32
 _SHIFTS_PER_BRACKET = 4
 _RUNG_SPREADS = (0.25, 1.0)     # c1, c2 of the model-placed ladders
-_KINK_TOL, _KINK_DEPTH = 1e-12, 30     # composite rules where the weights have kinks
 
 
-def _kink_rules(fem: _HermiteFem, kinks, weights):
+def _kink_rules(fem: _HermiteFem, pair: PotentialPair, w1, den):
     """(element, radii, t-weights) of a composite rule for each element that
-    the 7-point rule does not resolve, where ``weights`` (functions of r, to
-    be integrated in t = log r) have ``kinks``.
-
-    The pieces between the nodes and the kinks are halved until, on each,
-    the 16- and 8-point Gauss-Legendre rules of ``integrate_radial`` (in r)
-    agree on every weight to _KINK_TOL of the element's integral of its
-    modulus, or to round-off; an element that holds a kink, or a piece that
-    had to be halved, takes the 16-point rule on all its pieces.  So a
-    weight narrower than an element, or flat at a kink (a bump's edge), is
-    integrated on its own scale."""
+    needs more than one panel when the adaptive rule of ``integrate_radial``
+    integrates w1 r^3 and r/den in t = log r over the elements, its panels
+    starting at the nodes and at the breakpoints of V1 and V2 in the grid:
+    the panels it accepted there.  So a weight narrower than an element, or
+    flat at a breakpoint (a bump's edge), is integrated on its own scale.
+    With no breakpoint in the grid there is no rule."""
     nodes = fem.grid.nodes
-    inside = [r for r in kinks if nodes[0] < r < nodes[-1]]
+    inside = [r for r in pair.v1_regular.breakpoints() + pair.v2.breakpoints()
+              if nodes[0] < r < nodes[-1]]
     if not inside:
         return []
-    ends = np.sort(np.concatenate((nodes, inside)))
-    ends = ends[np.flatnonzero(np.diff(ends) > 0.0)[:, None] + [0, 1]]      # (pieces, 2)
-    el = np.minimum(nodes.searchsorted(ends[:, 0], "right") - 1, fem.n_nodes - 2)
-    fine = np.zeros(fem.n_nodes - 1, dtype=bool)
-    fine[el[ends[:, 0] != nodes[el]]] = True                                 # a kink inside
-    pieces = []
-    for depth in range(_KINK_DEPTH + 1):
-        half = 0.5 * (ends[:, 1:] - ends[:, :1])
-        r = ends[:, :1] + half * (_NODES + 1.0)             # integrate_radial's nodes, in r
-        vals = np.stack([f(r) for f in weights]) * (half / r)              # dt = dr / r
-        error, size = np.abs(vals @ _RULES[:, 1]), np.abs(vals) @ _RULES[:, 0]
-        if not depth:
-            scale = _KINK_TOL * np.array([np.bincount(el, s, fem.n_nodes - 1) for s in size])
-        # a piece is done at the tolerance or at its round-off level
-        ok = np.all(error <= np.maximum(scale[:, el], _ROUNDOFF * size), axis=0)
-        ok |= depth == _KINK_DEPTH
-        pieces.append((el[ok], r[ok, :16], half[ok] / r[ok, :16] * _RULES[:16, 0]))
-        if ok.all():
-            break
-        ends, el = ends[~ok], el[~ok]
-        fine[el] = True
-        mid = ends.mean(axis=1)
-        ends, el = np.concatenate((np.c_[ends[:, 0], mid], np.c_[mid, ends[:, 1]])), np.r_[el, el]
-    el, r, w = (np.concatenate(part) for part in zip(*pieces))
-    return [(e, r[el == e].ravel(), w[el == e].ravel()) for e in np.flatnonzero(fine)]
+    panels = []     # integrate_radial integrates in r, so f = weight / r
+    _adaptive(lambda r: np.stack([w1(r) * r * r, 1.0 / den(r)]), nodes, inside, panels)
+    el, r, w = (np.concatenate(part) for part in zip(*panels))
+    return [(e, r[el == e].ravel(), w[el == e].ravel())
+            for e in np.flatnonzero(np.bincount(el, minlength=fem.n_nodes - 1) > 1)]
 
 
 def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=(), rules=()):
@@ -535,11 +515,16 @@ def _gap_form(fem: _HermiteFem, k: int, mass, den, shells=(), rules=()):
 
 
 def _problem_form(fem: _HermiteFem, problem: DiracChannelProblem):
-    """``_gap_form`` of a channel problem: mass m - w1, den m + w2 and w1's
-    shells; at E = -lam it is the weak-solve form."""
+    """``_gap_form`` of a channel problem: mass m - w1, den m + w2, w1's
+    shells and the ``_kink_rules`` of w1 and den; at E = -lam it is the
+    weak-solve form."""
     m = problem.m
-    return _gap_form(fem, problem.channel.k, lambda r: m - problem.w1(r),
-                     lambda r: m + problem.w2(r), problem.shell_terms())
+
+    def den(r):
+        return m + problem.w2(r)
+
+    return _gap_form(fem, problem.channel.k, lambda r: m - problem.w1(r), den,
+                     problem.shell_terms(), _kink_rules(fem, problem.pair, problem.w1, den))
 
 
 def _gap_counts(fem: _HermiteFem, problem: DiracChannelProblem):
@@ -789,11 +774,12 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> Extremi
     ValueError.
 
     The bound holds as far as the form is integrated exactly on the space:
-    elements that hold a breakpoint of V1 or V2 are split there and sampled
-    at 40 points per piece (``_kink_rules``), so weights narrower than an
-    element count in full.  The grid spans [1e-12, 1e3]: a delta shell of V1
-    outside it raises ValueError, and the part of a regular weight outside it
-    is left out, which only lowers the bound.  gamma = 0 needs V2 > 0.
+    elements that hold a breakpoint of V1 or V2 take the panels of the
+    adaptive rule of ``integrate_radial``, 16 points each (``_kink_rules``),
+    so weights narrower than an element count in full.  The grid spans
+    [1e-12, 1e3]: a delta shell of V1 outside it raises ValueError, and the
+    part of a regular weight outside it is left out, which only lowers the
+    bound.  gamma = 0 needs V2 > 0.
     """
     if not k_set:
         raise ValueError("empty channel set")
@@ -804,8 +790,7 @@ def extremize_ratio(pair: PotentialPair, gamma: float, k_set=(0, -2)) -> Extremi
     maxsq = max(a_plus(pair), a_minus(pair)) ** 2
     fem = _HermiteFem(RadialGrid.log_uniform(*_EXTREMIZE_GRID))
     # one rule for both forms, so that their gradient parts cancel in D1
-    rules = _kink_rules(fem, pair.v1_regular.breakpoints() + pair.v2.breakpoints(),
-                        (lambda r: pair.v1_regular(r) * r**3, lambda r: r / (pair.v2(r) + gamma)))
+    rules = _kink_rules(fem, pair, pair.v1_regular, lambda r: pair.v2(r) + gamma)
     per_channel = {k: _channel_bounds(fem, rules, pair, gamma, maxsq, k) for k in sorted(k_set)}
     best_k = max(per_channel, key=lambda k: per_channel[k][0])    # the lowest k of a tie
     return ExtremizeResult(per_channel[best_k][0], best_k, per_channel)

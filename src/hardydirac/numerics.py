@@ -184,6 +184,14 @@ def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarr
     a panel being split until all accept it, so each value and estimate is
     bit for bit that of its own call, whatever it is batched with.
     """
+    return _adaptive(f, edges, breakpoints)
+
+
+def _adaptive(f, edges, breakpoints, rule=None):
+    """``integrate_radial``; when ``rule`` is a list, each sweep appends to it
+    the segments (p,), 16 Gauss radii (p, 16) and weights in t = log r (p, 16)
+    of the p panels that every integrand accepted, so that in the end it holds
+    a composite rule of the segments as fine as each integrand needed."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not (
             edges[0] >= 0.0 and (edges[1:] >= edges[:-1]).all()):
@@ -241,6 +249,9 @@ def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarr
                 _masked_dot(np.abs(_masked_dot(vals[..., :16], _DIFF.T, bad)), _W16, bad)[bad])
             est = np.maximum(np.abs(diff), floor)
             ok |= est <= floor
+        if rule is not None:
+            kept = ok.all(axis=0) if ok.ndim > 1 else ok
+            rule.append((seg[kept], r.reshape(mid.size, -1)[kept, :16], half[kept, None] * _W16))
         done += np.bincount(bins, (g16 * ok).ravel(), done.size).reshape(done.shape)
         err += np.bincount(bins, (est * ok).ravel(), done.size).reshape(done.shape)
         if ok.all():

@@ -224,6 +224,20 @@ def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     assert error["type"] == error_type and needle in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    "extremize --v1 coulomb:1 --v2 coulomb:1 --c1 5",
+    "extremize --v1 coulomb:1 --v2 coulomb:1 --c2 5",
+    "spectrum --v1 coulomb:1 --v2 coulomb:1 --lambda 0.3",
+], ids=["extremize-c1", "extremize-c2", "spectrum-lambda"])
+def test_flags_that_enter_no_result_are_refused(capsys, argv):
+    # extremize reads V1 and V2 uncoupled and the gap levels do not depend on
+    # lambda, so these flags once changed only the configuration echo
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestIdempotence:
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--v1", "coulomb:1", "--v2", "coulomb:1",

@@ -18,7 +18,8 @@ def test_all_names_resolve(module):
 def test_quadrature_reached_through_its_exported_name(monkeypatch):
     # bench/tracer.py times the quadrature layer by replacing the attribute
     # integrate_radial in each module that holds it, so every caller must
-    # reach the one routine through that name
+    # reach the one routine through that name; the element forms' composite
+    # rule comes from the same adaptive core
     from hardydirac import channels, extension, numerics, potentials, verify
     from hardydirac.channels import SpinorField, exp_profile
 
@@ -48,7 +49,18 @@ def test_quadrature_reached_through_its_exported_name(monkeypatch):
     verify.mollified_delta_experiment(1.0, 0.25, 2.0, [0.8], field)
     assert seen and set(seen) == {"hardydirac.channels"}
     seen.clear()
-    # extremizing integrates nothing: its forms come from the element grid,
-    # and the constants were computed above
+    # extremizing reaches no quadrature through potentials or channels (the
+    # constants were computed above): its forms come from the element grid,
+    # and their one rule for the mollified shell from numerics' adaptive core,
+    # none of whose panel tables extension holds
+    assert extension._adaptive is numerics._adaptive
+    cores = []
+
+    def core(f, edges, breakpoints, rule=None):
+        cores.append(rule is not None)
+        return numerics._adaptive(f, edges, breakpoints, rule)
+
+    monkeypatch.setattr(extension, "_adaptive", core)
     extension.extremize_ratio(pair, 0.5, k_set=(0,))
-    assert not seen
+    assert not seen and cores == [True]
+    assert not {"_NODES", "_RULES", "_ROUNDOFF"} & set(vars(extension))

@@ -30,6 +30,7 @@ from hardydirac.numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
     _equilibrate,
+    integrate_radial,
     spd_factor,
     spd_solve,
 )
@@ -740,6 +741,61 @@ class TestSpectrum:
         drift_coarse = abs(values[80] - values[40])
         drift_fine = abs(values[160] - values[80])
         assert drift_fine <= drift_coarse + 1e-12
+
+
+class TestNarrowWeights:
+    # a mollified shell 1e-5 to 1e-3 wide at R, far narrower than an element
+    # (0.044 in log r on this grid), against the delta shell it tends to:
+    # every element form takes the adaptive rule's panels where V1 or V2 has
+    # a breakpoint, so gap levels and weak solves converge like eps^2.  With
+    # each element sampled at its 7 points alone the gap held no level at
+    # eps <= 1e-4, was off by 9.1e-2 at eps = 1e-3, R = 1.003, and h_norm_phi
+    # was off by 1.6e-2
+    GRID = RadialGrid.log_uniform(400, 1e-6, 40.0)
+
+    @pytest.mark.parametrize("R", [1.0, 1.003])
+    def test_gap_level_tends_to_the_delta_shell_level(self, R):
+        def level(v1):
+            prob = DiracChannelProblem(parse_pair(v1, "zero"), Channel(0), grid=self.GRID)
+            (ev,) = spectrum_in_gap(prob, 1)
+            return ev.value
+
+        delta = level(f"shell:1@{R}")
+        gaps = [level(f"mshell:1,{eps}@{R}") - delta for eps in (1e-3, 1e-4, 1e-5)]
+        assert 0.0 < gaps[1] <= 1e-6
+        assert gaps[0] >= 50.0 * gaps[1] and gaps[1] >= 50.0 * gaps[2] > 0.0
+
+    @pytest.mark.parametrize("R", [1.0, 1.003])
+    def test_weak_solve_tends_to_the_delta_shell_solve(self, R):
+        def h_norm(v1):
+            prob = DiracChannelProblem(parse_pair(v1, "coulomb:1", c1=0.5, c2=0.5), Channel(0),
+                                       grid=self.GRID)
+            return weak_solve(prob, exp_profile(0, 1.0)).h_norm_phi
+
+        assert h_norm(f"mshell:1,1e-4@{R}") == pytest.approx(h_norm(f"shell:1@{R}"), rel=1e-8)
+
+    def test_rule_is_the_adaptive_rule(self):
+        # per element, the composite rule sums to integrate_radial's integral of
+        # each weight with the nodes as segment ends; it covers every element
+        # that holds a breakpoint, and a pair with none in the grid has no rule
+        fem = _HermiteFem(self.GRID)
+        pair = parse_pair("mshell:1,1e-4@1.003 + coulomb:0.3", "coulomb:1 + mshell:2,0.3@5")
+
+        def den(r):
+            return 1.0 + pair.v2(r)
+
+        weights = (lambda r: pair.v1_regular(r) * r**3, lambda r: r / den(r))
+        kinks = pair.v1_regular.breakpoints() + pair.v2.breakpoints()
+        rules = extension._kink_rules(fem, pair, pair.v1_regular, den)
+        exact, _ = integrate_radial(lambda r: np.stack([f(r) for f in weights]) / r,
+                                    fem.grid.nodes, kinks)
+        elements = [el for el, _, _ in rules]
+        assert {fem._element_shapes(r)[0] for r in kinks} <= set(elements)
+        for el, r, w in rules:
+            for f, integral in zip(weights, exact[:, el]):
+                assert np.sum(w * f(r)) == pytest.approx(integral, rel=1e-13)
+        for v1, v2 in (("coulomb:1 + shell:1@1", "power:1,-1"), ("mshell:1,1e-9@1e-8", "zero")):
+            assert extension._kink_rules(fem, parse_pair(v1, v2), pair.v1_regular, den) == []
 
 
 def _dense_counts(a: np.ndarray, b: np.ndarray | None = None):

@@ -371,8 +371,7 @@ def _element_space_ratio(pair, gamma: float, k: int, grid: tuple) -> float:
     def den(r):
         return pair.v2(r) + gamma
 
-    rules = extension._kink_rules(fem, kinks, (lambda r: pair.v1_regular(r) * r**3,
-                                               lambda r: r / den(r)))
+    rules = extension._kink_rules(fem, pair, pair.v1_regular, den)
 
     def dense(mass, shells=()):
         D, B = extension._gap_form(fem, k, mass, den, shells, rules)(np.zeros(1))

@@ -17,9 +17,11 @@ into smooth integrands on the line.  Integrands take a 1-D array of radii
 and return an array of values, or m rows for m integrals: the adaptive rule
 evaluates them once per sweep on the Gauss-Legendre nodes of every open
 panel in log r, over consecutive segments at once, so cumulative integrals
-at many radii are the prefix sums of one call.  A supremum is a log-uniform
-scan merged with its jump candidates in one call; its best interior peak,
-unless flat to round-off, is refined by Newton-bisection on the stationarity
+at many radii are the prefix sums of one call.  A piece between panel cuts
+wider than 2 in log r starts on 0.25-wide panels where |log r| <= 5, which a
+smooth field density passes in one sweep.  A supremum is a log-uniform scan
+merged with its jump candidates in one call; its best interior peak, unless
+flat to round-off, is refined by Newton-bisection on the stationarity
 condition, one radius per call.
 """
 
@@ -60,7 +62,10 @@ _DIFF = _BARY / _BARY[:, None] / (_X16[:, None] - _X16 + np.eye(16)) - np.eye(16
 np.fill_diagonal(_DIFF, -_DIFF.sum(axis=1))
 _REL_TOL = 1e-10
 _MAX_START_WIDTH = 2.0      # widest starting panel in log r
-_MAX_PANELS = 1 << 15
+# a piece wider than that starts on panels no wider than _BULK_WIDTH where
+# |log r| <= _BULK, where fields and weights vary
+_BULK, _BULK_WIDTH = 5.0, 0.25
+_MAX_PANELS = 1 << 15       # panels that splitting may add to the start panels
 # an estimate at this multiple of the panel's round-off level cannot shrink
 # by splitting (integrals that cancel to zero)
 _ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -171,7 +176,10 @@ def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarr
     singularities at the origin and decaying tails alike.  The start panels
     in log r are cut at every edge, at r = 1 and at ``breakpoints`` (radii
     where the integrand is not smooth: shell edges, table samples), none
-    wider than 2, so the rule cannot step over a narrow feature.  Each sweep
+    wider than 2, so the rule cannot step over a narrow feature; a piece
+    between cuts that is wider than 2 also starts on panels 0.25 wide where
+    |log r| <= 5, where fields and weights vary, so an integral over
+    (0, inf) of a smooth field density passes in its first sweep.  Each sweep
     evaluates ``f`` once on the nodes of every open panel; a panel is
     accepted when its |G16 - G8| is within its share (width over the width
     of all segments) of ``_REL_TOL`` times its segment's |total| or at its
@@ -205,7 +213,20 @@ def _adaptive(f, edges, breakpoints, rule=None):
     cuts.sort()
     # start panels: each piece between cuts in equal parts no wider than 2
     # (a repeated cut makes a piece of no parts), interpolated over the count
-    count = np.concatenate([_ZERO, np.ceil((cuts[1:] - cuts[:-1]) / _MAX_START_WIDTH).cumsum()])
+    width = _MAX_START_WIDTH
+    lo, hi = cuts[:-1], cuts[1:]
+    wide = (hi - lo > width) & (lo < _BULK) & (hi > -_BULK)
+    if wide.any():
+        # a wider piece (lo, hi) that meets the bulk |t| < _BULK is cut into
+        # (lo, a), (a, b) = its bulk and (b, hi), and (a, b) in parts no wider
+        # than _BULK_WIDTH; any other piece has a = b = lo
+        cuts = np.empty(3 * lo.size + 1)
+        cuts[:-1:3], cuts[-1] = lo, hi[-1]
+        cuts[1::3] = np.where(wide, np.maximum(-_BULK, lo), lo)
+        cuts[2::3] = np.where(wide, np.minimum(_BULK, hi), lo)
+        width = np.full(cuts.size - 1, width)
+        width[1::3] = _BULK_WIDTH
+    count = np.concatenate([_ZERO, np.ceil((cuts[1:] - cuts[:-1]) / width).cumsum()])
     ends = np.interp(np.arange(count[-1] + 1.0), count, cuts)
     mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
     # by the left end: the mid of a panel one float wide may round to an edge
@@ -213,7 +234,7 @@ def _adaptive(f, edges, breakpoints, rule=None):
     if not mid.size:
         return done, err    # every segment lies beyond the clipped window
 
-    n_panels = n_start = mid.size
+    added = 0   # panels that splitting added; the budget counts only these
     tol = 2.0 * _REL_TOL / (t[-1] - t[0])
     while True:
         r = np.exp(mid[:, None] + half[:, None] * _NODES).ravel()
@@ -225,7 +246,7 @@ def _adaptive(f, edges, breakpoints, rule=None):
         if vals.ndim == 2:
             rules, weighed, bins = vals @ _RULES, np.abs(vals) @ _RULES[:, 0], seg
         else:   # each integrand sums only its own open panels, as in its own call
-            if n_panels == n_start:
+            if not added:
                 done, err = np.zeros((2, len(vals), t.size - 1))
                 live = np.ones(vals.shape[:2], dtype=bool)
             bins = (seg + (t.size - 1) * np.arange(len(vals))[:, None]).ravel()
@@ -239,7 +260,7 @@ def _adaptive(f, edges, breakpoints, rule=None):
         est = np.maximum(np.abs(diff), floor)
         total = done + np.bincount(bins, g16.ravel(), done.size).reshape(done.shape)
         ok = est <= np.maximum(np.abs(total)[..., seg] * half * tol, floor)
-        if n_panels > n_start and not ok.all():
+        if added and not ok.all():
             # the node error also moves a value by |dv/dt| eps |t|, which on a
             # steep flank outgrows the floor above, so split panels that fail
             # again add it (failing start panels are split in any case)
@@ -259,10 +280,10 @@ def _adaptive(f, edges, breakpoints, rule=None):
         split = ~(ok.all(axis=0) if ok.ndim > 1 else ok)
         mid, half, seg = mid[split], 0.25 * half[split], seg[split]
         live = np.tile(~ok[:, split], 4) if ok.ndim > 1 else None
-        n_panels += 3 * mid.size
-        if n_panels > _MAX_PANELS:
+        added += 3 * mid.size
+        if added > _MAX_PANELS:
             value, estimate = total.sum(axis=-1), err.sum(axis=-1) + (est * ~ok).sum(axis=-1)
-            raise QuadratureError(f"quadrature did not converge in {_MAX_PANELS} panels (value="
+            raise QuadratureError(f"quadrature did not converge in {_MAX_PANELS} split panels (value="
                                   f"{value}, est={estimate})", value, estimate)
         mid = np.concatenate([mid - 3.0 * half, mid - half, mid + half, mid + 3.0 * half])
         half, seg = np.concatenate([half] * 4), np.concatenate([seg] * 4)

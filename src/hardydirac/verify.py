@@ -44,6 +44,8 @@ __all__ = [
 
 # relative slack of "satisfied": ratio <= 1 + _TOL
 _TOL = 1e-8
+# log probe grid of ``_v2_state``
+_V2_PROBE = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 161))
 
 
 class HypothesisViolationError(ValueError):
@@ -124,7 +126,7 @@ def _lhs_cached(pair: PotentialPair, field_: SpinorField) -> tuple:
 
 def _v2_state(pair: PotentialPair) -> str:
     """'positive', 'zero', or 'mixed' on a log probe grid."""
-    rs = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 161))
+    rs = _V2_PROBE
     extra = [b for b in pair.v2.breakpoints() if b > 0]
     if extra:
         rs = np.concatenate([rs, np.asarray(extra, dtype=float)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardydirac import channels
 from hardydirac.channels import Channel, exp_profile
 from hardydirac.extension import DiracChannelProblem, _HermiteFem, _gap_counts, _problem_form
 from hardydirac.numerics import (
@@ -23,14 +24,22 @@ from hardydirac.numerics import (
 from hardydirac.potentials import (
     CoulombPotential,
     MollifiedShell,
+    PotentialPair,
     ShellMeasure,
     SumPotential,
     TablePotential,
     _hardy_integrand,
     _hardy_slope,
+    a_minus,
+    a_plus,
     parse_pair,
 )
-from hardydirac.verify import random_field_gallery
+from hardydirac.verify import (
+    random_field_gallery,
+    standard_pair_gallery,
+    verify_corollary,
+    verify_theorem,
+)
 from reference_assembly import banded_to_dense, loop_scaled_copy, reference_form
 
 
@@ -81,6 +90,15 @@ class TestIntegrateRadial:
             integrate_radial(lambda r: np.cos(1e8 * r), (1.0, 2.0))
         assert math.isfinite(err.value.value)
         assert err.value.estimate > 0.0
+
+    def test_budget_counts_only_split_panels(self):
+        # 33000 segments start on more panels than the budget, yet each needs
+        # a split only at the narrow shell, which is all the budget counts
+        v = parse_pair("mshell:1,1e-5@2 + coulomb:0.3", "coulomb:1").v1_regular
+        edges = RadialGrid.log_uniform(33001, 1e-7, 50.0).nodes
+        values, estimates = integrate_radial(v, edges, v.breakpoints())
+        exact = 1.0 + 0.3 * math.log(50.0 / 1e-7)     # the shell's unit mass plus 0.3/r
+        assert abs(values.sum() - exact) <= estimates.sum() + 1e-14 * exact
 
     def test_breakpoints_catch_narrow_feature(self):
         # a narrow annular bump has unit mass; without the breakpoints the
@@ -260,6 +278,72 @@ class TestVectorIntegrand:
         assert values.shape == estimates.shape == (2,)
         values, estimates = integrate_radial(lambda s: np.exp(-s)[None], [0.0, 1.0, math.inf])
         assert values.shape == estimates.shape == (1, 2)
+
+
+def _sweep_sizes(f, *args):
+    """Radii per sweep of one ``integrate_radial`` call, and its results."""
+    sizes = []
+    return sizes, integrate_radial(lambda r: sizes.append(r.size) or f(r), *args)
+
+
+class TestStartLayout:
+    # a piece between cuts wider than 2 starts on 0.25-wide panels where
+    # |ln r| <= 5; a piece no wider than 2 starts as one panel
+    def test_zero_to_infinity_layout(self):
+        sizes, _ = _sweep_sizes(lambda r: np.exp(-r) * r * r)
+        # per side of r = 1: 20 bulk panels and ceil(133.2 / 2) = 67 beyond ln r = 5
+        assert sizes == [2 * (20 + 67) * 24]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_narrow_segments_one_start_panel_each(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(np.concatenate([[-7.0], rng.uniform(0.05, 2.0, 40)]))
+        edges = np.exp(t[:t.searchsorted(7.0) + 1])     # segments across ln r = -5 to 5
+        t = np.log(edges)
+        bps = np.exp(rng.uniform(t[0], t[-1], 3))
+        cuts = np.unique(np.concatenate([t, [0.0], np.log(bps)]))
+        cuts = cuts[(cuts >= t[0]) & (cuts <= t[-1])]
+        sizes, _ = _sweep_sizes(lambda r: np.exp(-r), edges, bps)
+        assert sizes[0] == (cuts.size - 1) * 24
+
+    def test_inequality_integrals_take_one_sweep(self, monkeypatch):
+        # every (0, inf) integral of a check takes one sweep on the pairs with
+        # no breakpoints; on the mollified pairs, whose shell edges need
+        # splits, it takes at most 4
+        sweeps = []
+
+        def counted(f, *args):
+            sizes, out = _sweep_sizes(f, *args)
+            sweeps[-1].append(len(sizes))
+            return out
+
+        monkeypatch.setattr(channels, "integrate_radial", counted)
+        fields = random_field_gallery(240, seed=0)
+        for pair in standard_pair_gallery():
+            c = math.sqrt(0.5) / max(a_plus(pair), a_minus(pair))
+            coupled = PotentialPair(pair.v1_regular, pair.v1_shells, pair.v2, c1=c, c2=c)
+            sweeps.append([])
+            for field in fields:
+                verify_theorem(pair, field, 0.0)
+                verify_theorem(pair, field, 1.0)
+                verify_corollary(coupled, field, m=1.0)
+        assert [max(s) for s in sweeps] == [1, 1, 1, 4, 4]
+        assert all(len(s) >= 3 * len(fields) for s in sweeps)
+
+    @pytest.mark.parametrize("kind", ["exp", "gauss"])
+    def test_closed_forms_within_estimate(self, kind):
+        # int r^p e^(-a r) = Gamma(p+1) / a^(p+1), int r^p e^(-a r^2) =
+        # Gamma((p+1)/2) / (2 a^((p+1)/2)), decay rates over six decades
+        for p in (-0.5, 0.0, 1.0, 2.5, 4.0, 8.0):
+            for a in np.logspace(-3.0, 3.0, 25):
+                if kind == "exp":
+                    f = lambda r: np.exp(p * np.log(r) - a * r)
+                    exact = math.gamma(p + 1) / a ** (p + 1)
+                else:
+                    f = lambda r: np.exp(p * np.log(r) - a * r * r)
+                    exact = math.gamma((p + 1) / 2) / (2.0 * a ** ((p + 1) / 2))
+                (value,), (estimate,) = integrate_radial(f)
+                assert abs(value - exact) <= min(estimate, 1e-12 * exact)
 
 
 _SCAN = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))

@@ -642,7 +642,9 @@ class TestChannelSamples:
         calls = _count_profile_calls(monkeypatch)
         verify_theorem(pair, field, 0.1)
         verify_corollary(pair, field, m=1.0)
-        assert sizes[0] == 140 * 24     # (0, inf) cut at r = 1, no panel wider than 2
+        # (0, inf) cut at r = 1 and |ln r| = 5: 67 panels no wider than 2 outside
+        # the bulk and 20 of width 0.25 inside it on either side, 24 nodes each
+        assert sizes[0] == 2 * (67 + 20) * 24
         assert calls[sizes[0]] == 2 * len(field.terms)
 
     def test_alternating_fields_not_reused(self, coulomb_pair):

@@ -315,10 +315,12 @@ def sup_over_r(g, slope, candidates=()) -> SupResult:
     goes from + to -, a safeguarded Newton-bisection on p (Brent 1973)
     starts from the samples and evaluates one radius per call until the
     predicted gain p^2 / 2|dp| is below g's round-off; a bracket flat to
-    round-off (Coulomb weights) is not refined.  Both endpoints are probed
-    over many further decades: monotone growth that does not level off
-    raises :class:`UnboundedError`, growth that saturates is reported with
-    a limit tag.
+    round-off is not refined.  An endpoint that the scan rises into (its
+    maximum there, above its inner neighbour) is probed over many further
+    decades: monotone growth that does not level off raises
+    :class:`UnboundedError`, growth that saturates is reported with a limit
+    tag; an exactly flat scan (a Coulomb weight's constant Hardy integrand)
+    costs no probe.
     """
     rs = _SCAN
     cand = np.array([r for r in candidates if r > 0.0], dtype=float)
@@ -356,11 +358,13 @@ def sup_over_r(g, slope, candidates=()) -> SupResult:
                 best, arg = float(val[0]), float(r[0])
             lo, hi = (t, hi) if pt > 0.0 else (lo, t)
 
-    # when the scan maximum sits on an edge, probe 24 further decades:
-    # saturating growth yields a limit tag, persistent growth is unbounded
+    # when the scan rises into an edge (its maximum sits there, above its inner
+    # neighbour), probe 24 further decades: saturating growth yields a limit
+    # tag, persistent growth is unbounded; a flat scan is not probed
     tag = None
-    for edge, direction, label in ((0, -1.0, "r->0"), (rs.size - 1, 1.0, "r->inf")):
-        if i_best != edge:
+    for edge, inner, direction, label in ((0, 1, -1.0, "r->0"),
+                                          (rs.size - 1, rs.size - 2, 1.0, "r->inf")):
+        if i_best != edge or vals[edge] <= vals[inner]:
             continue
         v_prev = vals[edge]
         r = rs[edge]

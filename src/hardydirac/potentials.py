@@ -4,7 +4,9 @@ A potential pair holds a regular radial weight plus optional delta shells in
 the first slot, a regular weight in the second slot, and coupling constants.
 The constants ``A_+``, ``A_-`` are suprema over r of cumulative weighted
 integrals; per-channel constants ``A_k`` generalize them with powers
-``2(k+1)``.
+``2(k+1)``.  Power-law summands (Coulomb ``nu/r``, ``a r^p``) enter those
+integrals in closed form; only tables and mollified shells are integrated
+numerically, over the hull of their breakpoints.
 
 Shell convention: a shell of mass ``a`` at radius ``R`` acts on radial test
 functions as ``a f(R)``, so it contributes ``a (R/r)^2`` for ``r >= R`` to the
@@ -96,7 +98,9 @@ class PotentialComponent:
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Radii where the weight is not smooth."""
+        """Radii where the weight is not smooth.  A weight that has any and is
+        not a power law is 0 outside their hull: the Hardy integrand integrates
+        it only there."""
         return ()
 
     def is_zero(self) -> bool:
@@ -256,6 +260,13 @@ class SumPotential(PotentialComponent):
 
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)
+
+
+def _leaves(weight: PotentialComponent) -> list:
+    """The nonzero summands of a weight, nested sums flattened."""
+    if isinstance(weight, SumPotential):
+        return [leaf for part in weight.parts for leaf in _leaves(part)]
+    return [] if weight.is_zero() else [weight]
 
 
 def combine(components) -> PotentialComponent:
@@ -427,45 +438,64 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     e = 2 and -2 give the forward/backward constants, e = 2(k+1) the
     channel constants and the channel weights g_k/h_k.
 
-    It takes an array of radii.  The first call integrates them as
-    consecutive segments from 0 (to infinity, for the tail) in one
-    ``integrate_radial`` call and keeps the prefix sums as anchors; later
-    calls integrate from the nearest anchor.  So a supremum costs one
-    segmented quadrature over its scan and candidates (shell radii,
-    breakpoints) plus a short segment per Newton step or endpoint probe;
-    ``_hardy_slope`` gives the steps' derivatives from the values.
+    The weight is split into its summands, nested sums flattened.  A power
+    law a s^p adds a r^(p+1) / |p+e+1| in closed form (nu/|e| for a Coulomb
+    term); a power whose moment diverges, p+e+1 <= 0 forward or >= 0 in the
+    tail, raises :class:`UnboundedError` naming that end.  The rest (tables,
+    mollified shells) vanishes outside the hull of its breakpoints, so only
+    there is it integrated, with radii clipped to the hull, and not at all
+    when there is no rest.  It takes an array of radii.  The first call
+    integrates them as consecutive segments from the hull's start (to its
+    end, for the tail) in one ``integrate_radial`` call and keeps the prefix
+    sums as anchors; later calls integrate from the nearest anchor.  So a
+    supremum costs one segmented quadrature over its scan and candidates
+    (shell radii, breakpoints) inside the hull plus a short segment per
+    Newton step or endpoint probe; ``_hardy_slope`` gives the steps'
+    derivatives from the values.
     """
-    bps = regular.breakpoints()
-    zero = regular.is_zero()
     forward = exponent > 0
-    anchor_r = np.array([0.0 if forward else math.inf])
+    sign = 1.0 if forward else -1.0
+    leaves = _leaves(regular)
+    power_law = (CoulombPotential, PowerPotential)
+    powers = [(leaf.nu, -1.0) if isinstance(leaf, CoulombPotential) else (leaf.a, leaf.p)
+              for leaf in leaves if isinstance(leaf, power_law)]
+    if any(sign * (p + exponent + 1.0) <= 0.0 for _, p in powers):
+        raise UnboundedError(f"supremum grows without bound toward {'r->0' if forward else 'r->inf'}")
+    rest = combine([leaf for leaf in leaves if not isinstance(leaf, power_law)])
+    zero = rest.is_zero()
+    bps = rest.breakpoints()
+    lo, hi = (min(bps), max(bps)) if bps else (0.0, math.inf)
+    anchor_r = np.array([lo if forward else hi])
     anchor_int = np.zeros(1)
 
     def weighted(s):
-        return regular(s) * s ** exponent
+        return rest(s) * s ** exponent
 
     def cumulative(r: np.ndarray) -> np.ndarray:
         nonlocal anchor_r, anchor_int
+        r = np.minimum(np.maximum(r, lo), hi)
         q = np.sort(r, axis=None)
-        if not (0.0 < q[0] and q[-1] < math.inf):
-            raise ValueError("radii must be positive and finite")
         if forward:
-            i = anchor_r.searchsorted(q[0]) - 1
+            i = anchor_r.searchsorted(q[0], side="right") - 1
             parts, _ = integrate_radial(weighted, np.concatenate([anchor_r[i:i + 1], q]), bps)
             acc = anchor_int[i] + parts.cumsum()
             if anchor_r.size == 1:
-                anchor_r, anchor_int = np.append(0.0, q), np.append(0.0, acc)
+                anchor_r, anchor_int = np.append(lo, q), np.append(0.0, acc)
         else:
-            i = anchor_r.searchsorted(q[-1], side="right")
+            i = anchor_r.searchsorted(q[-1])
             parts, _ = integrate_radial(weighted, np.concatenate([q, anchor_r[i:i + 1]]), bps)
             acc = anchor_int[i] + parts[::-1].cumsum()[::-1]
             if anchor_r.size == 1:
-                anchor_r, anchor_int = np.append(q, math.inf), np.append(acc, 0.0)
+                anchor_r, anchor_int = np.append(q, hi), np.append(acc, 0.0)
         return acc[q.searchsorted(r)]
 
     def integrand(r):
         r = np.asarray(r, dtype=float)
+        if not (0.0 < r.min() and r.max() < math.inf):
+            raise ValueError("radii must be positive and finite")
         total = np.zeros_like(r) if zero else cumulative(r) / r ** exponent
+        for a, p in powers:
+            total = total + a * r ** (p + 1.0) / abs(p + exponent + 1.0)
         for shell in shells:
             side = r >= shell.R if forward else r <= shell.R
             total = total + np.where(side, shell.a * (shell.R / r) ** exponent, 0.0)

@@ -199,6 +199,12 @@ class TestVerifyCommand:
      "gamma = 0 requires V2 > 0"),
     ("extremize --v1 shell:1@2000 --v2 coulomb:1 --gamma 0.5", "ValueError",
      "radius R=2000 lies outside the element grid [1e-12, 1000]"),
+    ("constants --v1 power:1,-4 --v2 zero", "NotInClassAError",
+     "not in class A: supremum grows without bound toward r->0"),
+    ("constants --v1 power:1,0 --v2 zero", "NotInClassAError",
+     "not in class A: supremum grows without bound toward r->inf"),
+    ("constants --v1 power:1,-0.5 --v2 zero", "NotInClassAError",
+     "not in class A: supremum grows without bound toward r->inf"),
 ], ids=["gamma-negative", "gamma-nan", "extremize-gamma", "mshell-R-nan", "shell-R-nan",
         "experiment-R-0", "experiment-R-negative", "constants-c2-nan", "verify-c1-nan",
         "experiment-c1-nan", "experiment-eps-nan", "coulomb-nan", "power-p-nan",
@@ -208,7 +214,8 @@ class TestVerifyCommand:
         "extremize-gamma-inf", "experiment-R-inf", "experiment-eps-inf", "experiment-R-1e308",
         "experiment-m-inf", "experiment-m-nan", "experiment-c1-0-m-inf", "verify-m-inf",
         "verify-m-nan", "verify-m-inf-lambda", "extremize-v2-zero", "extremize-v2-mshell",
-        "extremize-shell-off-grid"])
+        "extremize-shell-off-grid", "power-moment-diverges", "power-grows-outward",
+        "power-root-grows-outward"])
 def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     # each of these once exited 0 (the empty requests, --c2 inf, which gave levels
     # of a form with no gradient weight, and the infinite gamma, R and eps, which
@@ -216,8 +223,9 @@ def test_invalid_input_exits_2_naming_it(capsys, argv, error_type, needle):
     # (an infinite or NaN mass as "lambda must lie in (-m, m)", gamma = 0 with a V2
     # that vanishes as a non-finite integrand after RuntimeWarnings), or (the two
     # file errors and R = 1e308, an OverflowError) ended in a traceback with exit 1;
-    # the last row pins a refusal that held already, of a delta shell beyond
-    # extremize's element grid
+    # the last four rows pin refusals that held already, of a delta shell beyond
+    # extremize's element grid and of power weights, whose Hardy integrand grows
+    # without bound toward the end they name (r^-4 has no moment at r -> 0)
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
     error = json.loads(out)["error"]

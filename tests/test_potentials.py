@@ -14,6 +14,7 @@ from hardydirac.potentials import (
     PotentialParseError,
     PowerPotential,
     ShellMeasure,
+    SumPotential,
     TablePotential,
     ZeroPotential,
     a_k,
@@ -28,6 +29,7 @@ from hardydirac.potentials import (
 )
 from hardydirac import potentials
 from hardydirac.numerics import QuadratureError, integrate_radial
+from reference_hardy import reference_a_k, reference_tilde
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -217,6 +219,119 @@ class TestGalleryPins:
         pair = scale_pair(pair_gallery[3], alpha)
         for k in (-4, -3, -2, 0, 1, 2, 3):
             assert a_k(pair, k) == pytest.approx(_GALLERY_LITERALS[3][k], rel=1e-14, abs=0.0)
+
+
+_TABLE = TablePotential((0.5, 0.8, 1.3, 2.0, 3.1), (0.2, 1.1, 0.7, 0.9, 0.1))
+
+# pairs beyond the gallery that mix closed-form and quadrature summands
+_SPLIT_PAIRS = {
+    "coulomb+table": PotentialPair(v1_regular=SumPotential((CoulombPotential(0.3), _TABLE)),
+                                   v2=CoulombPotential(0.5)),
+    # sums inside sums, a Coulomb term written as a power and a zero summand
+    "nested": PotentialPair(
+        v1_regular=SumPotential((SumPotential((CoulombPotential(0.3), MollifiedShell(1.0, 0.3, 1.0))),
+                                 PowerPotential(0.2, -1.0))),
+        v1_shells=(ShellMeasure(R=1.7, a=0.4),),
+        v2=SumPotential((_TABLE, SumPotential((CoulombPotential(0.6), ZeroPotential()))))),
+    # a bump reaching past r = 0: the hull starts at 0, so the forward anchor is 0
+    "mshell-past-origin": PotentialPair(v1_regular=MollifiedShell(0.7, 1.2, 1.0),
+                                        v2=CoulombPotential(0.4)),
+}
+_CHANNELS = (-4, -3, -2, 0, 1, 2, 3)
+
+
+def _assert_matches_quadrature(pair):
+    for k in _CHANNELS:
+        assert a_k(pair, k) == pytest.approx(reference_a_k(pair, k), rel=1e-12, abs=0.0)
+    assert a_plus(pair) == pytest.approx(reference_a_k(pair, 0), rel=1e-12, abs=0.0)
+    assert a_minus(pair) == pytest.approx(reference_a_k(pair, -2), rel=1e-12, abs=0.0)
+    assert tilde_constants(pair) == pytest.approx(reference_tilde(pair), rel=1e-12, abs=0.0)
+
+
+class TestClosedFormPowers:
+    """Power-law summands in closed form, the rest integrated on its breakpoints'
+    hull, against the integrand that integrates the whole weight (Aim 3)."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_gallery_matches_all_quadrature(self, pair_gallery, index):
+        _assert_matches_quadrature(pair_gallery[index])
+
+    @pytest.mark.parametrize("name", list(_SPLIT_PAIRS))
+    def test_split_pair_matches_all_quadrature(self, name):
+        _assert_matches_quadrature(_SPLIT_PAIRS[name])
+
+    @pytest.mark.parametrize("nu1, nu2", [(1.0, 1.0), (0.5, 2.0), (0.3, 1.7), (1.9, 0.21)])
+    def test_coulomb_pair_is_exact(self, nu1, nu2):
+        # (nu1 + nu2) / (2 |k + 1|) to 2 ulps, with no quadrature at all
+        pair = PotentialPair(v1_regular=CoulombPotential(nu1), v2=CoulombPotential(nu2))
+        for k in _CHANNELS:
+            exact = (nu1 + nu2) / (2.0 * abs(k + 1))
+            assert abs(a_k(pair, k) - exact) <= 2.0 * math.ulp(exact)
+        for value in tilde_constants(pair):
+            assert abs(value - (nu1 + nu2) / 2.0) <= 2.0 * math.ulp((nu1 + nu2) / 2.0)
+
+    @pytest.mark.parametrize("e", [-6, -2, 2, 8])
+    def test_power_and_shell_take_no_quadrature(self, monkeypatch, e):
+        def fail(*args, **kwargs):
+            raise AssertionError("integrate_radial called")
+
+        monkeypatch.setattr(potentials, "integrate_radial", fail)
+        weight = SumPotential((CoulombPotential(0.7), PowerPotential(0.2, -1.0)))
+        res = potentials._sup_of_weight(weight, (ShellMeasure(R=1.7, a=0.9),), e)
+        assert res.value == pytest.approx(0.9 + 0.9 / abs(e), rel=1e-15)
+
+    @pytest.mark.parametrize("e", [-6, -2, 2, 8])
+    def test_quadrature_stays_on_the_hull(self, monkeypatch, e):
+        edges = []
+
+        def recording(f, segments, breakpoints=()):
+            edges.append(np.asarray(segments))
+            return integrate_radial(f, segments, breakpoints)
+
+        monkeypatch.setattr(potentials, "integrate_radial", recording)
+        potentials._sup_of_weight(_SPLIT_PAIRS["nested"].v2, (), e)
+        assert edges and all(0.5 <= seg.min() and seg.max() <= 3.1 for seg in edges)
+
+    @pytest.mark.parametrize("p", [-4.0, -3.0, -2.5, -1.5, -0.5, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("e", [-6, -2, 2, 8])
+    def test_power_weight_names_the_growing_end(self, p, e):
+        # r^p, p != -1, grows toward r -> 0 if p < -1 and toward infinity
+        # otherwise, whether its moment diverges there or its closed form
+        # grows; the all-quadrature integrand named the same end wherever
+        # its quadrature held (r^2 with e = 8 overflowed it)
+        end = "r->0" if p < -1.0 else "r->inf"
+        for weight in (PowerPotential(1.0, p), SumPotential((_TABLE, PowerPotential(1.0, p)))):
+            with pytest.raises(NotInClassAError,
+                               match=f"^not in class A: supremum grows without bound toward {end}$"):
+                potentials._sup_of_weight(weight, (), e)
+
+
+class TestBreakpointHull:
+    """Every weight that is not a power law vanishes outside the hull of its
+    breakpoints, which is all that the Hardy integrand integrates."""
+
+    WEIGHTS = {
+        "table": _TABLE,
+        "mshell": MollifiedShell(0.7, 0.4, 1.5),
+        "mshell-narrow": MollifiedShell(2.0, 1e-3, 30.0),
+        "mshell-past-origin": MollifiedShell(0.7, 1.2, 1.0),
+        "sum": SumPotential((_TABLE, MollifiedShell(1.0, 0.3, 5.0))),
+        "nested": SumPotential((SumPotential((MollifiedShell(1.0, 0.3, 0.2), _TABLE)),
+                                TablePotential((7.0, 8.0), (1.0, 2.0)))),
+    }
+
+    @pytest.mark.parametrize("name", list(WEIGHTS))
+    def test_zero_outside_hull(self, name):
+        weight = self.WEIGHTS[name]
+        lo, hi = min(weight.breakpoints()), max(weight.breakpoints())
+        t = np.linspace(0.0, 1.0, 200)[1:]
+        outside = np.concatenate([lo * (1.0 - t), hi * (1.0 + 1e3 * t ** 3),
+                                  [np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)]])
+        outside = outside[outside > 0.0]
+        assert np.all(weight(outside) == 0.0)
+        assert np.all(weight.derivative(outside) == 0.0)
+        inside = np.linspace(lo, hi, 101)[1:-1]
+        assert np.any(weight(inside) != 0.0)
 
 
 class TestTildeConstants:

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import Channel, GridProfile
+from .channels import Channel, ClosedFormProfile, GridProfile
 from .numerics import RadialGrid, _adaptive, ldl_inertia, spd_factor, spd_solve
 from .potentials import PotentialPair, a_k, a_minus, a_plus
 from .verify import _check_gamma, _check_mass, _v2_state, select_lambda
@@ -246,14 +246,6 @@ class GapEigenvalue:
 # weak solve
 # ---------------------------------------------------------------------------
 
-def _sampled(profile, r: np.ndarray, t: np.ndarray, slope: bool = True):
-    """Real values and (None unless ``slope``) r-derivative of a closed-form
-    profile (None is zero) at the radii r with logs t."""
-    if profile is None:
-        return np.zeros_like(r), np.zeros_like(r) if slope else None
-    return profile._real_with_slope(r, t, slope)
-
-
 def _strong_form(form: _FactoredForm, k: int, x: np.ndarray,
                  F2q: np.ndarray, F2dq: np.ndarray):
     """Strong form of (H_V + lam) on the discrete upper component of dofs
@@ -368,13 +360,14 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     still sample w1 and w2 at 7 points per element, and the strong form has no
     delta shell's jump, so a shell problem's ``residual_upper`` is of order one.
     """
+    F1, F2 = (ClosedFormProfile(()) if F is None else F for F in (F1, F2))
     for name, F in (("F1", F1), ("F2", F2)):
-        if F is not None and any(term.coef.imag for term in F.terms):
+        if any(term.coef.imag for term in F.terms):
             raise ValueError(f"{name} has a complex coefficient; weak_solve takes real data only")
     form = problem._factored
     k = problem.channel.k
-    F1q, _ = _sampled(F1, form.rq, form.tq, slope=False)
-    F2q, F2dq = _sampled(F2, form.rq, form.tq)
+    F1q, _ = F1._real_with_slope(form.rq, form.tq, slope=False)
+    F2q, F2dq = F2._real_with_slope(form.rq, form.tq)
     b = form.load(F1q, F2q)
     x = spd_solve(form.factor, b)
     coefs = x.T.ravel()
@@ -392,7 +385,7 @@ def weak_solve(problem: DiracChannelProblem, F1=None, F2=None) -> WeakSolveResul
     h_norm = math.sqrt(max(float(np.vdot(x, b)), 0.0))     # x . A x, as A x = b
     grid = problem.grid
     nodes = grid.nodes
-    F2n, _ = _sampled(F2, nodes, form.t_nodes, slope=False)
+    F2n, _ = F2._real_with_slope(nodes, form.t_nodes, slope=False)
     g_nodes = -(F2n + x[1] / nodes - k * x[0] / nodes) / form.den_nodes
     return WeakSolveResult(phi=GridProfile(grid, x[0].copy()),
                            chi=GridProfile(grid, g_nodes),

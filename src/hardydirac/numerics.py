@@ -188,9 +188,11 @@ def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarr
     least as tightly as one integral over it.
 
     ``f`` may return m integrands, (m, n) for n radii; the results are then
-    (m, segments).  Each runs this rule on the panels it has not accepted,
-    a panel being split until all accept it, so each value and estimate is
-    bit for bit that of its own call, whatever it is batched with.
+    (m, segments).  The integrands share their panels: each tests every open
+    panel against its own segment totals and round-off level, a panel is
+    split until all accept it and then counts for all, so each is held at
+    least as tightly as in its own call, on panels as fine as the most
+    demanding of them needs.
     """
     return _adaptive(f, edges, breakpoints)
 
@@ -243,20 +245,17 @@ def _adaptive(f, edges, breakpoints, rule=None):
             r_bad = r[np.argmax(~np.isfinite(vals.reshape(-1, r.size)).all(axis=0))]
             raise ValueError(f"integrand returned a non-finite value at r={r_bad:g}")
         vals = vals.reshape(vals.shape[:-1] + (mid.size, _NODES.size))
-        if vals.ndim == 2:
-            rules, weighed, bins = vals @ _RULES, np.abs(vals) @ _RULES[:, 0], seg
-        else:   # each integrand sums only its own open panels, as in its own call
+        bins = seg
+        if vals.ndim > 2:   # m integrands: a row of segment totals each
+            bins = (seg + (t.size - 1) * np.arange(len(vals))[:, None]).ravel()
             if not added:
                 done, err = np.zeros((2, len(vals), t.size - 1))
-                live = np.ones(vals.shape[:2], dtype=bool)
-            bins = (seg + (t.size - 1) * np.arange(len(vals))[:, None]).ravel()
-            rules = _masked_dot(vals, _RULES, live)
-            weighed = _masked_dot(np.abs(vals), _RULES[:, 0], live)
+        rules = vals @ _RULES
         g16, diff = half * rules[..., 0], half * rules[..., 1]
         # the nodes exp(t) carry a relative error of about eps |t|, so the
         # round-off floor grows with |t|; it is part of the reported error
         scale = _ROUNDOFF * (1.0 + np.abs(mid))
-        floor = scale * half * weighed
+        floor = scale * half * (np.abs(vals) @ _RULES[:, 0])
         est = np.maximum(np.abs(diff), floor)
         total = done + np.bincount(bins, g16.ravel(), done.size).reshape(done.shape)
         ok = est <= np.maximum(np.abs(total)[..., seg] * half * tol, floor)
@@ -265,41 +264,26 @@ def _adaptive(f, edges, breakpoints, rule=None):
             # steep flank outgrows the floor above, so split panels that fail
             # again add it (failing start panels are split in any case)
             bad = ~ok
-            floor[bad] += scale[bad.nonzero()[-1]] * (
-                np.abs(vals[bad, :16] @ _DIFF.T) @ _W16 if vals.ndim == 2 else
-                _masked_dot(np.abs(_masked_dot(vals[..., :16], _DIFF.T, bad)), _W16, bad)[bad])
+            floor[bad] += scale[bad.nonzero()[-1]] * (np.abs(vals[bad, :16] @ _DIFF.T) @ _W16)
             est = np.maximum(np.abs(diff), floor)
             ok |= est <= floor
+        # a panel counts, for every integrand, once every integrand accepts it
+        kept = ok.all(axis=0) if ok.ndim > 1 else ok
         if rule is not None:
-            kept = ok.all(axis=0) if ok.ndim > 1 else ok
             rule.append((seg[kept], r.reshape(mid.size, -1)[kept, :16], half[kept, None] * _W16))
-        done += np.bincount(bins, (g16 * ok).ravel(), done.size).reshape(done.shape)
-        err += np.bincount(bins, (est * ok).ravel(), done.size).reshape(done.shape)
-        if ok.all():
+        done += np.bincount(bins, (g16 * kept).ravel(), done.size).reshape(done.shape)
+        err += np.bincount(bins, (est * kept).ravel(), done.size).reshape(done.shape)
+        if kept.all():
             return done, err
-        split = ~(ok.all(axis=0) if ok.ndim > 1 else ok)
+        split = ~kept
         mid, half, seg = mid[split], 0.25 * half[split], seg[split]
-        live = np.tile(~ok[:, split], 4) if ok.ndim > 1 else None
         added += 3 * mid.size
         if added > _MAX_PANELS:
-            value, estimate = total.sum(axis=-1), err.sum(axis=-1) + (est * ~ok).sum(axis=-1)
+            value, estimate = total.sum(axis=-1), err.sum(axis=-1) + (est * split).sum(axis=-1)
             raise QuadratureError(f"quadrature did not converge in {_MAX_PANELS} split panels (value="
                                   f"{value}, est={estimate})", value, estimate)
         mid = np.concatenate([mid - 3.0 * half, mid - half, mid + half, mid + 3.0 * half])
         half, seg = np.concatenate([half] * 4), np.concatenate([seg] * 4)
-
-
-def _masked_dot(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``a @ b`` where ``mask`` (integrands, panels) holds, else 0: per integrand
-    one product of its own rows, which BLAS rounds as in that integrand's call;
-    integrands that accepted every panel are skipped."""
-    if mask.all() and a.flags.c_contiguous:
-        return a @ b    # BLAS takes a stack one matrix at a time
-    out = np.zeros(mask.shape + b.shape[1:])
-    for j, (on, live) in enumerate(zip(mask, mask.any(axis=1).tolist())):
-        if live:
-            out[j, on] = a[j, on] @ b
-    return out
 
 
 def sup_over_r(g, slope, candidates=()) -> SupResult:

@@ -68,6 +68,10 @@ class PotentialParseError(ValueError):
 
 # int_{-1}^{1} _raw_bump(u) du (integrate_radial of _raw_bump(r - 2) on [1, 3])
 _BUMP_NORM = 0.4439938161680794
+# exp(-1/(1 - u^2)) is subnormal where 1 - u^2 < 1/708.4; a subnormal value has
+# no relative precision, and a tail Hardy integrand's s^e amplifies it past
+# every relative test, so the bump is 0 from 1 - u^2 = 1/708 outward
+_BUMP_EDGE = math.sqrt(1.0 - 1.0 / 708.0)
 
 
 def bump(u) -> np.ndarray:
@@ -78,9 +82,8 @@ def bump(u) -> np.ndarray:
 def _raw_bump(u):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    inside = np.abs(u) < _BUMP_EDGE
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
     return out
 
 
@@ -220,7 +223,7 @@ class MollifiedShell(PotentialComponent):
 
     def derivative(self, r):
         u = (np.asarray(r, dtype=float) - self.R) / self.eps
-        w = np.maximum(1.0 - u * u, 1e-3)   # the bump is 0 where w < 1/745: no 0 * inf
+        w = np.maximum(1.0 - u * u, 1e-3)   # the bump is 0 where w < 1/708: no 0 * inf
         return self(r) * (-2.0 * u / (w * w * self.eps))
 
     def scaled(self, alpha):

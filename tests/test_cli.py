@@ -264,6 +264,19 @@ class TestIdempotence:
                 "--out", str(target))
         assert target.read_bytes() == first
 
+    def test_out_directory_exits_2_leaving_no_temporary(self, capsys, tmp_path):
+        # the report is written to a temporary file beside the target and moved
+        # over it; a target that is a directory refuses the move, and the
+        # temporary file is removed
+        target = tmp_path / "reports"
+        target.mkdir()
+        code, out = run_cli(capsys, "constants", "--v1", "coulomb:1", "--v2",
+                            "coulomb:1", "--out", str(target))
+        assert code == 2
+        assert json.loads(out)["error"]["exit_code"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+        assert not any(target.iterdir())
+
 
 class TestTabularCommands:
     def test_channel_constants_csv(self, capsys):
@@ -292,6 +305,24 @@ class TestTabularCommands:
         assert calls == [-3, -2, 0, 1, 2]
         assert [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == [
             pytest.approx(1.0 / abs(k + 1), rel=1e-9) for k in calls]
+
+    def test_bump_from_the_origin_has_tail_constants(self, capsys):
+        # eps = R puts subnormal bump values next to r = 0; the tail channels
+        # once failed to converge on them (exit 1)
+        code, out = run_cli(capsys, "channel-constants", "--v1", "mshell:0.7,1@1",
+                            "--v2", "zero", "--kmin", "-4", "--kmax", "-3")
+        assert code == 0
+        assert json.loads(out)["result"]["per_channel"] == {
+            "-4": pytest.approx(0.10209858450436027, rel=1e-12),
+            "-3": pytest.approx(0.1411171248488158, rel=1e-12)}
+
+    def test_verify_has_no_csv_form(self, capsys):
+        code, out = run_cli(capsys, "verify", "--v1", "coulomb:1", "--v2", "coulomb:1",
+                            "--field", "k=0:exp:0,1", "--gamma", "0.1", "--format", "csv")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "command 'verify' has no CSV form"
 
     def test_spectrum_csv_columns(self, capsys):
         code, out = run_cli(capsys, "spectrum", "--v1", "coulomb:1", "--v2",

@@ -13,6 +13,7 @@ from hardydirac.numerics import (
     NotPositiveDefiniteError,
     RadialGrid,
     UnboundedError,
+    _adaptive,
     _eliminate_evens,
     _equilibrate,
     integrate_radial,
@@ -252,20 +253,22 @@ class TestVectorIntegrand:
             assert np.all(np.abs(values[:, 0] - exact) <= estimates[:, 0])
             assert np.all(estimates[:, 0] <= 1e-9 * exact)
 
-    def test_value_independent_of_batch(self):
-        # a component runs the rule on its own open panels, whatever it is
-        # batched with, so it reads bit for bit as its own call (the steep
-        # mollified shell takes the floor's derivative term)
+    def test_rows_share_their_accepted_panels(self):
+        # a panel is split until every row accepts it and then counts for
+        # every row, so each row reads as the composite rule of the recorded
+        # panels, as fine as the steep mollified shell needs
         shell = parse_pair("mshell:0.5,0.5@2", "coulomb:1").v1_regular
-        fs = [lambda s: np.exp(-s) * s * s, lambda s: np.exp(-0.1 * s * s) * s ** 3,
-              lambda s: s / (1.0 + s) ** 4, lambda s: shell(s) * s ** 4]
+        fs = [lambda s: np.exp(-s) * s * s, lambda s: shell(s) * s ** 4]
         edges, bps = [0.0, 1.0, math.inf], shell.breakpoints()
-        together = integrate_radial(lambda s: np.array([f(s) for f in fs]), edges, bps)
-        for f, value, estimate in zip(fs, *together):
-            alone = integrate_radial(lambda s: f(s)[None], edges, bps)
-            assert [x.tolist() for x in alone] == [[value.tolist()], [estimate.tolist()]]
-            assert [x.tolist() for x in integrate_radial(f, edges, bps)] == [
-                value.tolist(), estimate.tolist()]
+        panels = []
+        values, estimates = _adaptive(lambda s: np.array([f(s) for f in fs]), edges, bps, panels)
+        assert len(panels) > 1      # the shell row needed splits
+        seg, r, w = (np.concatenate(part) for part in zip(*panels))
+        for f, value in zip(fs, values):
+            composite = np.bincount(seg, (w * f(r) * r).sum(axis=1), len(edges) - 1)
+            np.testing.assert_allclose(value, composite, rtol=1e-14, atol=0.0)
+        smooth, smooth_estimate = integrate_radial(fs[0], edges, bps)
+        assert np.all(np.abs(values[0] - smooth) <= estimates[0] + smooth_estimate)
 
     def test_nonfinite_component_rejected(self):
         f = lambda s: np.array([np.exp(-s), np.where(s > 3.0, np.nan, s)])

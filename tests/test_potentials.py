@@ -236,6 +236,10 @@ _SPLIT_PAIRS = {
     # a bump reaching past r = 0: the hull starts at 0, so the forward anchor is 0
     "mshell-past-origin": PotentialPair(v1_regular=MollifiedShell(0.7, 1.2, 1.0),
                                         v2=CoulombPotential(0.4)),
+    # eps = R: the bump's values next to r = 0 are subnormal, which the tail
+    # constants' s^-6 amplified past every relative test before they read as 0
+    "mshell-from-origin": PotentialPair(v1_regular=MollifiedShell(0.7, 1.0, 1.0),
+                                        v2=ZeroPotential()),
 }
 _CHANNELS = (-4, -3, -2, 0, 1, 2, 3)
 
@@ -400,6 +404,19 @@ class TestScaling:
 
 
 class TestTablePotential:
+    @pytest.mark.parametrize("alpha", [0.3, 7.0])
+    def test_scaled_pair_keeps_its_constants(self, alpha):
+        # alpha V(alpha r) takes the samples to r / alpha and the values to alpha v
+        pair = PotentialPair(v1_regular=_TABLE, v2=SumPotential((
+            CoulombPotential(0.5), TablePotential((0.5, 1.0, 2.0, 4.0), (2.0, 1.0, 0.5, 0.25)))))
+        scaled = scale_pair(pair, alpha)
+        rs = np.linspace(0.1, 5.0, 60)
+        np.testing.assert_allclose(scaled.v1_regular(rs), alpha * _TABLE(alpha * rs), rtol=1e-14)
+        assert a_plus(scaled) == pytest.approx(a_plus(pair), rel=1e-14, abs=0.0)
+        assert a_minus(scaled) == pytest.approx(a_minus(pair), rel=1e-14, abs=0.0)
+        for k in _CHANNELS:
+            assert a_k(scaled, k) == pytest.approx(a_k(pair, k), rel=1e-14, abs=0.0)
+
     def test_csv_round_trip_and_eval(self, tmp_path):
         path = tmp_path / "weight.csv"
         path.write_text("0.5,2.0\n1.0,1.0\n2.0,0.5\n4.0,0.25\n")

@@ -55,7 +55,7 @@ import numpy as np
 from .channels import Channel, ClosedFormProfile, GridProfile
 from .numerics import RadialGrid, _adaptive, ldl_inertia, spd_factor, spd_solve
 from .potentials import PotentialPair, a_k, a_minus, a_plus
-from .verify import _check_gamma, _check_mass, _v2_state, select_lambda
+from .verify import _check_gamma, _resolve_lambda, _v2_state
 
 __all__ = [
     "DiracChannelProblem",
@@ -168,16 +168,7 @@ class DiracChannelProblem:
     grid: RadialGrid = field(default_factory=lambda: RadialGrid.log_uniform(1500, 1e-7, 50.0))
 
     def __post_init__(self):
-        _check_mass(self.m)
-        lam = self.lam
-        if lam is None:
-            if self.pair.c1 > 0 and self.pair.c2 > 0:
-                lam = select_lambda(self.pair.c1, self.pair.c2, self.m)
-            else:
-                lam = 0.0
-            object.__setattr__(self, "lam", lam)
-        if not (-self.m < self.lam < self.m):
-            raise ValueError("lambda must lie in (-m, m)")
+        object.__setattr__(self, "lam", _resolve_lambda(self.pair.c1, self.pair.c2, self.m, self.lam))
 
     @property
     def regime(self) -> str:

@@ -22,7 +22,8 @@ wider than 2 in log r starts on 0.25-wide panels where |log r| <= 5, which a
 smooth field density passes in one sweep.  A supremum is a log-uniform scan
 merged with its jump candidates in one call; its best interior peak, unless
 flat to round-off, is refined by Newton-bisection on the stationarity
-condition, one radius per call.
+condition, one radius per call; a best sample at either end that g still
+rises out of is growth past the scan and raises.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ _MAX_PANELS = 1 << 15       # panels that splitting may add to the start panels
 # an estimate at this multiple of the panel's round-off level cannot shrink
 # by splitting (integrals that cancel to zero)
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 _ZERO = np.zeros(1)
 
 # supremum scan
 _SCAN = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 433))
-_GROWTH_TOL = 1e-8
+_GROWTH_TOL = 1e-8         # |dg/dt| / |g| out of an end sample that is growth
 # bisection alone takes a 0.064-wide bracket in log r to adjacent floats in < 50
 _NEWTON_STEPS, _EPS = 64, float(np.finfo(float).eps)
 
@@ -155,15 +157,11 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SupResult:
-    """Result of a supremum search over r > 0.
-
-    ``argmax`` is the maximizing radius; ``tag`` is set to ``"r->0"`` or
-    ``"r->inf"`` when the supremum is only approached at an endpoint.
-    """
+    """Result of a supremum search over r > 0: the value and the radius of
+    the best sample (``argmax``)."""
 
     value: float
     argmax: float
-    tag: str | None = None
 
 
 def integrate_radial(f, edges=(0.0, math.inf), breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +251,10 @@ def _adaptive(f, edges, breakpoints, rule=None):
         rules = vals @ _RULES
         g16, diff = half * rules[..., 0], half * rules[..., 1]
         # the nodes exp(t) carry a relative error of about eps |t|, so the
-        # round-off floor grows with |t|; it is part of the reported error
+        # round-off floor grows with |t|; it is part of the reported error, and
+        # values near the subnormal range are only good to about tiny
         scale = _ROUNDOFF * (1.0 + np.abs(mid))
-        floor = scale * half * (np.abs(vals) @ _RULES[:, 0])
+        floor = scale * half * (np.abs(vals) @ _RULES[:, 0]) + _TINY * half
         est = np.maximum(np.abs(diff), floor)
         total = done + np.bincount(bins, g16.ravel(), done.size).reshape(done.shape)
         ok = est <= np.maximum(np.abs(total)[..., seg] * half * tol, floor)
@@ -299,27 +298,25 @@ def sup_over_r(g, slope, candidates=()) -> SupResult:
     goes from + to -, a safeguarded Newton-bisection on p (Brent 1973)
     starts from the samples and evaluates one radius per call until the
     predicted gain p^2 / 2|dp| is below g's round-off; a bracket flat to
-    round-off is not refined.  An endpoint that the scan rises into (its
-    maximum there, above its inner neighbour) is probed over many further
-    decades: monotone growth that does not level off raises
-    :class:`UnboundedError`, growth that saturates is reported with a limit
-    tag; an exactly flat scan (a Coulomb weight's constant Hardy integrand)
-    costs no probe.
+    round-off is not refined.  Nothing is sampled past the first and last
+    radius: when the best sample is one of them and g still rises out of it,
+    p pointing outward by more than ``_GROWTH_TOL`` times |g|,
+    :class:`UnboundedError` names that end, so growth is not clipped there.
     """
     rs = _SCAN
     cand = np.array([r for r in candidates if r > 0.0], dtype=float)
     x = np.sort(np.concatenate([rs, np.nextafter(cand, 0.0), cand, np.nextafter(cand, math.inf)])
                 ) if cand.size else rs
     v = _checked_eval(g, x)
-    vals = v[x.searchsorted(rs)] if cand.size else v
-    i_best = int(np.argmax(vals))
-    i = int(np.argmax(v))
+    i, n = int(np.argmax(v)), x.size
     best, arg = float(v[i]), float(x[i])
 
     # g is smooth between neighbours that are not candidates; the nearest such
     # pair on either side of the best sample lies within three places of it
     x, v = x[max(i - 3, 0):i + 4], v[max(i - 3, 0):i + 4]
     p, dp = slope(x, v)
+    if i in (0, n - 1) and (p[-1] if i else -p[0]) > _GROWTH_TOL * abs(best):
+        raise UnboundedError(f"supremum grows without bound toward {'r->inf' if i else 'r->0'}")
     smooth = (x[:, None] != cand).all(axis=1)
     up = (p[:-1] > 0.0) & (p[1:] < 0.0) & smooth[:-1] & smooth[1:]
     if up.any():
@@ -341,35 +338,7 @@ def sup_over_r(g, slope, candidates=()) -> SupResult:
             if val[0] > best:
                 best, arg = float(val[0]), float(r[0])
             lo, hi = (t, hi) if pt > 0.0 else (lo, t)
-
-    # when the scan rises into an edge (its maximum sits there, above its inner
-    # neighbour), probe 24 further decades: saturating growth yields a limit
-    # tag, persistent growth is unbounded; a flat scan is not probed
-    tag = None
-    for edge, inner, direction, label in ((0, 1, -1.0, "r->0"),
-                                          (rs.size - 1, rs.size - 2, 1.0, "r->inf")):
-        if i_best != edge or vals[edge] <= vals[inner]:
-            continue
-        v_prev = vals[edge]
-        r = rs[edge]
-        grew = False
-        still_growing = True
-        for _ in range(24):
-            r = r * (10.0 ** direction)
-            v = float(_checked_eval(g, np.array([r]))[0])
-            if v > v_prev * (1.0 + _GROWTH_TOL) or (v_prev <= 0.0 and v > 0.0):
-                grew = True
-                v_prev = v
-                if v > best:
-                    best, arg = v, r
-            else:
-                still_growing = False
-                break
-        if grew and still_growing:
-            raise UnboundedError(f"supremum grows without bound toward {label}")
-        if grew:
-            tag = label
-    return SupResult(best, arg, tag)
+    return SupResult(best, arg)
 
 
 def _checked_eval(g, r: np.ndarray) -> np.ndarray:

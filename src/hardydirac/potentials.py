@@ -442,9 +442,10 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     channel constants and the channel weights g_k/h_k.
 
     The weight is split into its summands, nested sums flattened.  A power
-    law a s^p adds a r^(p+1) / |p+e+1| in closed form (nu/|e| for a Coulomb
-    term); a power whose moment diverges, p+e+1 <= 0 forward or >= 0 in the
-    tail, raises :class:`UnboundedError` naming that end.  The rest (tables,
+    law a s^p with p = -1 (a Coulomb term nu/s) adds a/|e| in closed form;
+    any other power makes the integrand grow like r^(p+1), or its moment
+    diverge, toward r -> 0 if p < -1 and toward infinity otherwise, and
+    raises :class:`UnboundedError` naming that end.  The rest (tables,
     mollified shells) vanishes outside the hull of its breakpoints, so only
     there is it integrated, with radii clipped to the hull, and not at all
     when there is no rest.  It takes an array of radii.  The first call
@@ -453,17 +454,16 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
     sums as anchors; later calls integrate from the nearest anchor.  So a
     supremum costs one segmented quadrature over its scan and candidates
     (shell radii, breakpoints) inside the hull plus a short segment per
-    Newton step or endpoint probe; ``_hardy_slope`` gives the steps'
-    derivatives from the values.
+    Newton step; ``_hardy_slope`` gives the steps' derivatives from the values.
     """
     forward = exponent > 0
-    sign = 1.0 if forward else -1.0
     leaves = _leaves(regular)
     power_law = (CoulombPotential, PowerPotential)
-    powers = [(leaf.nu, -1.0) if isinstance(leaf, CoulombPotential) else (leaf.a, leaf.p)
-              for leaf in leaves if isinstance(leaf, power_law)]
-    if any(sign * (p + exponent + 1.0) <= 0.0 for _, p in powers):
-        raise UnboundedError(f"supremum grows without bound toward {'r->0' if forward else 'r->inf'}")
+    for leaf in leaves:
+        if isinstance(leaf, PowerPotential) and leaf.p != -1.0:
+            raise UnboundedError(f"supremum grows without bound toward {'r->0' if leaf.p < -1.0 else 'r->inf'}")
+    strengths = [leaf.nu if isinstance(leaf, CoulombPotential) else leaf.a
+                 for leaf in leaves if isinstance(leaf, power_law)]
     rest = combine([leaf for leaf in leaves if not isinstance(leaf, power_law)])
     zero = rest.is_zero()
     bps = rest.breakpoints()
@@ -497,8 +497,8 @@ def _hardy_integrand(regular: PotentialComponent, shells, exponent: int):
         if not (0.0 < r.min() and r.max() < math.inf):
             raise ValueError("radii must be positive and finite")
         total = np.zeros_like(r) if zero else cumulative(r) / r ** exponent
-        for a, p in powers:
-            total = total + a * r ** (p + 1.0) / abs(p + exponent + 1.0)
+        for a in strengths:
+            total = total + a / abs(exponent)
         for shell in shells:
             side = r >= shell.R if forward else r <= shell.R
             total = total + np.where(side, shell.a * (shell.R / r) ** exponent, 0.0)
@@ -554,6 +554,8 @@ def a_k(pair: PotentialPair, k: int) -> float:
     tail integral with the same power, the form consistent with
     ``a_k(pair, 0) == a_plus`` and ``a_k(pair, -2) == a_minus``.
     """
+    if not float(k).is_integer():     # int(k) would take 0.7 to channel 0
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if k == -1:
         raise ValueError("k = -1 is not a spin-orbit channel")
@@ -574,8 +576,8 @@ def tilde_constants(pair: PotentialPair) -> tuple[float, float]:
 
 def scale_pair(pair: PotentialPair, alpha: float) -> PotentialPair:
     """The rescaled pair V^alpha(r) = alpha V(alpha r); A+/A- are invariant."""
-    if alpha <= 0:
-        raise ValueError("scaling parameter must be positive")
+    if not 0.0 < alpha < math.inf:     # NaN fails too
+        raise ValueError(f"scaling parameter must be positive and finite, got {alpha!r}")
     return PotentialPair(
         v1_regular=pair.v1_regular.scaled(alpha),
         # mass is preserved under the radial a*f(R) convention

@@ -150,6 +150,17 @@ def _check_mass(m: float) -> None:
         raise ValueError(f"mass must be positive and finite, got {m!r}")
 
 
+def _resolve_lambda(c1: float, c2: float, m: float, lam: float | None) -> float:
+    """``lam``, or when it is None the midpoint ``select_lambda`` for positive
+    c1, c2 and 0 otherwise, after checking m; lam must lie in (-m, m)."""
+    _check_mass(m)
+    if lam is None:
+        lam = select_lambda(c1, c2, m) if c1 > 0 and c2 > 0 else 0.0
+    if not (-m < lam < m):
+        raise ValueError("lambda must lie in (-m, m)")
+    return lam
+
+
 def verify_theorem(pair: PotentialPair, field_: SpinorField, gamma: float) -> InequalityReport:
     """Check the master inequality and its per-channel sharpenings.
 
@@ -224,10 +235,7 @@ def verify_corollary(pair: PotentialPair, field_: SpinorField, m: float,
     if maxsq > 0.0 and c1 * c2 > 1.0 / maxsq * (1.0 + 1e-12):
         raise HypothesisViolationError(
             f"c1*c2 = {c1 * c2:g} exceeds 1/max(A+^2, A-^2) = {1.0 / maxsq:g}")
-    if lam is None:
-        lam = select_lambda(c1, c2, m)
-    if not (-m < lam < m):
-        raise ValueError("lambda must lie in (-m, m)")
+    lam = _resolve_lambda(c1, c2, m, lam)
 
     v2 = pair.v2
     weights = [lambda r: 1.0 / (m + c2 * v2(r) - lam)]
@@ -303,11 +311,7 @@ def mollified_delta_experiment(c1: float, c2: float, R: float, eps_list,
         raise ValueError(f"shell radius R must be finite, got {R!r}")
     if not (c1 >= 0.0 and c2 >= 0.0):
         raise ValueError(f"coupling constants must be nonnegative, got c1={c1!r}, c2={c2!r}")
-    _check_mass(m)
-    if lam is None:
-        lam = select_lambda(c1, c2, m) if c1 > 0 and c2 > 0 else 0.0
-    if not (-m < lam < m):
-        raise ValueError("lambda must lie in (-m, m)")
+    lam = _resolve_lambda(c1, c2, m, lam)
     lhs = 0.0
     try:
         for ch, prof in field_.sorted_terms():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -123,6 +124,13 @@ class TestIntegrateRadial:
         # odd in t = log r: the panels reach round-off, not a relative tolerance
         (value,), _ = integrate_radial(lambda r: np.sin(np.log(r)) * np.exp(-np.log(r) ** 2) / r)
         assert abs(value) <= 1e-15
+
+    def test_subnormal_integrand_converges(self):
+        # e^-s is subnormal for s in (708, 745): its values keep no relative
+        # precision, and the segments there settle at the round-off floor
+        edges = np.append(0.0, _SCAN)
+        values, estimates = integrate_radial(lambda s: np.exp(-s) * s * s, edges)
+        assert abs(values.sum() - 2.0) <= estimates.sum()
 
     def test_double_root_gradient_side(self):
         # |f' - 3 f/r|^2 for f = r^4 e^{-a r} has a double root at r = 1/a; a
@@ -405,14 +413,32 @@ class TestSupOverR:
         assert res.value == 0.0
 
     def test_unbounded(self):
-        with pytest.raises(UnboundedError):
+        with pytest.raises(UnboundedError, match="r->0$"):
             sup_over_r(lambda r: 1.0 / r, _r_slope(lambda r: -1.0 / r ** 2, lambda r: 2.0 / r ** 3))
 
-    def test_limit_tag_at_infinity(self):
-        res = sup_over_r(lambda r: r / (1.0 + r),
-                         _r_slope(lambda r: 1.0 / (1.0 + r) ** 2, lambda r: -2.0 / (1.0 + r) ** 3))
-        assert res.value == pytest.approx(1.0, abs=1e-6)
-        assert res.tag == "r->inf"
+    def test_unbounded_past_an_end_candidate(self):
+        # a candidate below the scan makes the first sample its float
+        # neighbour, one float from the candidate: the slope there shows
+        # the growth, its neighbour's value does not
+        with pytest.raises(UnboundedError, match="r->0$"):
+            sup_over_r(lambda r: 1.0 / r, _r_slope(lambda r: -1.0 / r ** 2, lambda r: 2.0 / r ** 3),
+                       candidates=(1e-9,))
+
+    def test_rise_into_last_radius_names_infinity(self):
+        # r / (1 + r) approaches its supremum 1 only as r -> inf: no sample
+        # attains it, so the search names the end rather than clip at 1e6
+        with pytest.raises(UnboundedError, match="r->inf$"):
+            sup_over_r(lambda r: r / (1.0 + r),
+                       _r_slope(lambda r: 1.0 / (1.0 + r) ** 2, lambda r: -2.0 / (1.0 + r) ** 3))
+
+    def test_jump_at_an_end_candidate_is_not_growth(self):
+        # the first sample is the candidate's lower float neighbour, above
+        # the candidate itself: g is flat below the candidate, not growing
+        res = sup_over_r(lambda r: np.where(r < 1e-8, 1.0, 0.0), _ZERO_SLOPE, candidates=(1e-8,))
+        assert res.value == 1.0 and res.argmax < 1e-8
+
+    def test_result_has_value_and_argmax_only(self):
+        assert [f.name for f in dataclasses.fields(sup_over_r(*_GAMMA))] == ["value", "argmax"]
 
     def test_explicit_candidate_jump(self):
         g = lambda r: np.where(r >= 3.0, 1.0, 0.0)

@@ -150,6 +150,12 @@ class TestHardyConstants:
         with pytest.raises(ValueError):
             a_k(coulomb_pair, -1)
 
+    @pytest.mark.parametrize("k", [0.7, -1.5, math.nan, math.inf])
+    def test_non_integer_k_rejected(self, coulomb_pair, k):
+        # int(0.7) would be channel 0
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            a_k(coulomb_pair, k)
+
     def test_monotone_in_k(self, pair_gallery):
         for pair in pair_gallery:
             table = {k: a_k(pair, k) for k in (0, 1, 2, 3, -2, -3, -4)}
@@ -297,12 +303,17 @@ class TestClosedFormPowers:
         assert edges and all(0.5 <= seg.min() and seg.max() <= 3.1 for seg in edges)
 
     @pytest.mark.parametrize("p", [-4.0, -3.0, -2.5, -1.5, -0.5, 0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("e", [-6, -2, 2, 8])
-    def test_power_weight_names_the_growing_end(self, p, e):
+    @pytest.mark.parametrize("e", [-6, -2, 2, 4, 8])
+    def test_power_weight_names_the_growing_end(self, monkeypatch, p, e):
         # r^p, p != -1, grows toward r -> 0 if p < -1 and toward infinity
         # otherwise, whether its moment diverges there or its closed form
         # grows; the all-quadrature integrand named the same end wherever
-        # its quadrature held (r^2 with e = 8 overflowed it)
+        # its quadrature held (r^2 with e = 8 overflowed it).  The verdict
+        # is closed form: no supremum search runs
+        def fail(*args, **kwargs):
+            raise AssertionError("sup_over_r called")
+
+        monkeypatch.setattr(potentials, "sup_over_r", fail)
         end = "r->0" if p < -1.0 else "r->inf"
         for weight in (PowerPotential(1.0, p), SumPotential((_TABLE, PowerPotential(1.0, p)))):
             with pytest.raises(NotInClassAError,
@@ -376,7 +387,8 @@ class TestScaling:
         np.testing.assert_allclose(scaled(rs), alpha * comp(alpha * rs),
                                    rtol=1e-12, atol=1e-300)
 
-    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    # 1e-9 and 1e9 take every shell and breakpoint beyond the scan [1e-6, 1e6]
+    @pytest.mark.parametrize("alpha", [1e-9, 0.5, 2.0, 1e9])
     def test_constants_invariant(self, pair_gallery, alpha):
         for pair in pair_gallery:
             scaled = scale_pair(pair, alpha)
@@ -399,8 +411,9 @@ class TestScaling:
         assert a_plus(scale_pair(coulomb_pair, 0.5)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_alpha(self, coulomb_pair):
-        with pytest.raises(ValueError):
-            scale_pair(coulomb_pair, 0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"got {alpha!r}$"):
+                scale_pair(coulomb_pair, alpha)
 
 
 class TestTablePotential:

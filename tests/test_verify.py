@@ -183,6 +183,26 @@ class TestSelectLambda:
     def test_scales_with_m(self):
         assert select_lambda(1.0, 1.0, 2.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("c1, c2, m", [(0.5, 0.5, 1.0), (0.9, 0.3, 2.0), (0.0, 0.5, 1.0)])
+    def test_three_callers_resolve_alike(self, c1, c2, m):
+        # the channel problem, the corollary and the experiment pick one lambda
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=c1, c2=c2)
+        lam = extension.DiracChannelProblem(pair, Channel(0), m=m).lam
+        assert lam == (select_lambda(c1, c2, m) if c1 > 0 else 0.0)
+        if c1 > 0:
+            assert verify_corollary(pair, F_EXP, m=m).lam == lam
+        rows = mollified_delta_experiment(c1, c2, 1.0, [0.5], F_EXP, m=m)
+        assert rows[0].mass_term == (m + lam) * field_norm_weighted(F_EXP)
+
+    @pytest.mark.parametrize("lam", [-1.0, 1.0, math.nan])
+    def test_three_callers_refuse_alike(self, lam):
+        pair = parse_pair("coulomb:1", "coulomb:1", c1=0.5, c2=0.5)
+        for call in (lambda: extension.DiracChannelProblem(pair, Channel(0), lam=lam),
+                     lambda: verify_corollary(pair, F_EXP, m=1.0, lam=lam),
+                     lambda: mollified_delta_experiment(0.5, 0.5, 1.0, [0.5], F_EXP, lam=lam)):
+            with pytest.raises(ValueError, match=r"^lambda must lie in \(-m, m\)$"):
+                call()
+
 
 class TestVerifyCorollary:
     def test_coulomb_09(self, coulomb_pair):
